@@ -8,13 +8,13 @@ cells whose finger rays miss the object are skipped and counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from . import geometry
-from .gripper import ContactFrame, GraspPose, GripperModel, resolve_contacts_batch
+from .gripper import ContactArrays, ContactFrame, GraspPose, GripperModel, contacts_on_lines
 from .mesh import TriangleMesh
 
 _GOLDEN_INCREMENT = np.pi * (3.0 - np.sqrt(5.0))
@@ -105,77 +105,86 @@ class CandidateGrid:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateArrays:
+    """Valid candidates of a grid as parallel arrays, in enumeration order.
+
+    Row i is one grasp: ``rotations[i]`` (3, 3), ``translations[i]`` (3,),
+    ``widths[i]``, ``depths[i]`` and ``contacts`` row i, whose fingertip
+    endpoints sit at the commanded width.
+    """
+
+    rotations: np.ndarray
+    translations: np.ndarray
+    widths: np.ndarray
+    depths: np.ndarray
+    contacts: ContactArrays
+    n_enumerated: int
+    n_skipped: int
+
+
+def candidate_arrays(
+    mesh: TriangleMesh,
+    grid: CandidateGrid,
+    gripper: GripperModel,
+    clearance: float = 0.01,
+) -> CandidateArrays:
+    """Resolve every grid cell and keep the valid ones as arrays.
+
+    Cells are enumerated seed by seed, then view, in-plane rotation and
+    depth. Contacts are searched at the gripper's full opening; the width is
+    then set to the contact separation plus ``clearance``, clamped to the
+    maximum, and the fingertip endpoints follow that width. Cells whose rays
+    miss the mesh (or would start inside it) are skipped and counted.
+    """
+    vr_rots = np.array([[geometry.frame_from_approach(-view, theta) for theta in grid.rotations]
+                        for view in grid.views])
+    rotations = np.repeat(vr_rots.reshape(-1, 3, 3), len(grid.depths), axis=0)
+    depths = np.tile(grid.depths, len(rotations) // len(grid.depths))
+    closing = rotations[:, :, 0]
+    offsets = depths[:, None] * rotations[:, :, 2]
+    search_half = np.full(len(rotations), gripper.max_width / 2.0)
+
+    per_seed = []
+    for seed in grid.seed_points:
+        centers = seed + offsets
+        valid, found, separation = contacts_on_lines(mesh, centers, closing, search_half)
+        width = np.minimum(separation + clearance, gripper.max_width)
+        half_jaw = (width / 2.0)[:, None] * closing[valid]
+        per_seed.append((
+            rotations[valid],
+            np.broadcast_to(seed, (len(width), 3)),
+            width,
+            depths[valid],
+            *found._replace(p_el=centers[valid] - half_jaw, p_er=centers[valid] + half_jaw),
+        ))
+    cell_rots, seeds, widths, cell_depths, *contacts = (np.concatenate(col) for col in zip(*per_seed))
+    n_enumerated = len(rotations) * len(grid.seed_points)
+    return CandidateArrays(cell_rots, seeds, widths, cell_depths, ContactArrays(*contacts),
+                           n_enumerated, n_enumerated - len(widths))
+
+
+@dataclass(eq=False, repr=False)
 class CandidateEnumerator:
     """Iterator over valid (GraspPose, ContactFrame) pairs of a grid.
 
-    Grid cells are resolved in vectorized batches; cells whose rays miss
-    the mesh (or would start inside it) are skipped and tallied in
-    ``n_skipped``. Width is set to the contact separation plus
-    ``clearance``, clamped to the gripper's maximum.
+    An object view of :func:`candidate_arrays`; ``n_enumerated`` and
+    ``n_skipped`` are filled in once iteration starts.
     """
 
-    def __init__(
-        self,
-        mesh: TriangleMesh,
-        grid: CandidateGrid,
-        gripper: GripperModel,
-        clearance: float = 0.01,
-    ):
-        self.mesh = mesh
-        self.grid = grid
-        self.gripper = gripper
-        self.clearance = clearance
-        self.n_skipped = 0
-        self.n_enumerated = 0
+    mesh: TriangleMesh
+    grid: CandidateGrid
+    gripper: GripperModel
+    clearance: float = 0.01
+    n_enumerated: int = field(default=0, init=False)
+    n_skipped: int = field(default=0, init=False)
 
     def __iter__(self) -> Iterator[tuple[GraspPose, ContactFrame]]:
-        grid = self.grid
-        n_cells_per_seed = len(grid.views) * len(grid.rotations) * len(grid.depths)
-
-        # Precompute one rotation matrix per (view, rotation) pair.
-        vr_rots = np.empty((len(grid.views), len(grid.rotations), 3, 3))
-        for vi, view in enumerate(grid.views):
-            for ai, theta in enumerate(grid.rotations):
-                vr_rots[vi, ai] = geometry.frame_from_approach(-view, theta)
-
-        flat_rots = vr_rots.reshape(-1, 3, 3)
-        depths = grid.depths
-        n_vr = len(flat_rots)
-        rotations = np.repeat(flat_rots, len(depths), axis=0)
-        cell_depths = np.tile(depths, n_vr)
-        search_width = np.full(len(rotations), self.gripper.max_width)
-
-        for si in range(len(grid.seed_points)):
-            seed = grid.seed_points[si]
-            translations = np.broadcast_to(seed, (len(rotations), 3))
-
-            frames = resolve_contacts_batch(self.mesh, rotations, translations, search_width, cell_depths)
-            self.n_enumerated += n_cells_per_seed
-            for ci, frame in enumerate(frames):
-                if not frame.valid:
-                    self.n_skipped += 1
-                    continue
-                separation = float(np.linalg.norm(frame.p_cr - frame.p_cl))
-                width = min(separation + self.clearance, self.gripper.max_width)
-                pose = GraspPose(
-                    rotation=rotations[ci],
-                    translation=np.array(seed),
-                    width=width,
-                    depth=float(cell_depths[ci]),
-                )
-                # Endpoints follow the final commanded width, not the
-                # search width used for the ray origins.
-                center = pose.center
-                half = width / 2.0
-                yield pose, ContactFrame(
-                    p_cl=frame.p_cl,
-                    p_cr=frame.p_cr,
-                    v_ql=frame.v_ql,
-                    v_qr=frame.v_qr,
-                    v_a=frame.v_a,
-                    p_el=center - half * pose.closing_axis,
-                    p_er=center + half * pose.closing_axis,
-                )
+        batch = candidate_arrays(self.mesh, self.grid, self.gripper, self.clearance)
+        self.n_enumerated += batch.n_enumerated
+        self.n_skipped += batch.n_skipped
+        for i, (width, depth) in enumerate(zip(batch.widths.tolist(), batch.depths.tolist())):
+            yield GraspPose(batch.rotations[i], batch.translations[i], width, depth), batch.contacts.frame(i)
 
 
 def enumerate_candidates(
@@ -184,5 +193,5 @@ def enumerate_candidates(
     gripper: GripperModel,
     clearance: float = 0.01,
 ) -> CandidateEnumerator:
-    """Lazy stream of valid grasp candidates over the grid."""
+    """Valid grasp candidates of the grid; the grid is resolved when iteration starts."""
     return CandidateEnumerator(mesh, grid, gripper, clearance)

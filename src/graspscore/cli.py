@@ -59,8 +59,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--unit-scale", type=float, default=1.0,
                         help="multiply mesh coordinates on load (default 1.0)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="scoring threads (default: available parallelism)")
     parser.add_argument("--seed", type=int, default=0, help="surface sampling seed")
 
 
@@ -146,7 +144,7 @@ def cmd_label(args) -> int:
     mesh = load_mesh(args.mesh, unit_scale=args.unit_scale)
     object_id = args.object_id or os.path.splitext(os.path.basename(args.mesh))[0]
 
-    records, summary = label_mesh(mesh, object_id, cfg, seed=args.seed, workers=args.workers)
+    records, summary = label_mesh(mesh, object_id, cfg, seed=args.seed)
     write_labels(args.out, records)
 
     print(f"mesh {args.mesh}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces, "
@@ -190,9 +188,7 @@ def _score_colors(scores: np.ndarray) -> np.ndarray:
 def cmd_rescore(args) -> int:
     cfg = _load_config(args)
     records = read_labels(args.labels)
-    partials = [dataclasses.replace(r.breakdown, s_g=float("nan"), s_c=float("nan"),
-                                    s_hybrid=float("nan")) for r in records]
-    combined = normalize_and_combine(partials, cfg.weights())
+    combined = normalize_and_combine([r.breakdown for r in records], cfg.weights())
     out = [dataclasses.replace(r, breakdown=b) for r, b in zip(records, combined)]
     write_labels(args.out, out)
     print(f"rescored {len(out)} records to {args.out}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame
-from .gripper import ContactFrame
+from .gripper import ContactArrays, ContactFrame
 
 DEFAULT_BINS = tuple(round(0.1 * m, 10) for m in range(1, 11))
 
@@ -78,19 +78,22 @@ def _score_from_angle(angle: float, bins: FrictionBins) -> float:
 
 def force_closure_scores(frames: list[ContactFrame], bins: FrictionBins = FrictionBins()) -> np.ndarray:
     """Vectorized force_closure_score over valid frames."""
-    if not frames:
-        return np.zeros(0)
-    v_a = np.array([f.v_a for f in frames])
-    n_l = np.array([f.v_ql for f in frames])
-    n_r = np.array([f.v_qr for f in frames])
-    a_l = np.arccos(np.clip(-np.einsum("ij,ij->i", v_a, n_l), -1.0, 1.0))
-    a_r = np.arccos(np.clip(np.einsum("ij,ij->i", v_a, n_r), -1.0, 1.0))
+    contacts = ContactArrays.stack(frames)
+    return closure_scores(contacts.v_a, contacts.v_ql, contacts.v_qr, bins)
+
+
+def closure_scores(
+    v_a: np.ndarray, v_ql: np.ndarray, v_qr: np.ndarray, bins: FrictionBins = FrictionBins()
+) -> np.ndarray:
+    """force_closure_score over (n, 3) rows of contact-line and normal vectors."""
+    a_l = np.arccos(np.clip(-np.einsum("ij,ij->i", v_a, v_ql), -1.0, 1.0))
+    a_r = np.arccos(np.clip(np.einsum("ij,ij->i", v_a, v_qr), -1.0, 1.0))
     worst = np.maximum(a_l, a_r)
 
     limits = bins.cone_half_angles
     idx = np.searchsorted(limits, worst, side="left")
     mus = np.asarray(bins.mus)
-    scores = np.zeros(len(frames))
+    scores = np.zeros(len(worst))
     passing = idx < len(limits)
     scores[passing] = np.round(1.1 - mus[idx[passing]], 10)
     return scores

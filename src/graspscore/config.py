@@ -56,6 +56,11 @@ class PipelineConfig:
     collision_margin: float = 0.001
     score_thresholds: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 
+    def __post_init__(self):
+        for name in ("n_seeds", "n_views", "n_rotations", "knn_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+
     def gripper(self) -> GripperModel:
         return GripperModel(
             max_width=self.max_width,

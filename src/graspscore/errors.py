@@ -6,7 +6,7 @@ class GraspScoreError(Exception):
 
 
 class ParseError(GraspScoreError):
-    """A mesh or config file is missing, unreadable, or malformed."""
+    """A mesh, config or scene file is missing, unreadable, or malformed."""
 
 
 class SchemaError(GraspScoreError):

@@ -69,12 +69,6 @@ def frame_from_approach(approach: np.ndarray, theta: float) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-def geodesic_rotation_distance(ra: np.ndarray, rb: np.ndarray) -> float:
-    """Angle in radians of the relative rotation between two matrices."""
-    tr = np.trace(ra.T @ rb)
-    return float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-
-
 def transform_points(points: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     return points @ rotation.T + translation
 

@@ -17,6 +17,7 @@ start inside the object, which marks the frame invalid; so does a miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,17 +141,8 @@ class ContactFrame:
 
     @classmethod
     def invalid(cls) -> "ContactFrame":
-        return _INVALID_FRAME
-
-
-def _make_invalid_frame() -> ContactFrame:
-    z = np.zeros(3)
-    z.setflags(write=False)
-    return ContactFrame(z, z, z, z, z, z, z, valid=False)
-
-
-# Shared sentinel: grids enumerate millions of cells and most miss the mesh.
-_INVALID_FRAME = _make_invalid_frame()
+        z = np.zeros(3)
+        return cls(z, z, z, z, z, z, z, valid=False)
 
 
 def resolve_contacts(mesh: TriangleMesh, grasp: GraspPose, gripper: GripperModel) -> ContactFrame:
@@ -172,6 +164,28 @@ def resolve_contacts(mesh: TriangleMesh, grasp: GraspPose, gripper: GripperModel
     return frames[0]
 
 
+class ContactArrays(NamedTuple):
+    """Valid contact frames as parallel (n, 3) arrays; row i is frame i.
+
+    Fields follow :class:`ContactFrame`, in its positional order.
+    """
+
+    p_cl: np.ndarray
+    p_cr: np.ndarray
+    v_ql: np.ndarray
+    v_qr: np.ndarray
+    v_a: np.ndarray
+    p_el: np.ndarray
+    p_er: np.ndarray
+
+    @classmethod
+    def stack(cls, frames: list[ContactFrame]) -> "ContactArrays":
+        return cls(*(np.array([getattr(f, name) for f in frames]).reshape(-1, 3) for name in cls._fields))
+
+    def frame(self, i: int) -> ContactFrame:
+        return ContactFrame(*(a[i] for a in self))
+
+
 def resolve_contacts_batch(
     mesh: TriangleMesh,
     rotations: np.ndarray,
@@ -180,39 +194,29 @@ def resolve_contacts_batch(
     depths: np.ndarray,
 ) -> list[ContactFrame]:
     """Vectorized contact resolution for many grasps on one mesh."""
-    closing = rotations[:, :, 0]
-    approach = rotations[:, :, 2]
-    centers = translations + depths[:, None] * approach
-    half = widths / 2.0
-
-    raw = _contacts_on_line(mesh, centers, closing, half)
-    frames: list[ContactFrame] = []
-    for i in range(len(centers)):
-        ok, p_cl, p_cr, n_l, n_r = raw[i]
-        if not ok:
-            frames.append(ContactFrame.invalid())
-            continue
-        gap = p_cr - p_cl
-        norm = np.linalg.norm(gap)
-        if norm < 1e-12:
-            frames.append(ContactFrame.invalid())
-            continue
-        frames.append(
-            ContactFrame(
-                p_cl=p_cl,
-                p_cr=p_cr,
-                v_ql=n_l,
-                v_qr=n_r,
-                v_a=gap / norm,
-                p_el=centers[i] - half[i] * closing[i],
-                p_er=centers[i] + half[i] * closing[i],
-            )
-        )
+    centers = translations + depths[:, None] * rotations[:, :, 2]
+    valid, contacts, _ = contacts_on_lines(mesh, centers, rotations[:, :, 0], widths / 2.0)
+    frames = [ContactFrame.invalid()] * len(centers)
+    for j, i in enumerate(np.flatnonzero(valid)):
+        frames[i] = contacts.frame(j)
     return frames
 
 
-def _contacts_on_line(mesh: TriangleMesh, centers: np.ndarray, closing: np.ndarray, half: np.ndarray):
-    """First front-face hits of the two inward closing rays per grasp."""
+def contacts_on_lines(
+    mesh: TriangleMesh, centers: np.ndarray, closing: np.ndarray, half: np.ndarray
+) -> tuple[np.ndarray, ContactArrays, np.ndarray]:
+    """First front-face hits of the two inward closing rays per grasp line.
+
+    Line i runs through ``centers[i]`` along ``closing[i]``; its rays start
+    at the fingertips ``half[i]`` out on each side and march inward. A line
+    is valid when both rays first hit a front face and the two contacts do
+    not coincide.
+
+    Returns:
+        (valid, contacts, separation): the (m,) mask over lines, then the
+        contacts and the contact separations |p_cr - p_cl| of the valid
+        lines only, in line order.
+    """
     n = len(centers)
     origins = np.concatenate([centers - half[:, None] * closing, centers + half[:, None] * closing])
     dirs = np.concatenate([closing, -closing])
@@ -233,12 +237,17 @@ def _contacts_on_line(mesh: TriangleMesh, centers: np.ndarray, closing: np.ndarr
     # Front-face requirement: the surface normal must oppose the march.
     front = hit & (np.einsum("ij,ij->i", normals, dirs) < 0.0)
 
-    out = []
-    for i in range(n):
-        l, r = i, n + i
-        ok = bool(front[l] and front[r])
-        out.append((ok, points[l], points[r], normals[l], normals[r]))
-    return out
+    gap = points[n:] - points[:n]
+    # Bit for bit the per-row np.linalg.norm(gap); np.linalg.norm(gap, axis=1)
+    # differs from it in the last bit on some rows.
+    separation = np.sqrt(np.vecdot(gap, gap))
+    valid = front[:n] & front[n:] & (separation >= 1e-12)
+    left = np.flatnonzero(valid)
+    right = left + n
+    separation = separation[valid]
+    contacts = ContactArrays(points[left], points[right], normals[left], normals[right],
+                             gap[valid] / separation[:, None], origins[left], origins[right])
+    return valid, contacts, separation
 
 
 def gripper_collides(

@@ -3,14 +3,15 @@
 Supports Wavefront OBJ (``v``/``f`` lines, 1-based indices) and PLY in both
 ascii and binary little-endian form. Only triangle faces are accepted; any
 vertex normals stored in the file are ignored because normals are recomputed
-from the geometry on load.
+from the geometry on load. Binary PLY faces are read as fixed-size records, so
+a face list property other than the vertex indices must hold the same number
+of values in every face.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import struct
 
 import numpy as np
 
@@ -18,16 +19,7 @@ from .errors import ParseError
 
 logger = logging.getLogger(__name__)
 
-_PLY_TYPES = {
-    "char": ("b", 1), "int8": ("b", 1),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "int16": ("h", 2),
-    "ushort": ("H", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
-}
+_FACE_INDEX_NAMES = ("vertex_indices", "vertex_index")
 
 _NUMPY_CODES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
@@ -155,14 +147,12 @@ def _ply_elements_ascii(tokens, elements, path):
                 pos += count * width
                 vertices = block[:, [cols["x"], cols["y"], cols["z"]]]
             elif name == "face":
-                rows = []
-                for _ in range(count):
-                    n = int(tokens[pos]); pos += 1
-                    if n != 3:
-                        raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
-                    rows.append([int(tokens[pos]), int(tokens[pos + 1]), int(tokens[pos + 2])])
-                    pos += 3
-                faces = rows
+                block = np.array(tokens[pos:pos + 4 * count], dtype=np.int64).reshape(count, 4)
+                pos += 4 * count
+                if (block[:, 0] != 3).any():
+                    n = block[np.argmax(block[:, 0] != 3), 0]
+                    raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
+                faces = block[:, 1:]
             else:
                 # skip unknown fixed-width elements; lists are not skippable
                 for pname, ptype, list_type in props:
@@ -193,41 +183,59 @@ def _ply_elements_binary(body: bytes, elements, path):
                         raise ParseError(f"{path}: vertex element lacks property {key!r}")
                 vertices = np.column_stack([arr[cols["x"]], arr[cols["y"]], arr[cols["z"]]]).astype(float)
             elif name == "face":
-                rows = []
-                for _ in range(count):
-                    row_faces = None
-                    for pname, ptype, ltype in props:
-                        if ltype is None:
-                            off += _PLY_TYPES[ptype][1]
-                            continue
-                        cch, csz = _PLY_TYPES[ltype]
-                        n = struct.unpack_from("<" + cch, body, off)[0]
-                        off += csz
-                        ich, isz = _PLY_TYPES[ptype]
-                        vals = struct.unpack_from("<" + ich * n, body, off)
-                        off += isz * n
-                        if pname in ("vertex_indices", "vertex_index"):
-                            if n != 3:
-                                raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
-                            row_faces = list(vals)
-                    if row_faces is None:
-                        raise ParseError(f"{path}: face element lacks vertex_indices")
-                    rows.append(row_faces)
-                faces = rows
+                if count == 0:
+                    continue
+                dt = _face_record_dtype(body, off, props)
+                arr = np.frombuffer(body, dtype=dt, count=count, offset=off)
+                off += dt.itemsize * count
+                for i, (pname, _, ltype) in enumerate(props):
+                    if ltype is None:
+                        continue
+                    lengths = arr[f"n{i}"]
+                    if pname in _FACE_INDEX_NAMES:
+                        if (lengths != 3).any():
+                            n = lengths[np.argmax(lengths != 3)]
+                            raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
+                        faces = arr[f"p{i}"]
+                    elif (lengths != lengths[0]).any():
+                        raise ParseError(f"{path}: face list property {pname!r} changes length")
+                if faces is None:
+                    raise ParseError(f"{path}: face element lacks vertex_indices")
             else:
                 if not fixed:
                     raise ParseError(f"{path}: cannot skip list element {name!r}")
-                off += count * sum(_PLY_TYPES[p[1]][1] for p in props)
-    except (struct.error, ValueError) as exc:
+                off += count * sum(np.dtype(_NUMPY_CODES[p[1]]).itemsize for p in props)
+    except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: truncated or malformed PLY body: {exc}") from exc
     return _as_arrays(vertices, faces, path)
+
+
+def _face_record_dtype(body: bytes, off: int, props) -> np.dtype:
+    """Structured dtype of one binary face record.
+
+    A list property becomes a length field ``n<i>`` and a values field
+    ``p<i>``: three values for the vertex indices, and for any other list
+    as many as the first record holds. Callers check the length fields.
+    """
+    fields = []
+    for i, (pname, ptype, ltype) in enumerate(props):
+        if ltype is None:
+            fields.append((f"p{i}", "<" + _NUMPY_CODES[ptype]))
+            continue
+        fields.append((f"n{i}", "<" + _NUMPY_CODES[ltype]))
+        if pname in _FACE_INDEX_NAMES:
+            n = 3
+        else:
+            n = int(np.frombuffer(body, dtype=np.dtype(fields), count=1, offset=off)[f"n{i}"][0])
+        fields.append((f"p{i}", "<" + _NUMPY_CODES[ptype], (n,)))
+    return np.dtype(fields)
 
 
 def _as_arrays(vertices, faces, path):
     if vertices is None or len(vertices) == 0:
         raise ParseError(f"{path}: no vertices found")
     v = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    f = np.asarray(faces if faces else [], dtype=np.int64).reshape(-1, 3)
+    f = np.asarray([] if faces is None else faces, dtype=np.int64).reshape(-1, 3)
     if len(f) and (f.min() < 0 or f.max() >= len(v)):
         raise ParseError(f"{path}: face index out of range")
     return v, f
@@ -261,8 +269,9 @@ def save_ply(path: str, vertices: np.ndarray, faces: np.ndarray, binary: bool = 
         with open(path, "wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("ascii"))
             fh.write(vertices.astype("<f8").tobytes())
-            for a, b, c in faces:
-                fh.write(struct.pack("<Biii", 3, a, b, c))
+            records = np.empty(len(faces), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+            records["n"], records["v"] = 3, faces
+            fh.write(records.tobytes())
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(header) + "\n")

@@ -135,7 +135,9 @@ def collision_score(frame: ContactFrame) -> float:
 
 
 def _minmax_normalize(values: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; a constant column maps to all zeros."""
+    """Min-max to [0, 1]; a constant or empty column maps to all zeros."""
+    if len(values) == 0:
+        return np.zeros_like(values)
     lo = values.min()
     rng = values.max() - lo
     if rng <= 0.0:
@@ -146,26 +148,27 @@ def _minmax_normalize(values: np.ndarray) -> np.ndarray:
 def normalize_and_combine(
     breakdowns: list[ScoreBreakdown], weights: MetricWeights = MetricWeights()
 ) -> list[ScoreBreakdown]:
-    """Fill s_g, s_c and s_hybrid across one candidate set.
+    """List form of :func:`combine_scores`; returns new instances."""
+    raw = np.array([(b.s_t, b.s_f, b.s_g_raw, b.s_c_raw) for b in breakdowns], dtype=float).reshape(-1, 4)
+    s_g, s_c, hybrid = combine_scores(*raw.T, weights)
+    return [
+        dataclasses.replace(b, s_g=g, s_c=c, s_hybrid=h)
+        for b, g, c, h in zip(breakdowns, s_g.tolist(), s_c.tolist(), hybrid.tolist())
+    ]
+
+
+def combine_scores(
+    s_t: np.ndarray, s_f: np.ndarray, s_g_raw: np.ndarray, s_c_raw: np.ndarray,
+    weights: MetricWeights = MetricWeights(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s_g, s_c, s_hybrid) across one candidate set.
 
     s_g is 1 minus the normalized gravity distance (near the gravity center
     is best); s_c is the normalized clearance (more clearance is best).
     Constant raw columns normalize to 0, so s_g becomes 1 and s_c becomes 0
-    for every grasp. Returns new instances; the inputs are not modified.
+    for every grasp.
     """
-    if not breakdowns:
-        return []
-    g_raw = np.array([b.s_g_raw for b in breakdowns])
-    c_raw = np.array([b.s_c_raw for b in breakdowns])
-    s_g = 1.0 - _minmax_normalize(g_raw)
-    s_c = _minmax_normalize(c_raw)
-    out = []
-    for b, g, c in zip(breakdowns, s_g, s_c):
-        hybrid = (
-            weights.lambda_t * b.s_t
-            + weights.lambda_f * b.s_f
-            + weights.lambda_g * g
-            + weights.lambda_c * c
-        )
-        out.append(dataclasses.replace(b, s_g=float(g), s_c=float(c), s_hybrid=float(hybrid)))
-    return out
+    s_g = 1.0 - _minmax_normalize(s_g_raw)
+    s_c = _minmax_normalize(s_c_raw)
+    hybrid = weights.lambda_t * s_t + weights.lambda_f * s_f + weights.lambda_g * s_g + weights.lambda_c * s_c
+    return s_g, s_c, hybrid

@@ -1,32 +1,28 @@
 """End-to-end labeling: enumerate candidates on a mesh and score them.
 
-Scoring is organized as per-candidate work fanned out over a thread pool in
-fixed-size chunks. Every reduction happens inside a single candidate, so
-results are bitwise identical regardless of the worker count, and the
-chunks are merged back in input order.
+Candidates, contacts and scores stay parallel arrays from ray hit to the
+final weighted sum; records are built once, at the end. Every raw score is
+reduced within one candidate's row, so it does not depend on how many
+candidates are scored together.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateGrid, enumerate_candidates
-from .closure import force_closure_scores
+from .candidates import CandidateGrid, candidate_arrays
+from .closure import closure_scores
 from .config import PipelineConfig
-from .gripper import ContactFrame, GraspPose
+from .gripper import ContactArrays, ContactFrame
 from .labels import GraspRecord
 from .mesh import TriangleMesh, mass_properties, with_surface_samples
-from .metrics import ScoreBreakdown, neighborhood_normal_consistency, normalize_and_combine
+from .metrics import ScoreBreakdown, combine_scores, neighborhood_normal_consistency
 from .spatial import SpatialIndex
 
 logger = logging.getLogger(__name__)
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,11 @@ class LabelSummary:
     hybrid_histogram: tuple[int, ...]
 
 
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 def label_mesh(
     mesh: TriangleMesh,
     object_id: str,
     config: PipelineConfig = PipelineConfig(),
     seed: int = 0,
-    workers: int | None = None,
 ) -> tuple[list[GraspRecord], LabelSummary]:
     """Generate, score, and package every valid grasp candidate of a mesh.
 
@@ -59,7 +50,6 @@ def label_mesh(
         object_id: id written into each record.
         config: pipeline tunables.
         seed: RNG seed for surface sampling.
-        workers: scoring thread count, default = available parallelism.
 
     Returns:
         (records, summary). Records keep enumeration order.
@@ -77,33 +67,22 @@ def label_mesh(
         n_rotations=config.n_rotations,
         depths=gripper.depth_levels,
     )
-    enumerator = enumerate_candidates(mesh, grid, gripper, config.width_clearance)
-    poses: list[GraspPose] = []
-    frames: list[ContactFrame] = []
-    for pose, frame in enumerator:
-        poses.append(pose)
-        frames.append(frame)
+    batch = candidate_arrays(mesh, grid, gripper, config.width_clearance)
+    s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(batch.contacts, index, gravity_center, config)
+    s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
 
-    partials = score_frames(frames, index, gravity_center, config, workers)
-    breakdowns = normalize_and_combine(partials, config.weights())
-
+    scores = np.column_stack([s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw, s_g, s_c, s_hybrid]).tolist()
     records = [
-        GraspRecord(
-            object_id=object_id,
-            rotation=pose.rotation,
-            translation=pose.translation,
-            width=pose.width,
-            depth=pose.depth,
-            breakdown=b,
-        )
-        for pose, b in zip(poses, breakdowns)
+        GraspRecord(object_id, rotation, translation, width, depth, ScoreBreakdown(*row))
+        for rotation, translation, width, depth, row in zip(
+            batch.rotations, batch.translations, batch.widths.tolist(), batch.depths.tolist(), scores)
     ]
     summary = LabelSummary(
-        n_enumerated=enumerator.n_enumerated,
-        n_skipped=enumerator.n_skipped,
+        n_enumerated=batch.n_enumerated,
+        n_skipped=batch.n_skipped,
         n_labeled=len(records),
-        closure_histogram=_histogram([b.s_t for b in breakdowns]),
-        hybrid_histogram=_histogram([b.s_hybrid for b in breakdowns]),
+        closure_histogram=_histogram(s_t),
+        hybrid_histogram=_histogram(s_hybrid),
     )
     logger.info(
         "labeled %s: %d candidates (%d cells skipped)",
@@ -117,55 +96,36 @@ def score_frames(
     index: SpatialIndex,
     gravity_center: np.ndarray,
     config: PipelineConfig = PipelineConfig(),
-    workers: int | None = None,
 ) -> list[ScoreBreakdown]:
     """Raw score components for a list of valid frames (no normalization)."""
-    if not frames:
-        return []
-    workers = workers or default_workers()
-    chunks = [frames[i:i + _CHUNK] for i in range(0, len(frames), _CHUNK)]
+    columns = score_contacts(ContactArrays.stack(frames), index, gravity_center, config)
+    return [ScoreBreakdown(*row) for row in np.column_stack(columns).tolist()]
 
-    def score_chunk(chunk: list[ContactFrame]):
-        s_t = force_closure_scores(chunk, config.bins())
-        p_cl = np.array([f.p_cl for f in chunk])
-        p_cr = np.array([f.p_cr for f in chunk])
-        n_l = np.array([f.v_ql for f in chunk])
-        n_r = np.array([f.v_qr for f in chunk])
-        v_a = np.array([f.v_a for f in chunk])
-        p_el = np.array([f.p_el for f in chunk])
-        p_er = np.array([f.p_er for f in chunk])
 
-        cons_l = neighborhood_normal_consistency(p_cl, n_l, index, config.knn_k)
-        cons_r = neighborhood_normal_consistency(p_cr, n_r, index, config.knn_k)
-        s_f1 = (cons_l + cons_r) / 2.0
-        s_f2 = (np.abs(np.einsum("ij,ij->i", n_l, v_a)) + np.abs(np.einsum("ij,ij->i", n_r, v_a))) / 2.0
-        s_f = s_f1 * s_f2
+def score_contacts(
+    contacts: ContactArrays,
+    index: SpatialIndex,
+    gravity_center: np.ndarray,
+    config: PipelineConfig = PipelineConfig(),
+) -> tuple[np.ndarray, ...]:
+    """Raw score columns (s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw) of valid contacts."""
+    p_cl, p_cr, n_l, n_r, v_a, p_el, p_er = contacts
+    s_t = closure_scores(v_a, n_l, n_r, config.bins())
 
-        chord = p_cr - p_cl
-        s_g_raw = np.linalg.norm(
-            np.cross(p_cl - gravity_center, p_cr - gravity_center), axis=1
-        ) / np.linalg.norm(chord, axis=1)
-        s_c_raw = np.minimum(
-            np.linalg.norm(p_el - p_cl, axis=1), np.linalg.norm(p_er - p_cr, axis=1)
-        )
-        return s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw
+    cons_l = neighborhood_normal_consistency(p_cl, n_l, index, config.knn_k)
+    cons_r = neighborhood_normal_consistency(p_cr, n_r, index, config.knn_k)
+    s_f1 = (cons_l + cons_r) / 2.0
+    s_f2 = (np.abs(np.einsum("ij,ij->i", n_l, v_a)) + np.abs(np.einsum("ij,ij->i", n_r, v_a))) / 2.0
+    s_f = s_f1 * s_f2
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score_chunk, chunks))
-    else:
-        results = [score_chunk(c) for c in chunks]
-
-    out: list[ScoreBreakdown] = []
-    for arrays in results:
-        for s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw in zip(*arrays):
-            out.append(
-                ScoreBreakdown(
-                    s_t=float(s_t), s_f1=float(s_f1), s_f2=float(s_f2), s_f=float(s_f),
-                    s_g_raw=float(s_g_raw), s_c_raw=float(s_c_raw),
-                )
-            )
-    return out
+    chord = p_cr - p_cl
+    s_g_raw = np.linalg.norm(
+        np.cross(p_cl - gravity_center, p_cr - gravity_center), axis=1
+    ) / np.linalg.norm(chord, axis=1)
+    s_c_raw = np.minimum(
+        np.linalg.norm(p_el - p_cl, axis=1), np.linalg.norm(p_er - p_cr, axis=1)
+    )
+    return s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw
 
 
 def _histogram(values, bins: int = 10) -> tuple[int, ...]:

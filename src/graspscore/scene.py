@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .closure import FrictionBins, force_closure_score
-from .errors import DegenerateContacts, UnknownObjectId
+from .errors import DegenerateContacts, ParseError, UnknownObjectId
 from .gripper import GraspPose, GripperModel, collision_box_corners, gripper_collides, resolve_contacts
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, transform_mesh, with_surface_samples
 from .metrics import (
@@ -136,18 +136,29 @@ def save_scene(path: str, layout: SceneLayout) -> None:
 
 
 def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
-    """Read instances and table height back from a scene JSON file."""
+    """Read instances and table height back from a scene JSON file.
+
+    Raises:
+        ParseError: the document lacks a required key or has the wrong
+            shape.
+    """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    instances = [
-        SceneInstance(
-            object_id=str(item["object_id"]),
-            rotation=np.asarray(item["rotation"], dtype=float).reshape(3, 3),
-            translation=np.asarray(item["translation"], dtype=float),
-        )
-        for item in doc["instances"]
-    ]
-    return instances, float(doc["table_height"])
+    try:
+        instances = [
+            SceneInstance(
+                object_id=str(item["object_id"]),
+                rotation=np.asarray(item["rotation"], dtype=float).reshape(3, 3),
+                translation=np.asarray(item["translation"], dtype=float),
+            )
+            for item in doc["instances"]
+        ]
+        table_height = float(doc["table_height"])
+    except KeyError as exc:
+        raise ParseError(f"{path}: scene lacks key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ParseError(f"{path}: malformed scene: {exc}") from exc
+    return instances, table_height
 
 
 def grasp_nms(

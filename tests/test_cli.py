@@ -160,6 +160,14 @@ def test_eval_default_report_path(eval_setup):
     assert (path / "preds.csv.report.json").exists()
 
 
+def test_eval_scene_without_instances(eval_setup):
+    path, _ = eval_setup
+    (path / "bare.json").write_text('{"table_height": 0.0}\n')
+    res = _run("eval", "preds.csv", "--scene", "bare.json", "--meshes", "meshes", cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "ParseError" in res.stderr and "'instances'" in res.stderr
+
+
 def test_scene_unknown_instance_id(eval_setup):
     path, _ = eval_setup
     res = _run("scene", "--out", "x.json", "--instance", "ghost:0,0,0",

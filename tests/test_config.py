@@ -69,6 +69,16 @@ def test_invalid_weights_rejected(tmp_path):
     assert "invalid configuration" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["n_seeds", "n_views", "n_rotations", "knn_k"])
+def test_counts_below_one_rejected(tmp_path, key):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(f"{key} = 0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(path) in str(err.value)
+    assert key in str(err.value)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.cfg"))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,81 @@ def test_ply_round_trip_ascii_and_binary(tmp_path):
         assert np.array_equal(back.faces, src.faces)
         assert np.allclose(back.vertices, src.vertices, atol=1e-15)
         assert back.watertight
+
+
+_BINARY_TRIANGLE_HEADER = (
+    b"ply\nformat binary_little_endian 1.0\n"
+    b"element vertex 4\nproperty double x\nproperty double y\nproperty double z\n"
+    b"element face 2\nproperty uchar flags\nproperty list uchar int vertex_indices\n"
+    b"property list uchar float texcoord\n"
+    b"end_header\n"
+)
+_BINARY_VERTICES = struct.pack("<12d", 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0)
+
+
+def _binary_face(flags, indices, texcoord=(0.0,) * 6):
+    return (struct.pack("<BB", flags, len(indices)) + struct.pack(f"<{len(indices)}i", *indices)
+            + struct.pack(f"<B{len(texcoord)}f", len(texcoord), *texcoord))
+
+
+def test_binary_ply_reads_faces_with_extra_properties(tmp_path):
+    path = tmp_path / "extra.ply"
+    path.write_bytes(_BINARY_TRIANGLE_HEADER + _BINARY_VERTICES
+                     + _binary_face(7, (0, 1, 2)) + _binary_face(9, (0, 2, 3)))
+    mesh = load_mesh(str(path))
+    assert np.array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
+
+
+@pytest.mark.parametrize("first", [(0, 1, 2, 3), (0, 1, 2)])
+def test_binary_ply_quad_face_rejected(tmp_path, first):
+    rest = (0, 1, 2, 3) if len(first) == 3 else (0, 2, 3)
+    path = tmp_path / "quad.ply"
+    path.write_bytes(_BINARY_TRIANGLE_HEADER + _BINARY_VERTICES
+                     + _binary_face(0, first) + _binary_face(0, rest))
+    with pytest.raises(ParseError, match="only triangle faces"):
+        load_mesh(str(path))
+
+
+def test_binary_ply_extra_list_changing_length_rejected(tmp_path):
+    path = tmp_path / "ragged.ply"
+    path.write_bytes(_BINARY_TRIANGLE_HEADER + _BINARY_VERTICES
+                     + _binary_face(0, (0, 1, 2)) + _binary_face(0, (0, 2, 3), (0.0,) * 9))
+    with pytest.raises(ParseError, match="'texcoord' changes length"):
+        load_mesh(str(path))
+
+
+def test_binary_ply_truncated_body_rejected(tmp_path):
+    body = _BINARY_VERTICES + _binary_face(0, (0, 1, 2)) + _binary_face(0, (0, 2, 3))
+    for cut in (8, len(_BINARY_VERTICES) + 3, len(body) - 1):
+        path = tmp_path / f"cut{cut}.ply"
+        path.write_bytes(_BINARY_TRIANGLE_HEADER + body[:cut])
+        with pytest.raises(ParseError, match="truncated"):
+            load_mesh(str(path))
+
+
+_ASCII_SQUARE = (
+    "ply\nformat ascii 1.0\n"
+    "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n"
+    "element face 2\nproperty list uchar int vertex_indices\n"
+    "end_header\n"
+    "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+)
+
+
+@pytest.mark.parametrize("faces, message", [
+    ("3 0 1 2\n3 0 2 3\n", None),
+    ("3 0 1 2\n4 0 1 2 3\n", "only triangle faces"),
+    ("4 0 1 2 3\n3 0 2 3\n", "only triangle faces"),
+    ("3 0 1 2\n3 0 2\n", "truncated"),
+    ("3 0 1 2\n3 0 2 x\n", "malformed"),
+])
+def test_ascii_ply_faces(tmp_path, faces, message):
+    path = _write(tmp_path, "square.ply", _ASCII_SQUARE + faces)
+    if message is None:
+        assert np.array_equal(load_mesh(path).faces, [[0, 1, 2], [0, 2, 3]])
+    else:
+        with pytest.raises(ParseError, match=message):
+            load_mesh(path)
 
 
 def test_ply_skips_unknown_element(tmp_path):

@@ -14,7 +14,7 @@ from graspscore import (
     load_scene_instances,
     save_scene,
 )
-from graspscore.errors import UnknownObjectId
+from graspscore.errors import ParseError, UnknownObjectId
 
 import _scenes
 from conftest import random_rotation
@@ -145,6 +145,18 @@ def test_scene_json_round_trip(tmp_path, icosphere):
         assert got.object_id == want.object_id
         assert np.allclose(got.rotation, want.rotation, atol=1e-15)
         assert np.allclose(got.translation, want.translation, atol=1e-15)
+
+
+@pytest.mark.parametrize("missing", ["instances", "table_height"])
+def test_scene_json_missing_key(tmp_path, missing):
+    doc = {"table_height": 0.0, "instances": []}
+    del doc[missing]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_scene_instances(str(path))
+    assert str(path) in str(err.value)
+    assert repr(missing) in str(err.value)
 
 
 # --- the AP protocol fixtures ---
