@@ -57,9 +57,19 @@ class PipelineConfig:
     score_thresholds: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("n_seeds", "n_views", "n_rotations", "knn_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("width_clearance", "nms_trans_thresh", "nms_rot_thresh_deg", "collision_margin"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.surface_density <= 0:
+            raise ValueError(f"surface_density must be > 0, got {self.surface_density!r}")
+        if not all(0.0 <= x <= 1.0 for x in self.score_thresholds):
+            raise ValueError(f"score_thresholds must lie in [0, 1], got {self.score_thresholds!r}")
 
     def gripper(self) -> GripperModel:
         return GripperModel(

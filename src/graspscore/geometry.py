@@ -8,9 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Pair budget per chunk for the ray/triangle sweep. Keeps peak temporaries
-# around a few tens of MB.
+# Pair budget per chunk for the ray/triangle sweep and the ray/block slab
+# test. Keeps peak temporaries around a few tens of MB.
 _PAIR_CHUNK = 1 << 19
+
+# Faces per broad-phase block of the ray cast, and the block-box padding
+# relative to the mesh extent.
+_BLOCK_FACES = 64
+_BOX_PAD = 1e-6
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -87,11 +92,18 @@ def ray_mesh_first_hit(
 ):
     """First intersection of each ray with an indexed triangle mesh.
 
-    Runs Moller-Trumbore over every (ray, face) pair in chunks. A hit counts
-    when the ray parameter t lies in [0, t_max] and the barycentric
-    coordinates are inside the triangle (with a small inclusive tolerance so
-    edge crossings are not dropped). Among equal-t hits the lowest face index
-    wins, which keeps results deterministic on shared edges.
+    A hit counts when the ray parameter t lies in [0, t_max] and the
+    barycentric coordinates are inside the triangle (with a small inclusive
+    tolerance so edge crossings are not dropped). Among equal-t hits the
+    lowest face index wins, which keeps results deterministic on shared
+    edges.
+
+    Faces are cut into blocks of spatially close faces (runs of the Morton
+    order of their centroids), each with a slightly padded bounding box. A
+    ray is tested with Moller-Trumbore only against the faces of the blocks
+    its segment [0, t_max] meets. The padding covers the kernel's tolerance,
+    so the results equal those of testing every face, bit for bit. Vertices
+    must be finite.
 
     Args:
         origins: (r, 3) ray start points.
@@ -106,7 +118,100 @@ def ray_mesh_first_hit(
     origins = np.asarray(origins, dtype=float)
     directions = np.asarray(directions, dtype=float)
     n_rays = origins.shape[0]
+    t_out = np.full(n_rays, np.inf)
+    face_out = np.full(n_rays, -1, dtype=np.int64)
+    u_out = np.zeros(n_rays)
+    v_out = np.zeros(n_rays)
+    t_lim = np.broadcast_to(np.asarray(t_max, dtype=float), (n_rays,))
+    if len(faces) == 0 or n_rays == 0:
+        return t_out, face_out, u_out, v_out
+
     v0, v1, v2 = triangle_corners(vertices, faces)
+    members, box_lo, box_hi = _face_blocks(v0, v1, v2)
+    rows = max(1, _PAIR_CHUNK // len(members))
+    for start in range(0, n_rays, rows):
+        sl = slice(start, min(start + rows, n_rays))
+        meets = _segments_meet_boxes(origins[sl], directions[sl], t_lim[sl], box_lo, box_hi)
+        for block, meet in zip(members, meets.T):
+            rays = np.flatnonzero(meet) + start
+            if rays.size == 0:
+                continue
+            t, face, u, v = _first_hits(origins[rays], directions[rays], v0[block], v1[block], v2[block], t_lim[rays])
+            face = block[face]
+            cur_t = t_out[rays]
+            # Keep the lower (t, face index), so ties across blocks resolve as
+            # in a scan over all faces. A block miss (t = inf) never wins: a
+            # ray still at t = inf holds face -1.
+            take = (t < cur_t) | ((t == cur_t) & (face < face_out[rays]))
+            idx = rays[take]
+            t_out[idx] = t[take]
+            face_out[idx] = face[take]
+            u_out[idx] = u[take]
+            v_out[idx] = v[take]
+    return t_out, face_out, u_out, v_out
+
+
+def _face_blocks(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
+    """Cut faces into blocks of ``_BLOCK_FACES`` by the Morton order of their centroids.
+
+    Returns (members, box_lo, box_hi): one ascending face-index array per
+    block and the (b, 3) corners of each block's bounding box, padded by
+    ``_BOX_PAD`` times the mesh extent plus an absolute 1e-9.
+    """
+    lo = np.minimum(np.minimum(v0, v1), v2)
+    hi = np.maximum(np.maximum(v0, v1), v2)
+    mesh_lo = lo.min(axis=0)
+    extent = hi.max(axis=0) - mesh_lo
+    # Morton code of the centroid on a 1024^3 grid over the mesh box.
+    scale = np.divide(1023.0, extent, out=np.zeros(3), where=extent > 0.0)
+    cells = np.clip(((v0 + v1 + v2) / 3.0 - mesh_lo) * scale, 0, 1023).astype(np.int64)
+    code = np.zeros(len(v0), dtype=np.int64)
+    for bit in range(10):
+        for axis in range(3):
+            code |= ((cells[:, axis] >> bit) & 1) << (3 * bit + axis)
+    order = np.argsort(code, kind="stable")
+    starts = np.arange(0, len(v0), _BLOCK_FACES)
+    members = [np.sort(block) for block in np.split(order, starts[1:])]
+    pad = _BOX_PAD * extent.max() + 1e-9
+    box_lo = np.minimum.reduceat(lo[order], starts, axis=0) - pad
+    box_hi = np.maximum.reduceat(hi[order], starts, axis=0) + pad
+    return members, box_lo, box_hi
+
+
+def _segments_meet_boxes(
+    origins: np.ndarray, directions: np.ndarray, t_lim: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray
+) -> np.ndarray:
+    """(r, b) mask: ray r's segment t in [-1e-9, t_lim + 1e-9] meets box b.
+
+    Slab test. An axis with a zero direction component constrains nothing
+    but the origin, which must lie inside that slab. Any NaN in a ray makes
+    it meet no box.
+    """
+    near = np.full((len(origins), len(box_lo)), -1e-9)
+    far = np.repeat((t_lim + 1e-9)[:, None], len(box_lo), axis=1)
+    inside = np.ones(near.shape, dtype=bool)
+    for axis in range(3):
+        o = origins[:, axis, None]
+        d = directions[:, axis, None]
+        moving = d != 0.0
+        step = np.where(moving, d, 1.0)
+        t0 = (box_lo[:, axis] - o) / step
+        t1 = (box_hi[:, axis] - o) / step
+        near = np.where(moving, np.maximum(near, np.minimum(t0, t1)), near)
+        far = np.where(moving, np.minimum(far, np.maximum(t0, t1)), far)
+        inside &= moving | ((box_lo[:, axis] <= o) & (o <= box_hi[:, axis]))
+    return inside & (near <= far)
+
+
+def _first_hits(
+    origins: np.ndarray, directions: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, t_lim: np.ndarray
+):
+    """Moller-Trumbore of every ray against every triangle, in chunks.
+
+    The narrow phase of :func:`ray_mesh_first_hit`, with the same
+    arguments and results; face indices index the given corner arrays.
+    """
+    n_rays = origins.shape[0]
     e1 = v1 - v0
     e2 = v2 - v0
     # Parallel-ray rejection threshold, relative to the edge scale per face.
@@ -116,12 +221,7 @@ def ray_mesh_first_hit(
     face_out = np.full(n_rays, -1, dtype=np.int64)
     u_out = np.zeros(n_rays)
     v_out = np.zeros(n_rays)
-    t_lim = np.broadcast_to(np.asarray(t_max, dtype=float), (n_rays,))
-
-    n_faces = len(faces)
-    if n_faces == 0 or n_rays == 0:
-        return t_out, face_out, u_out, v_out
-    rows = max(1, _PAIR_CHUNK // n_faces)
+    rows = max(1, _PAIR_CHUNK // len(v0))
     bary_eps = 1e-12
 
     for start in range(0, n_rays, rows):

@@ -92,6 +92,8 @@ class GraspPose:
             raise ValueError("rotation must be a proper orthonormal matrix")
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         if not (self.width > 0 and np.isfinite(self.width)):
             raise ValueError("width must be positive")
         if not (self.depth > 0 and np.isfinite(self.depth)):

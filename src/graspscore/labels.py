@@ -16,6 +16,7 @@ file (``s_hybrid`` doubles as the predicted score).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def read_labels(path: str) -> list[GraspRecord]:
 
     Raises:
         SchemaError: wrong header, wrong column count, or an unparseable
-            value; carries the 1-based line number.
+            or non-finite value; carries the 1-based line number.
     """
     rows, header = _read_rows(path)
     if tuple(header) != LABEL_COLUMNS:
@@ -175,6 +176,10 @@ def _read_rows(path: str):
 
 def _floats(parts: list[str], lineno: int) -> list[float]:
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise SchemaError(f"bad float: {exc}", lineno) from exc
+    bad = [p for p, x in zip(parts, values) if not math.isfinite(x)]
+    if bad:
+        raise SchemaError(f"non-finite value {bad[0]!r}", lineno)
+    return values

@@ -235,6 +235,10 @@ def _as_arrays(vertices, faces, path):
     if vertices is None or len(vertices) == 0:
         raise ParseError(f"{path}: no vertices found")
     v = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"{path}: vertex {i} (0-based) has a non-finite coordinate: {v[i].tolist()}")
     f = np.asarray([] if faces is None else faces, dtype=np.int64).reshape(-1, 3)
     if len(f) and (f.min() < 0 or f.max() >= len(v)):
         raise ParseError(f"{path}: face index out of range")

@@ -168,6 +168,22 @@ def test_eval_scene_without_instances(eval_setup):
     assert "ParseError" in res.stderr and "'instances'" in res.stderr
 
 
+def test_eval_nan_translation_in_predictions(eval_setup):
+    path, _ = eval_setup
+    res = _run("scene", "--out", "s_nan.json", "--instance", "sph3:0,0,0",
+               "--table-height", "-0.2", "--meshes", "meshes", cwd=path)
+    assert res.returncode == 0, res.stderr
+    lines = (path / "preds.csv").read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[lines[0].split(",").index("tx")] = "nan"
+    (path / "preds_nan.csv").write_text("\n".join([lines[0], ",".join(parts), *lines[2:]]) + "\n")
+    res = _run("eval", "preds_nan.csv", "--scene", "s_nan.json", "--meshes", "meshes",
+               "--out", "nan_report.json", cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "SchemaError" in res.stderr and "line 2" in res.stderr and "non-finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_scene_unknown_instance_id(eval_setup):
     path, _ = eval_setup
     res = _run("scene", "--out", "x.json", "--instance", "ghost:0,0,0",

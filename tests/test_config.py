@@ -79,6 +79,40 @@ def test_counts_below_one_rejected(tmp_path, key):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("score_thresholds = 0.5, 1.5", "score_thresholds"),
+    ("score_thresholds = 0.0, -0.2", "score_thresholds"),
+    ("score_thresholds = 0.5, nan", "score_thresholds"),
+    ("nms_trans_thresh = nan", "nms_trans_thresh"),
+    ("max_width = inf", "max_width"),
+    ("lambda_t = nan", "lambda_t"),
+    ("depth_levels = 0.01, inf", "depth_levels"),
+    ("friction_bins = 0.2, nan", "friction_bins"),
+    ("width_clearance = -1", "width_clearance"),
+    ("nms_trans_thresh = -0.01", "nms_trans_thresh"),
+    ("nms_rot_thresh_deg = -5", "nms_rot_thresh_deg"),
+    ("collision_margin = -0.001", "collision_margin"),
+    ("surface_density = 0", "surface_density"),
+    ("surface_density = -10", "surface_density"),
+])
+def test_bad_values_rejected(tmp_path, line, key):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match="invalid configuration") as err:
+        load_config(str(path))
+    assert str(path) in str(err.value)
+    assert key in str(err.value)
+
+
+def test_boundary_values_accepted(tmp_path):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("score_thresholds = 0.0, 1.0\nwidth_clearance = 0\nnms_trans_thresh = 0\n"
+                    "nms_rot_thresh_deg = 0\ncollision_margin = 0\n")
+    cfg = load_config(str(path))
+    assert cfg.score_thresholds == (0.0, 1.0)
+    assert cfg.width_clearance == cfg.collision_margin == 0.0
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.cfg"))

@@ -216,6 +216,12 @@ def test_grasp_pose_validation():
         GraspPose(rotation=np.eye(3), translation=np.zeros(3), width=-0.01, depth=0.02)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_grasp_pose_rejects_non_finite_translation(value):
+    with pytest.raises(ValueError, match="translation must be finite"):
+        GraspPose(rotation=np.eye(3), translation=np.array([0.0, value, 0.0]), width=0.05, depth=0.02)
+
+
 def test_contact_frame_unit_check():
     z = np.zeros(3)
     with pytest.raises(ValueError):

@@ -166,6 +166,34 @@ def test_predictions_missing_column(tmp_path):
     assert "missing column" in str(err.value)
 
 
+@pytest.mark.parametrize("column", ["tx", "width", "predicted_score", "r11"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predictions_reject_non_finite_values(tmp_path, column, value):
+    rng = np.random.default_rng(48)
+    path = str(tmp_path / "preds.csv")
+    write_predictions(path, _random_predictions(rng, 2))
+    lines = open(path).read().splitlines()
+    parts = lines[2].split(",")
+    parts[PREDICTION_COLUMNS.index(column)] = value
+    (tmp_path / "mangled.csv").write_text("\n".join([lines[0], lines[1], ",".join(parts)]) + "\n")
+    with pytest.raises(SchemaError, match="non-finite") as err:
+        read_predictions(str(tmp_path / "mangled.csv"))
+    assert err.value.line == 3
+
+
+def test_labels_reject_non_finite_values(tmp_path):
+    path = str(tmp_path / "labels.csv")
+    write_labels(path, _random_records(np.random.default_rng(49), 3))
+    lines = open(path).read().splitlines()
+    parts = lines[3].split(",")
+    parts[LABEL_COLUMNS.index("s_f")] = "nan"
+    lines[3] = ",".join(parts)
+    (tmp_path / "mangled.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="non-finite") as err:
+        read_labels(str(tmp_path / "mangled.csv"))
+    assert err.value.line == 4
+
+
 def test_predictions_reject_bad_pose(tmp_path):
     rng = np.random.default_rng(47)
     path = str(tmp_path / "preds.csv")

@@ -232,6 +232,22 @@ def test_ascii_ply_faces(tmp_path, faces, message):
             load_mesh(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fmt", ["obj", "ascii_ply", "binary_ply"])
+def test_non_finite_vertex_rejected(tmp_path, fmt, value):
+    box = make_box((0.04, 0.04, 0.04))
+    vertices = box.vertices.copy()
+    vertices[5, 1] = value
+    path = str(tmp_path / f"bad.{fmt.split('_')[-1]}")
+    if fmt == "obj":
+        save_obj(path, vertices, box.faces)
+    else:
+        save_ply(path, vertices, box.faces, binary=fmt == "binary_ply")
+    with pytest.raises(ParseError, match="vertex 5 .*non-finite") as err:
+        load_mesh(path)
+    assert path in str(err.value)
+
+
 def test_ply_skips_unknown_element(tmp_path):
     text = (
         "ply\nformat ascii 1.0\n"
