@@ -68,6 +68,11 @@ class GripperModel:
         )
 
 
+def _is_proper_rotation(r: np.ndarray) -> bool:
+    """True for a finite 3x3 ``r`` with R^T R allclose (atol=1e-8) to I and det R > 0."""
+    return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class GraspPose:
     """One parallel-jaw grasp: rigid pose plus opening width and depth.
@@ -88,7 +93,7 @@ class GraspPose:
         object.__setattr__(self, "translation", t)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-8) or np.linalg.det(r) < 0:
+        if not _is_proper_rotation(r):
             raise ValueError("rotation must be a proper orthonormal matrix")
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")

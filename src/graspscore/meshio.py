@@ -40,11 +40,14 @@ def load_mesh(path: str, unit_scale: float = 1.0, format: str | None = None):
         A TriangleMesh with recomputed, outward-oriented vertex normals.
 
     Raises:
-        ParseError: missing file, unknown format, or malformed content.
+        ParseError: a non-finite or non-positive ``unit_scale``, missing
+            file, unknown format, or malformed content.
         EmptyMesh: no non-degenerate triangle survives parsing.
     """
     from .mesh import build_mesh
 
+    if not (np.isfinite(unit_scale) and unit_scale > 0):
+        raise ParseError(f"unit scale must be finite and positive, got {unit_scale!r}: {path}")
     if not os.path.isfile(path):
         raise ParseError(f"mesh file not found: {path}")
     kind = format.lower() if format else os.path.splitext(path)[1].lower().lstrip(".")

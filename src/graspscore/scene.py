@@ -9,16 +9,25 @@ threshold and mAP across thresholds.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import geometry
 from .closure import FrictionBins, force_closure_score
 from .errors import DegenerateContacts, ParseError, UnknownObjectId
-from .gripper import GraspPose, GripperModel, collision_box_corners, gripper_collides, resolve_contacts
+from .gripper import (
+    GraspPose,
+    GripperModel,
+    _is_proper_rotation,
+    collision_box_corners,
+    gripper_collides,
+    resolve_contacts,
+)
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, transform_mesh, with_surface_samples
 from .metrics import (
     MetricWeights,
@@ -36,6 +45,23 @@ DEFAULT_THRESHOLDS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 TOP_K = 50
 DEFAULT_TRANS_THRESH = 0.03
 DEFAULT_ROT_THRESH = np.deg2rad(30.0)
+
+# NMS grid: cells are this much wider than trans_thresh, so rounding in
+# t / cell never puts a suppressing pair two cells apart; and no cell key
+# exceeds _MAX_CELL_KEY, so keys stay exact integers on huge translations.
+_CELL_PAD = 1e-3
+_MAX_CELL_KEY = 2.0**40
+_NEIGHBOR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+# Collision broad phase: cloud points tried first per box centre, grasps per
+# batched pre-test, a band (m) far wider than the rounding of a gripper-frame
+# coordinate, and the relative slack of the shortlist ball. GraspPose's
+# orthonormality check is np.allclose(R^T R, I, atol=1e-8), whose default
+# rtol lets R scale lengths by up to about 5e-6; the slack covers that.
+_NEAREST = 32
+_COLLISION_CHUNK = 128
+_BAND = 1e-9
+_BALL_SLACK = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +165,39 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
     """Read instances and table height back from a scene JSON file.
 
     Raises:
-        ParseError: the document lacks a required key or has the wrong
-            shape.
+        ParseError: the document lacks a required key, has the wrong
+            shape, or holds a NaN table height, a non-finite translation
+            or a rotation that GraspPose would reject; the message names
+            the file and the instance index.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     try:
-        instances = [
-            SceneInstance(
-                object_id=str(item["object_id"]),
-                rotation=np.asarray(item["rotation"], dtype=float).reshape(3, 3),
-                translation=np.asarray(item["translation"], dtype=float),
-            )
-            for item in doc["instances"]
-        ]
+        items = list(doc["instances"])
         table_height = float(doc["table_height"])
     except KeyError as exc:
         raise ParseError(f"{path}: scene lacks key {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed scene: {exc}") from exc
+    if np.isnan(table_height):
+        raise ParseError(f"{path}: table_height is NaN")
+
+    instances = []
+    for k, item in enumerate(items):
+        where = f"{path}: instance {k}"
+        try:
+            object_id = str(item["object_id"])
+            rotation = np.asarray(item["rotation"], dtype=float).reshape(3, 3)
+            translation = np.asarray(item["translation"], dtype=float)
+        except KeyError as exc:
+            raise ParseError(f"{where} lacks key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where} is malformed: {exc}") from exc
+        if translation.shape != (3,) or not np.isfinite(translation).all():
+            raise ParseError(f"{where}: translation must be 3 finite values")
+        if not _is_proper_rotation(rotation):
+            raise ParseError(f"{where}: rotation must be a proper orthonormal matrix")
+        instances.append(SceneInstance(object_id=object_id, rotation=rotation, translation=translation))
     return instances, table_height
 
 
@@ -173,6 +213,13 @@ def grasp_nms(
     one is suppressed iff some already-kept grasp is closer than
     ``trans_thresh`` in translation AND closer than ``rot_thresh`` in
     geodesic rotation angle. Returns kept input indices in visit order.
+
+    Broad phase: kept grasps are filed in a uniform grid of cells slightly
+    wider than ``trans_thresh``, keyed by translation. A grasp is tested
+    only against the kept grasps of its own and the 26 neighbouring cells;
+    any kept grasp farther away fails the translation test anyway. The
+    distances and the test are the exhaustive scan's, so the kept list
+    equals the one from testing every kept grasp.
     """
     n = len(grasps)
     if n == 0:
@@ -182,18 +229,97 @@ def grasp_nms(
     rotations = np.array([g.rotation for g in grasps])
 
     order = np.lexsort((np.arange(n), -scores))
+    if not trans_thresh > 0:
+        # d_t < trans_thresh never holds, so nothing is suppressed.
+        return order.astype(np.int64)
+    span = float(np.abs(translations).max())
+    cell_size = max(trans_thresh * (1.0 + _CELL_PAD), span / _MAX_CELL_KEY)
+    keys = np.floor(translations / cell_size).astype(np.int64).tolist()
+
+    cells: dict[tuple[int, int, int], list[int]] = {}
     kept: list[int] = []
-    for i in order:
-        if kept:
-            kt = translations[kept]
+    for i in order.tolist():
+        kx, ky, kz = keys[i]
+        near = [j for dx, dy, dz in _NEIGHBOR_CELLS for j in cells.get((kx + dx, ky + dy, kz + dz), ())]
+        if near:
+            kt = translations[near]
             d_t = np.linalg.norm(kt - translations[i], axis=1)
             # trace(R_k^T R_i) is the elementwise dot of the two matrices
-            tr = np.einsum("kab,ab->k", rotations[kept], rotations[i])
+            tr = np.einsum("kab,ab->k", rotations[near], rotations[i])
             d_r = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
             if np.any((d_t < trans_thresh) & (d_r < rot_thresh)):
                 continue
-        kept.append(int(i))
+        kept.append(i)
+        cells.setdefault((kx, ky, kz), []).append(i)
     return np.asarray(kept, dtype=np.int64)
+
+
+def _in_boxes(local: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the (..., p, 3) gripper-frame points inside any (..., 3, 3) box."""
+    local = local[..., :, None, :]
+    inside = (local >= lo[..., None, :, :]) & (local <= hi[..., None, :, :])
+    return inside.all(axis=-1).any(axis=-1)
+
+
+def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: GripperModel, margin: float):
+    """Yield, per pose, the cloud indices ``gripper_collides`` must see.
+
+    ``gripper_collides`` on ``cloud[shortlist]`` returns what it returns on
+    the whole cloud; ``None`` stands for the whole cloud. Points are mapped
+    into the gripper frame as ``gripper_collides`` maps them.
+
+    * The ``_NEAREST`` cloud points nearest each box centre are tested,
+      batched, against the inflated boxes shrunk by ``_BAND``. A point
+      that passes lies inside by far more than rounding, so the points
+      that pass are a shortlist that collides.
+    * Otherwise the shortlist is every point of a ball that holds the
+      union box of the inflated body, sorted ascending. Points outside it
+      are outside every box. If a ball point lies within ``_BAND`` of a
+      box face, the verdict could hang on rounding, and the whole cloud
+      is tested instead.
+    * A body whose box centres or ball are not finite (a NaN margin, a
+      width near the float limit) is tested against the whole cloud.
+    """
+    if len(cloud) == 0:
+        for _ in poses:
+            yield np.zeros(0, dtype=np.intp)
+        return
+    tree = cKDTree(cloud)
+    k = min(_NEAREST, len(cloud))
+    for start in range(0, len(poses), _COLLISION_CHUNK):
+        chunk = poses[start:start + _COLLISION_CHUNK]
+        rotations = np.array([p.rotation for p in chunk])
+        translations = np.array([p.translation for p in chunk])
+        boxes = np.array([gripper.collision_body(p.width, p.depth) for p in chunk])
+        lo = boxes[:, :, 0, :] - margin
+        hi = boxes[:, :, 1, :] + margin
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            centres = np.matmul(rotations[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + translations[:, None, :]
+            union_lo, union_hi = lo.min(axis=1), hi.max(axis=1)
+            union_centre = (union_lo + union_hi) / 2.0
+            half = np.linalg.norm(union_hi - union_lo, axis=1) / 2.0
+            radius = half + _BALL_SLACK * (half + np.linalg.norm(union_centre, axis=1)) + _BAND
+            world_centre = np.matmul(rotations, union_centre[..., None])[..., 0] + translations
+        usable = np.isfinite(centres).all(axis=(1, 2)) & np.isfinite(world_centre).all(axis=1) & np.isfinite(radius)
+
+        _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
+        near = near.reshape(len(chunk), 3 * k)
+        local = np.matmul(cloud[near] - translations[:, None, :], rotations)
+        hit = _in_boxes(local, lo + _BAND, hi - _BAND)
+        for g in range(len(chunk)):
+            if not usable[g]:
+                yield None
+            elif hit[g].any():
+                yield np.unique(near[g, hit[g]])
+            else:
+                ball = np.asarray(tree.query_ball_point(world_centre[g], radius[g], return_sorted=True), dtype=np.intp)
+                local = (cloud[ball] - translations[g]) @ rotations[g]
+                borderline = (
+                    not _in_boxes(local, lo[g] + _BAND, hi[g] - _BAND).any()
+                    and _in_boxes(local, lo[g] - _BAND, hi[g] + _BAND).any()
+                )
+                yield None if borderline else ball
 
 
 def _below_table(grasp: GraspPose, gripper: GripperModel, table_height: float) -> bool:
@@ -203,32 +329,35 @@ def _below_table(grasp: GraspPose, gripper: GripperModel, table_height: float) -
     return bool(corners[..., 2].min() < table_height)
 
 
-def _associate_instance(pred: PredictedGrasp, layout: SceneLayout, library: dict) -> SceneInstance:
+def _associate_instance(
+    pred: PredictedGrasp, layout: SceneLayout, library: dict, posed: dict[int, np.ndarray]
+) -> SceneInstance:
     """Pick the scene instance a prediction refers to.
 
     With an object_id the nearest instance of that id wins; without one the
     nearest instance overall (by posed mesh-vertex distance to the grasp
-    center) wins.
+    center) wins; ties go to the earlier instance. ``posed`` caches each
+    instance's world-frame vertices by instance index across calls.
     """
     if pred.object_id is not None:
-        matches = [i for i in layout.instances if i.object_id == pred.object_id]
-        if not matches:
+        candidates = [(k, i) for k, i in enumerate(layout.instances) if i.object_id == pred.object_id]
+        if not candidates:
             raise UnknownObjectId(f"prediction references object {pred.object_id!r} not in scene")
         if pred.object_id not in library:
             raise UnknownObjectId(f"no mesh loaded for object {pred.object_id!r}")
-        candidates = matches
     else:
-        candidates = list(layout.instances)
+        candidates = list(enumerate(layout.instances))
         if not candidates:
             raise UnknownObjectId("prediction has no object_id and the scene is empty")
 
     center = pred.pose.center
     best, best_d = None, np.inf
-    for inst in candidates:
+    for k, inst in candidates:
         if inst.object_id not in library:
             raise UnknownObjectId(f"no mesh loaded for object {inst.object_id!r}")
-        verts = geometry.transform_points(library[inst.object_id].vertices, inst.rotation, inst.translation)
-        d = float(np.min(np.linalg.norm(verts - center, axis=1)))
+        if k not in posed:
+            posed[k] = geometry.transform_points(library[inst.object_id].vertices, inst.rotation, inst.translation)
+        d = float(np.min(np.linalg.norm(posed[k] - center, axis=1)))
         if d < best_d:
             best, best_d = inst, d
     return best
@@ -276,6 +405,15 @@ def evaluate_ap(
     Grasps whose contacts cannot be resolved score 0. Fewer than 50
     survivors are padded with zero true scores; no survivors at all yields
     a zeroed, flagged report.
+
+    Both filters have a spatial broad phase, and both give what the
+    exhaustive scans give. NMS files kept grasps in a translation grid
+    (see ``grasp_nms``). The collision filter builds one KD-tree over the
+    scene cloud and calls ``gripper_collides`` once per NMS survivor, on a
+    shortlist of cloud points that decides it as the whole cloud would:
+    points near the box centres that lie well inside a box, or else every
+    point of a ball around the gripper body. Each instance's vertices are
+    posed at most once per call, for association.
     """
     n_in = len(predictions)
     scores = np.array([p.predicted_score for p in predictions], dtype=float)
@@ -284,10 +422,13 @@ def evaluate_ap(
     kept = grasp_nms(poses, scores, trans_thresh, rot_thresh)
     n_nms = n_in - len(kept)
 
+    cloud = layout.scene_cloud
+    shortlists = _collision_shortlists(cloud, [predictions[i].pose for i in kept], gripper, collision_margin)
     survivors = []
-    for i in kept:
+    for i, shortlist in zip(kept, shortlists):
         p = predictions[i]
-        if gripper_collides(layout.scene_cloud, p.pose, gripper, collision_margin):
+        points = cloud if shortlist is None else cloud[shortlist]
+        if gripper_collides(points, p.pose, gripper, collision_margin):
             continue
         if _below_table(p.pose, gripper, layout.table_height):
             continue
@@ -326,8 +467,9 @@ def evaluate_ap(
 
     groups: dict[int, list[int]] = {}
     instances: list[SceneInstance] = []
+    posed: dict[int, np.ndarray] = {}
     for si, pred in enumerate(survivors):
-        inst = _associate_instance(pred, layout, library)
+        inst = _associate_instance(pred, layout, library, posed)
         try:
             gi = instances.index(inst)
         except ValueError:

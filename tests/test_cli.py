@@ -203,3 +203,52 @@ def test_no_arguments_is_usage_error(workdir):
     res = _run(cwd=workdir)
     assert res.returncode == 2, res.stderr
     assert "usage" in res.stderr.lower()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("translation", [0.0, float("nan"), 0.0]),
+    ("rotation", [2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
+    ("rotation", [1.0, 0, 0, 0, -1, 0, 0, 0, 1]),
+    ("table_height", float("nan")),
+])
+def test_eval_rejects_bad_scene(eval_setup, field, value):
+    path, _ = eval_setup
+    instance = {"object_id": "sph3", "rotation": np.eye(3).ravel().tolist(), "translation": [0.0, 0.0, 0.0]}
+    doc = {"table_height": -0.2, "instances": [instance, dict(instance, translation=[0.3, 0.0, 0.0])]}
+    if field == "table_height":
+        doc["table_height"] = value
+    else:
+        doc["instances"][1][field] = value
+    (path / "bad_scene.json").write_text(json.dumps(doc))
+    res = _run("eval", "preds.csv", "--scene", "bad_scene.json", "--meshes", "meshes",
+               "--out", "bad_report.json", cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "ParseError" in res.stderr and "bad_scene.json" in res.stderr and field in res.stderr
+    if field != "table_height":
+        assert "instance 1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+def test_label_rejects_bad_unit_scale(workdir, scale):
+    res = _run("label", "cube.obj", "--out", "scaled.csv", "--config", "tiny.cfg",
+               f"--unit-scale={scale}", cwd=workdir)
+    assert res.returncode == 2, res.stderr
+    assert "ParseError" in res.stderr and "unit scale" in res.stderr
+    assert repr(float(scale)) in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (workdir / "scaled.csv").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "-1"])
+def test_eval_rejects_bad_unit_scale(eval_setup, scale):
+    path, _ = eval_setup
+    res = _run("scene", "--out", "s_scale.json", "--instance", "sph3:0,0,0",
+               "--table-height", "-0.2", "--meshes", "meshes", cwd=path)
+    assert res.returncode == 0, res.stderr
+    res = _run("eval", "preds.csv", "--scene", "s_scale.json", "--meshes", "meshes",
+               "--out", "scale_report.json", f"--unit-scale={scale}", cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "ParseError" in res.stderr and "unit scale" in res.stderr
+    assert repr(float(scale)) in res.stderr
+    assert "Traceback" not in res.stderr

@@ -145,6 +145,15 @@ def test_unit_scale(tmp_path):
     assert np.allclose(mesh.extent, [0.001, 0.001, 0.001])
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, -0.0])
+def test_unit_scale_must_be_finite_and_positive(tmp_path, scale):
+    path = _write(tmp_path, "cube.obj", UNIT_CUBE_OBJ)
+    with pytest.raises(ParseError, match="unit scale") as err:
+        load_mesh(path, unit_scale=scale)
+    assert repr(scale) in str(err.value)
+    assert path in str(err.value)
+
+
 def test_ply_round_trip_ascii_and_binary(tmp_path):
     src = make_icosphere(0.03, 3)
     assert len(src.vertices) == 642
