@@ -12,6 +12,7 @@ from graspscore import (
     GraspPose,
     MetricWeights,
     PredictedGrasp,
+    PredictionTable,
     SceneInstance,
     build_scene,
     evaluate_ap,
@@ -42,12 +43,14 @@ if __name__ == "__main__":
     layout = build_scene(instances, library, table_height=-0.2)
     print(f"scene: {len(instances)} spheres, {len(layout.scene_cloud)} cloud points")
 
-    predictions = [
+    # The table holds one row per prediction: the pose and predicted score
+    # as floats (the prediction file's columns) plus the object id.
+    predictions = PredictionTable.from_grasps([
         PredictedGrasp(diametral(centers[0], np.array([1.0, 0, 0])), 0.95, "sphere"),
         PredictedGrasp(diametral(centers[1], np.array([0.0, 1, 0])), 0.90, "sphere"),
         PredictedGrasp(high_chord(centers[2]), 0.80, "sphere"),
         PredictedGrasp(diametral(centers[0], np.array([1.0, 0, 0])), 0.70, "sphere"),
-    ]
+    ])
 
     report = evaluate_ap(predictions, layout, library, MetricWeights(1, 0, 0, 0))
     print(f"{report.n_predictions} predictions -> {report.n_filtered_nms} suppressed,"

@@ -21,7 +21,7 @@ from .errors import (
     UnknownObjectId,
 )
 from .gripper import ContactFrame, GraspPose, GripperModel, gripper_collides, resolve_contacts
-from .labels import GraspRecord, read_labels, read_predictions, write_labels, write_predictions
+from .labels import LabelTable, read_labels, read_predictions, write_labels, write_predictions
 from .mesh import (
     MassProperties,
     TriangleMesh,
@@ -46,6 +46,7 @@ from .pipeline import LabelSummary, label_mesh, score_frames
 from .scene import (
     EvalReport,
     PredictedGrasp,
+    PredictionTable,
     SceneInstance,
     SceneLayout,
     build_scene,
@@ -68,17 +69,18 @@ __all__ = [
     "EvalReport",
     "FrictionBins",
     "GraspPose",
-    "GraspRecord",
     "GraspScoreError",
     "GripperModel",
     "InvalidFrame",
     "KTooLarge",
     "LabelSummary",
+    "LabelTable",
     "MassProperties",
     "MetricWeights",
     "ParseError",
     "PipelineConfig",
     "PredictedGrasp",
+    "PredictionTable",
     "SceneInstance",
     "SceneLayout",
     "SchemaError",

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 compute error, 2 input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -34,10 +33,10 @@ from .errors import (
     UnknownObjectId,
 )
 from .geometry import rotation_about_axis
-from .labels import read_labels, read_predictions, write_labels
+from .labels import check_object_id, read_labels, read_predictions, write_labels
 from .mesh import with_surface_samples
 from .meshio import load_mesh, save_point_cloud_ply
-from .metrics import MetricWeights, normalize_and_combine
+from .metrics import MetricWeights
 from .pipeline import label_mesh
 from .scene import SceneInstance, build_scene, evaluate_ap, load_scene_instances, save_scene
 
@@ -140,24 +139,24 @@ def run() -> None:
 
 
 def cmd_label(args) -> int:
+    object_id = args.object_id or os.path.splitext(os.path.basename(args.mesh))[0]
+    check_object_id(object_id)
     cfg = _load_config(args)
     mesh = load_mesh(args.mesh, unit_scale=args.unit_scale)
-    object_id = args.object_id or os.path.splitext(os.path.basename(args.mesh))[0]
 
-    records, summary = label_mesh(mesh, object_id, cfg, seed=args.seed)
-    write_labels(args.out, records)
+    table, summary = label_mesh(mesh, object_id, cfg, seed=args.seed)
+    write_labels(args.out, table)
 
     print(f"mesh {args.mesh}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces, "
           f"{'watertight' if mesh.watertight else 'open'}")
     print(f"candidates: {summary.n_labeled} valid of {summary.n_enumerated} grid cells "
           f"({summary.n_skipped} skipped)")
     print(_histogram_table(summary.closure_histogram, summary.hybrid_histogram))
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {len(table)} records to {args.out}")
 
     if args.dump_ply:
-        centers = np.array([r.translation + r.depth * r.rotation[:, 2] for r in records]).reshape(-1, 3)
-        hybrid = np.array([r.breakdown.s_hybrid for r in records])
-        save_point_cloud_ply(args.dump_ply, centers, _score_colors(hybrid))
+        centers = table.translations + table.column("depth")[:, None] * table.rotations[:, :, 2]
+        save_point_cloud_ply(args.dump_ply, centers, _score_colors(table.column("s_hybrid")))
         print(f"wrote debug cloud to {args.dump_ply}")
     return 0
 
@@ -187,11 +186,9 @@ def _score_colors(scores: np.ndarray) -> np.ndarray:
 
 def cmd_rescore(args) -> int:
     cfg = _load_config(args)
-    records = read_labels(args.labels)
-    combined = normalize_and_combine([r.breakdown for r in records], cfg.weights())
-    out = [dataclasses.replace(r, breakdown=b) for r, b in zip(records, combined)]
-    write_labels(args.out, out)
-    print(f"rescored {len(out)} records to {args.out}")
+    table = read_labels(args.labels).rescored(cfg.weights())
+    write_labels(args.out, table)
+    print(f"rescored {len(table)} records to {args.out}")
     return 0
 
 

@@ -68,9 +68,18 @@ class GripperModel:
         )
 
 
+# The orthonormality rule np.allclose(R^T R, I, atol=1e-8) written out: with
+# its default rtol=1e-5, entry (i, j) may be off by atol + rtol * |I_ij|.
+_ROTATION_TOL = 1e-8 + 1e-5 * np.eye(3)
+
+
 def _is_proper_rotation(r: np.ndarray) -> bool:
     """True for a finite 3x3 ``r`` with R^T R allclose (atol=1e-8) to I and det R > 0."""
-    return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
+    return bool(
+        np.isfinite(r).all()
+        and (np.abs(r.T @ r - np.eye(3)) <= _ROTATION_TOL).all()
+        and np.linalg.det(r) > 0
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """End-to-end labeling: enumerate candidates on a mesh and score them.
 
 Candidates, contacts and scores stay parallel arrays from ray hit to the
-final weighted sum; records are built once, at the end. Every raw score is
-reduced within one candidate's row, so it does not depend on how many
-candidates are scored together.
+final weighted sum, and end as the columns of one label table. Every raw
+score is reduced within one candidate's row, so it does not depend on how
+many candidates are scored together.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .candidates import CandidateGrid, candidate_arrays
 from .closure import closure_scores
 from .config import PipelineConfig
 from .gripper import ContactArrays, ContactFrame
-from .labels import GraspRecord
+from .labels import LabelTable, check_object_id
 from .mesh import TriangleMesh, mass_properties, with_surface_samples
 from .metrics import ScoreBreakdown, combine_scores, neighborhood_normal_consistency
 from .spatial import SpatialIndex
@@ -41,19 +41,20 @@ def label_mesh(
     object_id: str,
     config: PipelineConfig = PipelineConfig(),
     seed: int = 0,
-) -> tuple[list[GraspRecord], LabelSummary]:
+) -> tuple[LabelTable, LabelSummary]:
     """Generate, score, and package every valid grasp candidate of a mesh.
 
     Args:
         mesh: triangle mesh in meters; surface samples are attached here
             (seeded) if not already present.
-        object_id: id written into each record.
+        object_id: id of the table; checked before any work.
         config: pipeline tunables.
         seed: RNG seed for surface sampling.
 
     Returns:
-        (records, summary). Records keep enumeration order.
+        (table, summary). Table rows keep enumeration order.
     """
+    check_object_id(object_id)
     if mesh.surface_points is None:
         mesh = with_surface_samples(mesh, config.surface_density, seed)
     index = SpatialIndex.from_mesh(mesh)
@@ -71,16 +72,14 @@ def label_mesh(
     s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(batch.contacts, index, gravity_center, config)
     s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
 
-    scores = np.column_stack([s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw, s_g, s_c, s_hybrid]).tolist()
-    records = [
-        GraspRecord(object_id, rotation, translation, width, depth, ScoreBreakdown(*row))
-        for rotation, translation, width, depth, row in zip(
-            batch.rotations, batch.translations, batch.widths.tolist(), batch.depths.tolist(), scores)
-    ]
+    table = LabelTable(object_id, np.column_stack([
+        batch.rotations.reshape(-1, 9), batch.translations, batch.widths, batch.depths,
+        s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw, s_c, s_hybrid,
+    ]))
     summary = LabelSummary(
         n_enumerated=batch.n_enumerated,
         n_skipped=batch.n_skipped,
-        n_labeled=len(records),
+        n_labeled=len(table),
         closure_histogram=_histogram(s_t),
         hybrid_histogram=_histogram(s_hybrid),
     )
@@ -88,7 +87,7 @@ def label_mesh(
         "labeled %s: %d candidates (%d cells skipped)",
         object_id, summary.n_labeled, summary.n_skipped,
     )
-    return records, summary
+    return table, summary
 
 
 def score_frames(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,62 @@ class PredictedGrasp:
     pose: GraspPose
     predicted_score: float
     object_id: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """Predictions as columns: one float64 row and one object id per grasp.
+
+    ``values`` is (n, 15): the row-major rotation ``r00..r22``, ``tx, ty,
+    tz``, ``width``, ``depth`` and ``predicted_score``, the order of a
+    prediction file's columns. ``object_ids[i]`` is row i's object id, or
+    None for an unbound prediction. The values are taken as given:
+    ``read_predictions`` validates a file's rows, and ``from_grasps`` copies
+    poses that ``GraspPose`` has already validated.
+    """
+
+    values: np.ndarray
+    object_ids: tuple[str | None, ...]
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != 15:
+            raise ValueError(f"prediction values must be (n, 15), got {values.shape}")
+        if len(self.object_ids) != len(values):
+            raise ValueError(f"{len(self.object_ids)} object ids for {len(values)} predictions")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "object_ids", tuple(self.object_ids))
+
+    @classmethod
+    def from_grasps(cls, grasps: Sequence[PredictedGrasp]) -> "PredictionTable":
+        """One row per grasp, in order."""
+        values = [
+            [*g.pose.rotation.ravel(), *g.pose.translation, g.pose.width, g.pose.depth, g.predicted_score]
+            for g in grasps
+        ]
+        return cls(np.array(values, dtype=np.float64).reshape(-1, 15), tuple(g.object_id for g in grasps))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def rotations(self) -> np.ndarray:
+        return np.ascontiguousarray(self.values[:, 0:9]).reshape(-1, 3, 3)
+
+    @property
+    def translations(self) -> np.ndarray:
+        return np.ascontiguousarray(self.values[:, 9:12])
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.values[:, 14]
+
+    def grasp(self, i: int) -> PredictedGrasp:
+        """Row i as a ``PredictedGrasp``; its ``GraspPose`` checks the pose."""
+        vals = self.values[i].tolist()
+        pose = GraspPose(rotation=np.array(vals[0:9]).reshape(3, 3), translation=np.array(vals[9:12]),
+                         width=vals[12], depth=vals[13])
+        return PredictedGrasp(pose=pose, predicted_score=vals[14], object_id=self.object_ids[i])
 
 
 @dataclass(frozen=True)
@@ -202,17 +259,19 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
 
 
 def grasp_nms(
-    grasps: list[GraspPose],
+    grasps: PredictionTable | Sequence[GraspPose],
     scores: np.ndarray,
     trans_thresh: float = DEFAULT_TRANS_THRESH,
     rot_thresh: float = DEFAULT_ROT_THRESH,
 ) -> np.ndarray:
     """Greedy pose non-maximum suppression.
 
-    Grasps are visited by descending score (ties by ascending input index);
-    one is suppressed iff some already-kept grasp is closer than
-    ``trans_thresh`` in translation AND closer than ``rot_thresh`` in
-    geodesic rotation angle. Returns kept input indices in visit order.
+    ``grasps`` is a prediction table, whose pose columns are read as
+    arrays, or a sequence of poses. Grasps are visited by descending score
+    (ties by ascending input index); one is suppressed iff some
+    already-kept grasp is closer than ``trans_thresh`` in translation AND
+    closer than ``rot_thresh`` in geodesic rotation angle. Returns kept
+    input indices in visit order.
 
     Broad phase: kept grasps are filed in a uniform grid of cells slightly
     wider than ``trans_thresh``, keyed by translation. A grasp is tested
@@ -225,8 +284,11 @@ def grasp_nms(
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
-    translations = np.array([g.translation for g in grasps])
-    rotations = np.array([g.rotation for g in grasps])
+    if isinstance(grasps, PredictionTable):
+        translations, rotations = grasps.translations, grasps.rotations
+    else:
+        translations = np.array([g.translation for g in grasps])
+        rotations = np.array([g.rotation for g in grasps])
 
     order = np.lexsort((np.arange(n), -scores))
     if not trans_thresh > 0:
@@ -382,7 +444,7 @@ def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
 
 
 def evaluate_ap(
-    predictions: list[PredictedGrasp],
+    predictions: PredictionTable | Sequence[PredictedGrasp],
     layout: SceneLayout,
     library: dict[str, TriangleMesh],
     weights: MetricWeights = MetricWeights(),
@@ -414,19 +476,23 @@ def evaluate_ap(
     points near the box centres that lie well inside a box, or else every
     point of a ball around the gripper body. Each instance's vertices are
     posed at most once per call, for association.
-    """
-    n_in = len(predictions)
-    scores = np.array([p.predicted_score for p in predictions], dtype=float)
-    poses = [p.pose for p in predictions]
 
-    kept = grasp_nms(poses, scores, trans_thresh, rot_thresh)
+    NMS reads the table's pose columns as arrays; a ``PredictedGrasp`` is
+    built only for the NMS survivors. A sequence of ``PredictedGrasp`` is
+    first packed into a table.
+    """
+    if not isinstance(predictions, PredictionTable):
+        predictions = PredictionTable.from_grasps(predictions)
+    n_in = len(predictions)
+
+    kept = grasp_nms(predictions, predictions.scores, trans_thresh, rot_thresh)
     n_nms = n_in - len(kept)
 
+    kept_grasps = [predictions.grasp(i) for i in kept.tolist()]
     cloud = layout.scene_cloud
-    shortlists = _collision_shortlists(cloud, [predictions[i].pose for i in kept], gripper, collision_margin)
+    shortlists = _collision_shortlists(cloud, [p.pose for p in kept_grasps], gripper, collision_margin)
     survivors = []
-    for i, shortlist in zip(kept, shortlists):
-        p = predictions[i]
+    for p, shortlist in zip(kept_grasps, shortlists):
         points = cloud if shortlist is None else cloud[shortlist]
         if gripper_collides(points, p.pose, gripper, collision_margin):
             continue

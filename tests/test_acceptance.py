@@ -70,18 +70,16 @@ def labeled_desk(desk_meshes):
     """Full labeling runs over the five desk meshes, with wall time."""
     config = PipelineConfig(n_seeds=48, n_views=36, n_rotations=6)
     t0 = time.perf_counter()
-    records = {name: label_mesh(mesh, name, config)[0] for name, mesh in desk_meshes.items()}
+    tables = {name: label_mesh(mesh, name, config)[0] for name, mesh in desk_meshes.items()}
     elapsed = time.perf_counter() - t0
-    return records, elapsed
+    return tables, elapsed
 
 
 @pytest.fixture(scope="module")
 def desk_breakdowns(labeled_desk):
-    records, _ = labeled_desk
-    return {
-        name: np.array([r.breakdown.as_tuple() for r in recs])
-        for name, recs in records.items()
-    }
+    tables, _ = labeled_desk
+    # the breakdown columns, in ScoreBreakdown.FIELD_ORDER
+    return {name: table.values[:, 14:] for name, table in tables.items()}
 
 
 def test_criterion_1_score_domain_suite(labeled_desk, desk_breakdowns):

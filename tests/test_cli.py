@@ -52,8 +52,9 @@ def test_label_weights_flag(workdir):
     res = _run("label", "cube.obj", "--out", "wt.csv", "--config", "tiny.cfg",
                "--weights", "1,0,0,0", cwd=workdir)
     assert res.returncode == 0, res.stderr
-    for rec in read_labels(str(workdir / "wt.csv")):
-        assert rec.breakdown.s_hybrid == rec.breakdown.s_t
+    table = read_labels(str(workdir / "wt.csv"))
+    assert len(table) > 0
+    assert np.array_equal(table.column("s_hybrid"), table.column("s_t"))
 
 
 def test_label_dump_ply(workdir):
@@ -69,6 +70,16 @@ def test_label_missing_mesh(workdir):
     res = _run("label", "ghost.obj", "--out", "x.csv", cwd=workdir)
     assert res.returncode == 2, res.stderr
     assert "ParseError" in res.stderr
+
+
+def test_label_rejects_bad_object_id_before_labeling(workdir):
+    res = _run("label", "cube.obj", "--object-id", "a,b", "--out", "badid.csv",
+               "--config", "tiny.cfg", cwd=workdir)
+    assert res.returncode == 2, res.stderr
+    assert "'a,b'" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+    assert not (workdir / "badid.csv").exists()
 
 
 def test_label_bad_config(workdir):

@@ -1,66 +1,71 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspscore import (
     GraspPose,
-    GraspRecord,
+    LabelTable,
     PredictedGrasp,
-    ScoreBreakdown,
+    PredictionTable,
     read_labels,
     read_predictions,
     write_labels,
     write_predictions,
 )
+from graspscore import labels
 from graspscore.errors import SchemaError
+from graspscore.gripper import _is_proper_rotation
 from graspscore.labels import LABEL_COLUMNS, PREDICTION_COLUMNS
 
 from conftest import random_rotation
 
+# A NaN or an overflow inside the vectorised reader or writer fails loudly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-def _random_records(rng, n):
-    records = []
-    for i in range(n):
-        vals = rng.uniform(0.0, 1.0, 9)
-        records.append(
-            GraspRecord(
-                object_id=f"obj_{i % 7}",
-                rotation=random_rotation(rng),
-                translation=rng.uniform(-1, 1, 3),
-                width=float(rng.uniform(0.01, 0.085)),
-                depth=float(rng.choice([0.01, 0.02, 0.03, 0.04])),
-                breakdown=ScoreBreakdown(
-                    s_t=vals[0], s_f1=vals[1], s_f2=vals[2], s_f=vals[3],
-                    s_g_raw=vals[4], s_g=vals[5], s_c_raw=vals[6], s_c=vals[7],
-                    s_hybrid=vals[8],
-                ),
-            )
-        )
-    return records
+
+def _random_values(rng, n):
+    """(n, 23) label values: valid poses, uniform scores."""
+    rows = []
+    for _ in range(n):
+        rows.append([
+            *random_rotation(rng).ravel(),
+            *rng.uniform(-1, 1, 3),
+            rng.uniform(0.01, 0.085),
+            rng.choice([0.01, 0.02, 0.03, 0.04]),
+            *rng.uniform(0.0, 1.0, 9),
+        ])
+    return np.array(rows, dtype=float).reshape(n, 23)
+
+
+def _random_table(rng, n, object_id="obj"):
+    return LabelTable(object_id, _random_values(rng, n))
 
 
 def test_label_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(41)
-    records = _random_records(rng, 1000)
+    table = _random_table(rng, 1000, "obj_3")
     path = str(tmp_path / "labels.csv")
-    assert write_labels(path, records) == 1000
+    assert write_labels(path, table) == 1000
     loaded = read_labels(path)
     assert len(loaded) == 1000
-    for a, b in zip(records, loaded):
-        assert a.object_id == b.object_id
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
-        assert a.width == b.width and a.depth == b.depth
-        assert a.breakdown.as_tuple() == b.breakdown.as_tuple()
+    assert loaded.object_id == "obj_3"
+    assert np.array_equal(loaded.values.view(np.int64), table.values.view(np.int64))
+    assert np.array_equal(loaded.rotations, table.rotations)
+    assert np.array_equal(loaded.column("s_hybrid"), table.values[:, 22])
 
 
 def test_label_header(tmp_path):
     path = str(tmp_path / "labels.csv")
-    write_labels(path, [])
+    write_labels(path, LabelTable("obj", np.zeros((0, 23))))
     text = open(path).read()
     assert text == ",".join(LABEL_COLUMNS) + "\n"
     assert LABEL_COLUMNS[0] == "object_id"
     assert len(LABEL_COLUMNS) == 24
-    assert read_labels(path) == []
+    assert len(read_labels(path)) == 0
 
 
 def test_read_rejects_wrong_header(tmp_path):
@@ -74,7 +79,7 @@ def test_read_rejects_wrong_header(tmp_path):
 def test_read_reports_line_numbers(tmp_path):
     good = str(tmp_path / "good.csv")
     rng = np.random.default_rng(42)
-    write_labels(good, _random_records(rng, 3))
+    write_labels(good, _random_table(rng, 3))
     lines = open(good).read().splitlines()
 
     short = tmp_path / "short.csv"
@@ -92,6 +97,18 @@ def test_read_reports_line_numbers(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_label_file_holds_one_object(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels(str(path), _random_table(np.random.default_rng(50), 3, "cube"))
+    lines = path.read_text().splitlines()
+    lines[3] = "plate" + lines[3][len("cube"):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="'plate' differs from 'cube'") as err:
+        read_labels(str(path))
+    assert err.value.line == 4
+    assert len(read_predictions(str(path))) == 3
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -104,19 +121,22 @@ def test_empty_file_rejected(tmp_path):
 def test_blank_lines_skipped(tmp_path):
     path = str(tmp_path / "labels.csv")
     rng = np.random.default_rng(43)
-    write_labels(path, _random_records(rng, 2))
+    write_labels(path, _random_table(rng, 2))
     with open(path, "a") as fh:
         fh.write("\n\n")
     assert len(read_labels(path)) == 2
 
 
 def test_object_id_with_comma_rejected(tmp_path):
-    rng = np.random.default_rng(44)
-    rec = _random_records(rng, 1)[0]
-    bad = GraspRecord(object_id="a,b", rotation=rec.rotation, translation=rec.translation,
-                      width=rec.width, depth=rec.depth, breakdown=rec.breakdown)
-    with pytest.raises(ValueError):
-        write_labels(str(tmp_path / "x.csv"), [bad])
+    values = _random_values(np.random.default_rng(44), 1)
+    pose = GraspPose(np.eye(3), np.zeros(3), 0.05, 0.02)
+    path = tmp_path / "x.csv"
+    for object_id in ["a,b", "a\nb", "a\rb", "a\x0cb", "caf\u00e9"]:
+        with pytest.raises(ValueError, match="object_id"):
+            LabelTable(object_id, values)
+        with pytest.raises(ValueError, match="object_id"):
+            write_predictions(str(path), [PredictedGrasp(pose, 0.5, object_id)])
+        assert not path.exists()
 
 
 def _random_predictions(rng, n):
@@ -137,25 +157,29 @@ def test_prediction_round_trip(tmp_path):
     header = open(path).readline().rstrip("\n")
     assert header == ",".join(PREDICTION_COLUMNS)
     loaded = read_predictions(path)
-    for a, b in zip(preds, loaded):
+    assert len(loaded) == 200
+    for i, a in enumerate(preds):
+        b = loaded.grasp(i)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.translation, b.pose.translation)
         assert a.pose.width == b.pose.width
         assert a.predicted_score == b.predicted_score
         assert a.object_id == b.object_id
+    again = str(tmp_path / "again.csv")
+    write_predictions(again, loaded)
+    assert open(again).read() == open(path).read()
 
 
 def test_label_file_doubles_as_predictions(tmp_path):
     rng = np.random.default_rng(46)
-    records = _random_records(rng, 20)
+    table = _random_table(rng, 20, "obj_1")
     path = str(tmp_path / "labels.csv")
-    write_labels(path, records)
+    write_labels(path, table)
     preds = read_predictions(path)
     assert len(preds) == 20
-    for rec, pred in zip(records, preds):
-        assert pred.predicted_score == rec.breakdown.s_hybrid
-        assert pred.object_id == rec.object_id
-        assert np.array_equal(pred.pose.rotation, rec.rotation)
+    assert np.array_equal(preds.scores, table.column("s_hybrid"))
+    assert preds.object_ids == ("obj_1",) * 20
+    assert np.array_equal(preds.rotations, table.rotations)
 
 
 def test_predictions_missing_column(tmp_path):
@@ -183,7 +207,7 @@ def test_predictions_reject_non_finite_values(tmp_path, column, value):
 
 def test_labels_reject_non_finite_values(tmp_path):
     path = str(tmp_path / "labels.csv")
-    write_labels(path, _random_records(np.random.default_rng(49), 3))
+    write_labels(path, _random_table(np.random.default_rng(49), 3))
     lines = open(path).read().splitlines()
     parts = lines[3].split(",")
     parts[LABEL_COLUMNS.index("s_f")] = "nan"
@@ -208,3 +232,268 @@ def test_predictions_reject_bad_pose(tmp_path):
         read_predictions(str(path2))
     assert "line 3" in str(err.value)
     assert "pose" in str(err.value)
+
+
+# --- the columnar writer against a per-row reference ---
+
+def _per_row_text(header, ids, values):
+    """The per-row writer the columnar one replaced: repr(float(v)) per value."""
+    lines = [",".join(header)]
+    for object_id, row in zip(ids, values):
+        lines.append(object_id + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    # either side of repr's switch to exponent notation
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+    1e-4, 0.00010000000000000002, 9.999999999999999e-05,
+    1e-5, 1.0000000000000003e-05, 9.999999999999999e-06, -1e-5,
+    0.1, 1.0, 123456789.0, math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def _label_values(draw):
+    """(n, 23) values; each column draws from its own small pool, so
+    columns hold repeats, a single distinct value, or both zeros."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(23):
+        pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        columns.append([pool[k] for k in picks])
+    return np.array(columns, dtype=np.float64).T.reshape(n, 23)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_label_values(), chunk=st.sampled_from([1, 2, 5, labels._WRITE_CHUNK]))
+def test_writer_matches_per_row_reference(tmp_path_factory, values, chunk):
+    path = tmp_path_factory.mktemp("writer") / "labels.csv"
+    with mock.patch.object(labels, "_WRITE_CHUNK", chunk):
+        assert write_labels(str(path), LabelTable("obj", values)) == len(values)
+    assert path.read_text() == _per_row_text(LABEL_COLUMNS, ["obj"] * len(values), values)
+
+
+def test_writer_matches_per_row_reference_past_one_chunk(tmp_path):
+    rng = np.random.default_rng(51)
+    n = labels._WRITE_CHUNK + 1234
+    values = rng.choice(np.array(_EDGE_FLOATS), size=(n, 23))
+    values[:, 5:] = rng.normal(size=(n, 18)) * 10.0 ** rng.integers(-320, 300, size=(n, 18))
+    values[:, 7] = -0.0
+    path = tmp_path / "labels.csv"
+    write_labels(str(path), LabelTable("big", values))
+    assert path.read_text() == _per_row_text(LABEL_COLUMNS, ["big"] * n, values)
+
+    ids = [["", "a", "b_2"][k] for k in rng.integers(0, 3, n)]
+    path = tmp_path / "preds.csv"
+    write_predictions(str(path), PredictionTable(values[:, :15], [oid or None for oid in ids]))
+    assert path.read_text() == _per_row_text(PREDICTION_COLUMNS, ids, values[:, :15])
+
+
+# --- the batched reader against the per-row reader it replaced ---
+
+def _old_rows(path):
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno)
+        rows.append((lineno, parts))
+    return rows
+
+
+def _old_floats(parts, lineno):
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise SchemaError(f"bad float: {exc}", lineno) from exc
+    bad = [p for p, x in zip(parts, values) if not math.isfinite(x)]
+    if bad:
+        raise SchemaError(f"non-finite value {bad[0]!r}", lineno)
+    return values
+
+
+def _per_row_read(path, kind):
+    """The per-row reader: float() per field, then a GraspPose per row.
+
+    Prediction rows parse the pose and the score in turn; label rows parse
+    all 23 values at once."""
+    for lineno, parts in _old_rows(path):
+        if kind == "labels":
+            vals = _old_floats(parts[1:], lineno)
+        else:
+            vals = _old_floats(parts[1:15], lineno) + _old_floats([parts[15]], lineno)
+        try:
+            GraspPose(rotation=np.array(vals[0:9]).reshape(3, 3), translation=np.array(vals[9:12]),
+                      width=vals[12], depth=vals[13])
+        except ValueError as exc:
+            raise SchemaError(f"bad grasp pose: {exc}", lineno) from exc
+
+
+def _rotation_fault(scale=1.0, flip=False):
+    def apply(parts, columns):
+        r = np.array([float(v) for v in parts[1:10]]).reshape(3, 3) * scale
+        if flip:
+            r[:, 0] = -r[:, 0]
+        parts[1:10] = [repr(v) for v in r.ravel().tolist()]
+    return apply
+
+
+def _set(column, value):
+    def apply(parts, columns):
+        parts[columns.index(column)] = value
+    return apply
+
+
+def _set_score(value):
+    def apply(parts, columns):
+        parts[-1] = value  # s_hybrid or predicted_score
+    return apply
+
+
+def _both(*faults):
+    def apply(parts, columns):
+        for fault in faults:
+            fault(parts, columns)
+    return apply
+
+
+_FAULTS = {
+    "bad_float": _set("ty", "zap"),
+    "hex_float": _set("r12", "0x1p3"),
+    "nan": _set("r00", "nan"),
+    "inf_score": _set_score("inf"),
+    "bad_score": _set_score("0.5.5"),
+    # a prediction row parses its pose before its score; a label row parses all at once
+    "nan_pose_bad_score": _both(_set("tz", "nan"), _set_score("0.5.5")),
+    "huge": _set("depth", "1e999"),
+    "scaled_rotation": _rotation_fault(scale=1.0 + 1e-4),
+    "shrunk_rotation": _rotation_fault(scale=1.0 - 6e-6),
+    "reflection": _rotation_fault(flip=True),
+    "zero_width": _set("width", "0.0"),
+    "negative_depth": _set("depth", "-0.01"),
+    "short_row": lambda parts, columns: parts.pop(),
+    "long_row": lambda parts, columns: parts.append("0.5"),
+}
+
+
+def _fault_file(tmp_path, kind, faults, n=8, seed=52):
+    """A label or prediction file of n valid rows with faults[line] applied."""
+    values = _random_values(np.random.default_rng(seed), n)
+    path = str(tmp_path / f"{kind}.csv")
+    if kind == "labels":
+        write_labels(path, LabelTable("obj", values))
+        columns = LABEL_COLUMNS
+    else:
+        write_predictions(path, PredictionTable(values[:, :15], ["obj"] * n))
+        columns = PREDICTION_COLUMNS
+    lines = open(path).read().splitlines()
+    for lineno, fault in faults.items():
+        parts = lines[lineno - 1].split(",")
+        _FAULTS[fault](parts, columns)
+        lines[lineno - 1] = ",".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _assert_same_error(path, kind):
+    reader = read_labels if kind == "labels" else read_predictions
+    with pytest.raises(SchemaError) as want:
+        _per_row_read(path, kind)
+    with pytest.raises(SchemaError) as got:
+        reader(path)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == want.value.line
+    return got.value
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("lineno", [2, 5, 9])
+def test_read_error_matches_per_row_reader(tmp_path, kind, fault, lineno):
+    path = _fault_file(tmp_path, kind, {lineno: fault})
+    assert _assert_same_error(path, kind).line == lineno
+
+
+# Field counts are checked for the whole file before any value, as the
+# per-row reader did, so the pairs below share a kind of fault or are both
+# value faults.
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("first, second", [
+    ("reflection", "bad_float"), ("bad_float", "reflection"), ("zero_width", "nan"),
+    ("huge", "scaled_rotation"), ("short_row", "long_row"),
+])
+def test_earlier_bad_row_wins(tmp_path, kind, first, second):
+    path = _fault_file(tmp_path, kind, {4: first, 7: second})
+    assert _assert_same_error(path, kind).line == 4
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+def test_rotation_inside_rtol_edge_is_accepted(tmp_path, kind):
+    table = _random_table(np.random.default_rng(53), 6)
+    values = table.values.copy()
+    values[:, :9] *= 1.0 - 4.9e-6
+    path = str(tmp_path / "edge.csv")
+    if kind == "labels":
+        write_labels(path, LabelTable("obj", values))
+        assert np.array_equal(read_labels(path).values, values)
+    else:
+        write_predictions(path, PredictionTable(values[:, :15], [None] * 6))
+        assert np.array_equal(read_predictions(path).values, values[:, :15])
+    _per_row_read(path, kind)
+
+
+def _old_is_proper_rotation(r):
+    return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
+
+
+def test_batched_rotation_check_matches_per_row_near_rtol_edge(tmp_path):
+    """Rotations scaled across the rtol edge: the rows the batched check
+    lets through unflagged all pass the per-row rule, the rows that rule
+    rejects are all flagged, and a file of them fails at its first rejected
+    row."""
+    rng = np.random.default_rng(54)
+    n = 4000
+    rotations = np.array([random_rotation(rng) for _ in range(n)])
+    # (1 - s)^2 = 1 - 1.001e-5 at s of about 5.005e-6
+    scales = 1.0 + rng.choice([-1.0, 1.0], n) * rng.uniform(4.95e-6, 5.06e-6, n)
+    rotations *= scales[:, None, None]
+    values = np.zeros((n, 15))
+    values[:, :9] = rotations.reshape(n, 9)
+    values[:, 12:14] = 0.05
+    flagged = labels._flagged_rows(values)
+    per_row = np.array([_is_proper_rotation(r) for r in rotations])
+    assert np.array_equal(per_row, [_old_is_proper_rotation(r) for r in rotations])
+    assert 100 < per_row.sum() < n - 100
+    assert not (~flagged & ~per_row).any()
+    assert np.mean(flagged == ~per_row) > 0.99
+
+    order = np.argsort(~per_row, kind="stable")  # accepted rows first
+    path = str(tmp_path / "edge.csv")
+    write_predictions(path, PredictionTable(values[order], [None] * n))
+    with pytest.raises(SchemaError, match="bad grasp pose") as err:
+        read_predictions(path)
+    assert err.value.line == 2 + int(per_row.sum())
+
+
+def test_batched_parse_matches_float(tmp_path):
+    tokens = ["1_0", " 1.5", "1.5\t", "+1", "1.", ".5", "1e-400", "2.4703282292062328e-324",
+              "0.30000000000000004", "-0", "1E5", "000.1000"]
+    path = tmp_path / "preds.csv"
+    row = ["a"] + ["1.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "1.0"]
+    lines = [",".join(PREDICTION_COLUMNS)]
+    for tok in tokens:
+        lines.append(",".join(row + [tok, tok, tok, "0.05", "0.02", tok]))
+    path.write_text("\n".join(lines) + "\n")
+    got = read_predictions(str(path)).values
+    want = np.array([[float(tok)] * 3 for tok in tokens])
+    assert np.array_equal(got[:, [9, 10, 11]].view(np.int64), want.view(np.int64))

@@ -5,7 +5,6 @@ from graspscore import (
     CandidateGrid,
     ContactFrame,
     GraspPose,
-    GraspRecord,
     PipelineConfig,
     SpatialIndex,
     label_mesh,
@@ -23,18 +22,26 @@ TINY = PipelineConfig(n_seeds=12, n_views=10, n_rotations=4)
 
 
 def test_label_mesh_accounting(cube):
-    records, summary = label_mesh(cube, "cube", TINY)
-    assert summary.n_labeled == len(records) > 0
+    table, summary = label_mesh(cube, "cube", TINY)
+    assert summary.n_labeled == len(table) > 0
     assert summary.n_enumerated == 12 * 10 * 4 * 4
     assert summary.n_skipped == summary.n_enumerated - summary.n_labeled
     assert sum(summary.closure_histogram) == summary.n_labeled
     assert sum(summary.hybrid_histogram) == summary.n_labeled
-    for rec in records:
-        assert rec.object_id == "cube"
-        vals = rec.breakdown.as_tuple()
-        assert all(np.isfinite(v) for v in vals)
-        assert 0.0 <= rec.breakdown.s_hybrid <= 1.0
-        assert 0.0 <= rec.breakdown.s_t <= 1.0
+    assert table.object_id == "cube"
+    assert table.values.shape == (len(table), 23)
+    assert np.isfinite(table.values).all()
+    for name in ("s_hybrid", "s_t"):
+        assert (table.column(name) >= 0.0).all() and (table.column(name) <= 1.0).all()
+
+
+def test_label_mesh_checks_object_id_first(cube, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeling started")
+
+    monkeypatch.setattr("graspscore.pipeline.SpatialIndex.from_mesh", refuse)
+    with pytest.raises(ValueError, match="object_id"):
+        label_mesh(cube, "a,b", TINY)
 
 
 def test_label_mesh_builds_no_per_candidate_objects(cube, monkeypatch):
@@ -43,14 +50,15 @@ def test_label_mesh_builds_no_per_candidate_objects(cube, monkeypatch):
 
     monkeypatch.setattr(GraspPose, "__post_init__", refuse)
     monkeypatch.setattr(ContactFrame, "__post_init__", refuse)
-    records, _ = label_mesh(cube, "cube", TINY)
-    assert records
+    table, _ = label_mesh(cube, "cube", TINY)
+    assert len(table)
 
 
-def _per_candidate_rows(mesh, object_id, config):
+def _per_candidate_rows(mesh, config):
     """Label rows from a per-candidate loop: one GraspPose and one
     ContactFrame per valid cell, the contact line normalized and the width
-    set from a per-row np.linalg.norm, then the list scorers."""
+    set from a per-row np.linalg.norm, then the list scorers. Returns the
+    (n, 23) values of the label columns after object_id."""
     gripper = config.gripper()
     grid = CandidateGrid.build(mesh, n_seeds=config.n_seeds, n_views=config.n_views,
                                n_rotations=config.n_rotations, depths=gripper.depth_levels)
@@ -80,8 +88,8 @@ def _per_candidate_rows(mesh, object_id, config):
     breakdowns = normalize_and_combine(
         score_frames(frames, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center, config),
         config.weights())
-    return [GraspRecord(object_id, p.rotation, p.translation, p.width, p.depth, b).row()
-            for p, b in zip(poses, breakdowns)]
+    return np.array([[*p.rotation.ravel(), *p.translation, p.width, p.depth, *b.as_tuple()]
+                     for p, b in zip(poses, breakdowns)])
 
 
 @pytest.mark.parametrize("shape", ["cube", "icosphere", "moved_icosphere"])
@@ -94,8 +102,10 @@ def test_label_mesh_matches_per_candidate_loop(shape, cube, icosphere):
         rng = np.random.default_rng(21)
         mesh = transform_mesh(icosphere, random_rotation(rng), rng.uniform(-0.5, 0.5, size=3))
     config = PipelineConfig(n_seeds=6, n_views=8, n_rotations=3)
-    records, summary = label_mesh(mesh, shape, config)
-    want = _per_candidate_rows(mesh, shape, config)
+    table, summary = label_mesh(mesh, shape, config)
+    want = _per_candidate_rows(mesh, config)
     assert len(want) > 50
     assert summary.n_labeled == len(want)
-    assert [rec.row() for rec in records] == want
+    assert table.object_id == shape
+    # bit for bit, so -0.0 and 0.0 count as different
+    assert np.array_equal(table.values.view(np.int64), want.view(np.int64))

@@ -8,6 +8,7 @@ from graspscore import (
     GraspPose,
     GripperModel,
     PredictedGrasp,
+    PredictionTable,
     SceneInstance,
     build_scene,
     evaluate_ap,
@@ -111,6 +112,8 @@ def test_nms_survivors_pass_pairwise_scan():
 
 def _nms_exhaustive(poses, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0)):
     """The all-kept-grasps scan ``grasp_nms`` replaced, kept as its oracle."""
+    if isinstance(poses, PredictionTable):
+        poses = [poses.grasp(i).pose for i in range(len(poses))]
     translations = np.array([g.translation for g in poses])
     rotations = np.array([g.rotation for g in poses])
     kept = []
@@ -649,7 +652,29 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
     monkeypatch.setattr(scene, "gripper_collides", counting)
     evaluate_ap(preds, layout, library)
     kept = grasp_nms([p.pose for p in preds], np.array([p.predicted_score for p in preds]))
-    assert [id(g) for g in calls] == [id(preds[i].pose) for i in kept]
+
+    def pose_key(g):
+        return g.rotation.tobytes(), g.translation.tobytes(), g.width, g.depth
+
+    # evaluate_ap builds its own GraspPose per survivor, so poses compare by value
+    assert [pose_key(g) for g in calls] == [pose_key(preds[i].pose) for i in kept]
+
+
+def test_evaluate_ap_builds_poses_only_for_nms_survivors(clutter, monkeypatch):
+    library, layout = clutter
+    table = PredictionTable.from_grasps(_clutter_predictions(layout, n=300, seed=47))
+    built = []
+    original = GraspPose.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GraspPose, "__post_init__", counting)
+    report = evaluate_ap(table, layout, library)
+    # one per NMS survivor, plus one object-frame pose per evaluated grasp
+    assert len(built) == len(table) - report.n_filtered_nms + report.n_evaluated
+    assert report.n_filtered_nms > 0
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
