@@ -19,6 +19,10 @@ from .mesh import TriangleMesh
 
 _GOLDEN_INCREMENT = np.pi * (3.0 - np.sqrt(5.0))
 
+# Grasp lines per contact ray cast in candidate_arrays on a mesh of more
+# than one block; a grid with more lines per seed casts one seed at a time.
+_LINES_PER_CALL = 1 << 13
+
 
 def generate_views(count: int) -> np.ndarray:
     """Approximately uniform unit vectors from a Fibonacci spiral.
@@ -137,28 +141,36 @@ def candidate_arrays(
     maximum, and the fingertip endpoints follow that width. Cells whose rays
     miss the mesh (or would start inside it) are skipped and counted.
     """
-    vr_rots = np.array([[geometry.frame_from_approach(-view, theta) for theta in grid.rotations]
-                        for view in grid.views])
+    vr_rots = geometry.frames_from_approaches(-grid.views, grid.rotations)
     rotations = np.repeat(vr_rots.reshape(-1, 3, 3), len(grid.depths), axis=0)
     depths = np.tile(grid.depths, len(rotations) // len(grid.depths))
     closing = rotations[:, :, 0]
     offsets = depths[:, None] * rotations[:, :, 2]
-    search_half = np.full(len(rotations), gripper.max_width / 2.0)
 
-    per_seed = []
-    for seed in grid.seed_points:
-        centers = seed + offsets
-        valid, found, separation = contacts_on_lines(mesh, centers, closing, search_half)
+    # Several whole seeds per ray cast share each closing direction's
+    # projected broad phase; rows stay seed-major. A mesh of one block has
+    # nothing to share, and a cast per seed keeps its arrays small.
+    per_call = 1
+    if len(mesh.faces) > geometry._BLOCK_FACES:
+        per_call = max(1, _LINES_PER_CALL // len(rotations))
+    per_chunk = []
+    for start in range(0, len(grid.seed_points), per_call):
+        seeds = grid.seed_points[start:start + per_call]
+        centers = (seeds[:, None, :] + offsets).reshape(-1, 3)
+        lines = np.tile(closing, (len(seeds), 1))
+        search_half = np.full(len(lines), gripper.max_width / 2.0)
+        valid, found, separation = contacts_on_lines(mesh, centers, lines, search_half)
         width = np.minimum(separation + clearance, gripper.max_width)
-        half_jaw = (width / 2.0)[:, None] * closing[valid]
-        per_seed.append((
-            rotations[valid],
-            np.broadcast_to(seed, (len(width), 3)),
+        half_jaw = (width / 2.0)[:, None] * lines[valid]
+        cells = np.flatnonzero(valid) % len(rotations)
+        per_chunk.append((
+            rotations[cells],
+            np.repeat(seeds, valid.reshape(len(seeds), -1).sum(axis=1), axis=0),
             width,
-            depths[valid],
+            depths[cells],
             *found._replace(p_el=centers[valid] - half_jaw, p_er=centers[valid] + half_jaw),
         ))
-    cell_rots, seeds, widths, cell_depths, *contacts = (np.concatenate(col) for col in zip(*per_seed))
+    cell_rots, seeds, widths, cell_depths, *contacts = (np.concatenate(col) for col in zip(*per_chunk))
     n_enumerated = len(rotations) * len(grid.seed_points)
     return CandidateArrays(cell_rots, seeds, widths, cell_depths, ContactArrays(*contacts),
                            n_enumerated, n_enumerated - len(widths))

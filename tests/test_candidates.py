@@ -8,7 +8,7 @@ from graspscore.candidates import (
     farthest_point_sampling,
     generate_views,
 )
-from graspscore.geometry import frame_from_approach
+from graspscore.geometry import frame_from_approach, frames_from_approaches
 from graspscore.primitives import make_plate
 
 
@@ -104,6 +104,17 @@ def test_frame_from_approach_properties():
     quarter = frame_from_approach(np.array([0.0, 0.0, 1.0]), np.pi / 2)
     want_x = np.cos(np.pi / 2) * base[:, 0] + np.sin(np.pi / 2) * base[:, 1]
     assert np.allclose(quarter[:, 0], want_x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_views,n_rotations", [(36, 6), (300, 12), (18, 6), (1, 4), (1000, 24)])
+def test_grid_frames_match_scalar_frames(n_views, n_rotations):
+    # The batched frames of candidate_arrays, bit for bit the scalar ones.
+    views = generate_views(n_views)
+    angles = np.pi * np.arange(n_rotations) / n_rotations
+    want = np.array([[frame_from_approach(-view, theta) for theta in angles] for view in views])
+    got = frames_from_approaches(-views, angles)
+    assert got.shape == (n_views, n_rotations, 3, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_enumerator_accounting(icosphere):

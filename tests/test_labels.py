@@ -23,9 +23,6 @@ from graspscore.labels import LABEL_COLUMNS, PREDICTION_COLUMNS
 
 from conftest import random_rotation
 
-# A NaN or an overflow inside the vectorised reader or writer fails loudly.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _random_values(rng, n):
     """(n, 23) label values: valid poses, uniform scores."""

@@ -23,9 +23,6 @@ from graspscore.errors import ParseError, UnknownObjectId
 import _scenes
 from conftest import random_rotation
 
-# A divide by zero or an overflowing cast in the broad phases fails loudly.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _pose(translation, rotation=None, width=0.05, depth=0.02):
     if rotation is None:
