@@ -15,9 +15,12 @@ file (``s_hybrid`` doubles as the predicted score).
 
 Both kinds of file are handled as tables: an (n, k) float64 array plus
 object ids. The writer formats each distinct value of a column once and
-gathers the text by index. The readers parse every value with one numpy
-call, check all rows as arrays, and send only the rows those checks flag
-through the per-row check, whose ``SchemaError`` names the first bad line.
+gathers the text by index. The readers make two passes over a file, each
+holding one block of text at a time: the first checks every row's field
+count, the second splits and parses the rows in chunks. Each chunk's
+values are parsed with one numpy call and checked as arrays, and only the
+rows those checks flag go through the per-row check, whose
+``SchemaError`` names the first bad line.
 """
 
 from __future__ import annotations
@@ -45,9 +48,15 @@ _LABEL_INDEX = {name: j for j, name in enumerate(LABEL_COLUMNS[1:])}
 # Rows formatted and written per file write, so the text of a large table
 # is never held whole.
 _WRITE_CHUNK = 16384
-# Characters an object id may not hold: the field separator and every
-# ascii character str.splitlines breaks a line at.
-_ID_FORBIDDEN = frozenset(",\n\r\x0b\x0c\x1c\x1d\x1e")
+# Characters decoded per read, and rows split and parsed at a time: a read
+# holds one block of text and one chunk of split rows, never the file.
+_READ_BLOCK = 1 << 20
+_READ_CHUNK = 4096
+# Every ascii character str.splitlines breaks a line at.
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e")
+# Characters an object id may not hold: the field separator and the line
+# breaks.
+_ID_FORBIDDEN = _LINE_BREAKS | {","}
 # A rotation whose R^T R is this close to the tolerance edge is decided by
 # the per-row check; batched and per-row products differ by far less.
 _EDGE_MARGIN = 1e-12
@@ -118,16 +127,29 @@ def read_labels(path: str) -> LabelTable:
             an unparseable or non-finite value, or a pose that
             ``GraspPose`` rejects; carries the 1-based line number.
     """
-    header, rows, linenos = _read_rows(path)
+    header, n = _scan(path)
     if tuple(header) != LABEL_COLUMNS:
         raise SchemaError(f"expected label header {','.join(LABEL_COLUMNS)}", 1)
-    object_id = rows[0][0] if rows else ""
-    for parts, lineno in zip(rows, linenos):
-        if parts[0] != object_id:
-            raise SchemaError(f"object_id {parts[0]!r} differs from {object_id!r}; "
-                              "a label file holds one object", lineno)
-    values = _parse_rows(rows, linenos, range(1, len(LABEL_COLUMNS)), len(LABEL_COLUMNS) - 1)
-    return LabelTable(object_id, values)
+    values = np.empty((n, len(_LABEL_INDEX)))
+    object_id, bad_value, start = None, None, 0
+    for rows, linenos in _row_chunks(path):
+        if object_id is None:
+            object_id = rows[0][0]
+        for parts, lineno in zip(rows, linenos):
+            if parts[0] != object_id:
+                raise SchemaError(f"object_id {parts[0]!r} differs from {object_id!r}; "
+                                  "a label file holds one object", lineno)
+        # a second object id anywhere in the file outranks a bad value
+        if bad_value is None:
+            try:
+                values[start:start + len(rows)] = _parse_rows(rows, linenos, range(1, len(LABEL_COLUMNS)),
+                                                              len(LABEL_COLUMNS) - 1)
+            except SchemaError as exc:
+                bad_value = exc
+        start += len(rows)
+    if bad_value is not None:
+        raise bad_value
+    return LabelTable(object_id or "", values)
 
 
 def write_predictions(path: str, predictions: PredictionTable | Sequence[PredictedGrasp]) -> int:
@@ -147,7 +169,7 @@ def read_predictions(path: str) -> PredictionTable:
     ``s_hybrid`` column is taken as the predicted score. An empty
     ``object_id`` field means the prediction is unbound.
     """
-    header, rows, linenos = _read_rows(path)
+    header, n = _scan(path)
     cols = {name: i for i, name in enumerate(header)}
     missing = [c for c in ("object_id",) + _POSE_COLUMNS if c not in cols]
     if missing:
@@ -159,9 +181,15 @@ def read_predictions(path: str) -> PredictionTable:
     else:
         raise SchemaError("no predicted_score or s_hybrid column", 1)
 
-    values = _parse_rows(rows, linenos, [cols[c] for c in _POSE_COLUMNS] + [score_col], len(_POSE_COLUMNS))
+    columns = [cols[c] for c in _POSE_COLUMNS] + [score_col]
     id_col = cols["object_id"]
-    return PredictionTable(values, tuple(parts[id_col] or None for parts in rows))
+    values = np.empty((n, len(columns)))
+    ids: list[str | None] = []
+    seen: dict[str, str | None] = {"": None}  # one str per distinct id
+    for rows, linenos in _row_chunks(path):
+        values[len(ids):len(ids) + len(rows)] = _parse_rows(rows, linenos, columns, len(_POSE_COLUMNS))
+        ids.extend(seen.setdefault(parts[id_col], parts[id_col]) for parts in rows)
+    return PredictionTable(values, tuple(ids))
 
 
 def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], values: np.ndarray) -> int:
@@ -190,24 +218,59 @@ def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], value
     return n
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """(header, rows, line numbers) of a file; every row has the header's width."""
+def _lines(path: str):
+    """Yield the lines of an ascii file as ``str.splitlines`` cuts its whole
+    text, decoding ``_READ_BLOCK`` characters at a time."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        tail = ""
+        while block := fh.read(_READ_BLOCK):
+            lines = (tail + block).splitlines()
+            # the block's last line may go on in the next block
+            tail = "" if block[-1] in _LINE_BREAKS else lines.pop()
+            yield from lines
+        if tail:
+            yield tail
+
+
+def _scan(path: str) -> tuple[list[str], int]:
+    """(header, row count) of a file, once every row has the header's width.
+
+    The first row of the wrong width is reported only after the whole file
+    has been decoded, so a decoding error anywhere comes first, as when the
+    file was read at once. Blank lines are not rows.
+    """
+    lines = _lines(path)
+    header = next(lines, None)
+    if header is None:
         raise SchemaError("empty file", 1)
-    header = lines[0].split(",")
-    width = len(header)
+    header = header.split(",")
+    commas = len(header) - 1
+    n, bad_width = 0, None
+    for lineno, line in enumerate(lines, start=2):
+        if line:
+            n += 1
+            if bad_width is None and line.count(",") != commas:
+                bad_width = SchemaError(f"expected {commas + 1} fields, got {line.count(',') + 1}", lineno)
+    if bad_width is not None:
+        raise bad_width
+    return header, n
+
+
+def _row_chunks(path: str):
+    """Yield (rows split at commas, line numbers) of a file's rows, in
+    chunks of ``_READ_CHUNK``."""
+    lines = _lines(path)
+    next(lines, None)  # the header
     rows, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise SchemaError(f"expected {width} fields, got {len(parts)}", lineno)
-        rows.append(parts)
-        linenos.append(lineno)
-    return header, rows, linenos
+    for lineno, line in enumerate(lines, start=2):
+        if line:
+            rows.append(line.split(","))
+            linenos.append(lineno)
+            if len(rows) == _READ_CHUNK:
+                yield rows, linenos
+                rows, linenos = [], []
+    if rows:
+        yield rows, linenos
 
 
 def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) -> np.ndarray:

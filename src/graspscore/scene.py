@@ -47,22 +47,32 @@ TOP_K = 50
 DEFAULT_TRANS_THRESH = 0.03
 DEFAULT_ROT_THRESH = np.deg2rad(30.0)
 
-# NMS grid: cells are this much wider than trans_thresh, so rounding in
-# t / cell never puts a suppressing pair two cells apart; and no cell key
-# exceeds _MAX_CELL_KEY, so keys stay exact integers on huge translations.
-_CELL_PAD = 1e-3
-_MAX_CELL_KEY = 2.0**40
-_NEIGHBOR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+# NMS broad phase (see grasp_nms). The embedding scales tau and rho carry a
+# relative pad far wider than the rounding of an embedded coordinate, which
+# _MAX_EMBED keeps below 2**36. rho also carries an absolute slack:
+# GraspPose's orthonormality rule (R^T R within about 1e-5 of I) lets
+# tr(R_a^T R_b) sit up to 3e-5 from that of the nearest exact rotations, so
+# a pair whose computed angle is below theta can have closing axes up to
+# 2 sin(theta / 2) + 5.5e-3 apart. Grasps go through _NMS_BLOCK at a time,
+# and candidate pairs get the exact test _PAIR_CHUNK at a time.
+_EMBED_PAD = 1e-3
+_MAX_EMBED = 2.0**36
+_AXIS_SLACK = 1e-2
+_EMBED_RADIUS = float(np.sqrt(2.0))
+_NMS_BLOCK = 512
+_PAIR_CHUNK = 16384
 
 # Collision broad phase: cloud points tried first per box centre, grasps per
-# batched pre-test, a band (m) far wider than the rounding of a gripper-frame
-# coordinate, and the relative slack of the shortlist ball. GraspPose's
-# orthonormality check is np.allclose(R^T R, I, atol=1e-8), whose default
-# rtol lets R scale lengths by up to about 5e-6; the slack covers that.
+# batched pass, a band (m) far wider than the rounding of a gripper-frame
+# coordinate, the relative slack of each cover ball, and the most pieces one
+# box is cut into. GraspPose's orthonormality check is np.allclose(R^T R, I,
+# atol=1e-8), whose default rtol lets R scale lengths by up to about 5e-6;
+# the slack covers that.
 _NEAREST = 32
 _COLLISION_CHUNK = 128
 _BAND = 1e-9
 _BALL_SLACK = 1e-4
+_MAX_PIECES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,14 +281,23 @@ def grasp_nms(
     (ties by ascending input index); one is suppressed iff some
     already-kept grasp is closer than ``trans_thresh`` in translation AND
     closer than ``rot_thresh`` in geodesic rotation angle. Returns kept
-    input indices in visit order.
+    input indices in visit order. A NaN or non-positive threshold
+    suppresses nothing.
 
-    Broad phase: kept grasps are filed in a uniform grid of cells slightly
-    wider than ``trans_thresh``, keyed by translation. A grasp is tested
-    only against the kept grasps of its own and the 26 neighbouring cells;
-    any kept grasp farther away fails the translation test anyway. The
-    distances and the test are the exhaustive scan's, so the kept list
-    equals the one from testing every kept grasp.
+    Broad phase: each grasp is embedded as the 6-vector ``(t / tau,
+    R[:, 0] / rho)``. ``tau`` is ``trans_thresh`` and ``rho`` is ``2
+    sin(theta / 2)`` for theta = min(rot_thresh, pi), the largest gap
+    between the closing axes of two rotations theta apart; both are padded
+    (see ``_EMBED_PAD`` and ``_AXIS_SLACK``). A suppressing pair is then
+    closer than 1 in each half of the embedding, so within sqrt(2) in all
+    of it, and a pair farther apart cannot suppress. Grasps go through in
+    visit order, ``_NMS_BLOCK`` at a time: KD-trees over the kept grasps
+    give each block's candidate suppressors, ``query_pairs`` its pairs
+    within the block, and only candidate pairs get the exhaustive scan's
+    exact test. The greedy pass over the block then walks its suppressing
+    pairs by their later member. The kept list equals the one from testing
+    every kept grasp. Memory is bounded by the block size times the kept
+    grasps near it, plus the block size squared, whatever the thresholds.
     """
     n = len(grasps)
     if n == 0:
@@ -291,36 +310,72 @@ def grasp_nms(
         rotations = np.array([g.rotation for g in grasps])
 
     order = np.lexsort((np.arange(n), -scores))
-    if not trans_thresh > 0:
-        # d_t < trans_thresh never holds, so nothing is suppressed.
+    if not (trans_thresh > 0 and rot_thresh > 0):
+        # d_t < trans_thresh or d_r < rot_thresh never holds, as d_r >= 0.
         return order.astype(np.int64)
-    span = float(np.abs(translations).max())
-    cell_size = max(trans_thresh * (1.0 + _CELL_PAD), span / _MAX_CELL_KEY)
-    keys = np.floor(translations / cell_size).astype(np.int64).tolist()
+    translations, rotations = translations[order], rotations[order]
+    tau = max(trans_thresh * (1.0 + _EMBED_PAD), float(np.abs(translations).max()) / _MAX_EMBED)
+    rho = 2.0 * np.sin(min(rot_thresh, np.pi) / 2.0) * (1.0 + _EMBED_PAD) + _AXIS_SLACK
+    embedded = np.hstack([translations / tau, rotations[:, :, 0] / rho])
 
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    kept: list[int] = []
-    for i in order.tolist():
-        kx, ky, kz = keys[i]
-        near = [j for dx, dy, dz in _NEIGHBOR_CELLS for j in cells.get((kx + dx, ky + dy, kz + dz), ())]
-        if near:
-            kt = translations[near]
-            d_t = np.linalg.norm(kt - translations[i], axis=1)
-            # trace(R_k^T R_i) is the elementwise dot of the two matrices
-            tr = np.einsum("kab,ab->k", rotations[near], rotations[i])
+    def suppressing(earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
+        """Mask of the pairs where ``earlier`` suppresses ``later`` (visit positions)."""
+        out = np.empty(len(earlier), dtype=bool)
+        for s in range(0, len(earlier), _PAIR_CHUNK):
+            e, l = earlier[s:s + _PAIR_CHUNK], later[s:s + _PAIR_CHUNK]
+            d_t = np.linalg.norm(translations[e] - translations[l], axis=1)
+            # trace(R_e^T R_l) is the elementwise dot of the two matrices
+            tr = np.einsum("kab,kab->k", rotations[e], rotations[l])
             d_r = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-            if np.any((d_t < trans_thresh) & (d_r < rot_thresh)):
-                continue
-        kept.append(i)
-        cells.setdefault((kx, ky, kz), []).append(i)
-    return np.asarray(kept, dtype=np.int64)
+            out[s:s + _PAIR_CHUNK] = (d_t < trans_thresh) & (d_r < rot_thresh)
+        return out
+
+    kept: list[np.ndarray] = []
+    # Kept visit positions in runs of falling size, each with a KD-tree over
+    # its embedding; a new run swallows every older one no larger than it.
+    runs: list[tuple[cKDTree, np.ndarray]] = []
+    for start in range(0, n, _NMS_BLOCK):
+        size = min(_NMS_BLOCK, n - start)
+        block = cKDTree(embedded[start:start + size])
+        beaten = np.zeros(size, dtype=bool)
+        for tree, positions in runs:
+            near = block.sparse_distance_matrix(tree, _EMBED_RADIUS, output_type="ndarray")
+            beaten[near["i"][suppressing(positions[near["j"]], start + near["i"])]] = True
+        # a grasp suppressed by a kept one is neither kept nor a suppressor
+        pairs = block.query_pairs(_EMBED_RADIUS, output_type="ndarray")
+        pairs = pairs[~(beaten[pairs[:, 0]] | beaten[pairs[:, 1]])]
+        pairs = pairs[suppressing(start + pairs[:, 0], start + pairs[:, 1])]
+        pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+        bounds = np.searchsorted(pairs[:, 1], np.arange(size + 1)).tolist()
+        earlier = pairs[:, 0].tolist()
+
+        beaten = beaten.tolist()
+        new: list[int] = []
+        for i in range(size):
+            if beaten[i] or any(not beaten[j] for j in earlier[bounds[i]:bounds[i + 1]]):
+                beaten[i] = True
+            else:
+                new.append(start + i)
+        if new:
+            merged = np.asarray(new, dtype=np.int64)
+            kept.append(merged)
+            while runs and len(runs[-1][1]) <= len(merged):
+                merged = np.concatenate([runs.pop()[1], merged])
+            runs.append((cKDTree(embedded[merged]), merged))
+    return order[np.concatenate(kept)].astype(np.int64)
 
 
 def _in_boxes(local: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask of the (..., p, 3) gripper-frame points inside any (..., 3, 3) box."""
-    local = local[..., :, None, :]
-    inside = (local >= lo[..., None, :, :]) & (local <= hi[..., None, :, :])
-    return inside.all(axis=-1).any(axis=-1)
+    """Mask of the (..., p, 3) gripper-frame points inside any (..., b, 3) box.
+
+    One axis at a time, so each comparison runs along the p points.
+    """
+    inside = None
+    for axis in range(3):
+        x = local[..., None, :, axis]
+        within = (x >= lo[..., :, axis, None]) & (x <= hi[..., :, axis, None])
+        inside = within if inside is None else inside & within
+    return inside.any(axis=-2)
 
 
 def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: GripperModel, margin: float):
@@ -328,19 +383,25 @@ def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: Gr
 
     ``gripper_collides`` on ``cloud[shortlist]`` returns what it returns on
     the whole cloud; ``None`` stands for the whole cloud. Points are mapped
-    into the gripper frame as ``gripper_collides`` maps them.
+    into the gripper frame as ``gripper_collides`` maps them. A point
+    inside a box shrunk by ``_BAND`` is inside by far more than rounding,
+    so ``gripper_collides`` finds it inside too, and one outside every box
+    grown by ``_BAND`` is outside for it too.
 
     * The ``_NEAREST`` cloud points nearest each box centre are tested,
-      batched, against the inflated boxes shrunk by ``_BAND``. A point
-      that passes lies inside by far more than rounding, so the points
-      that pass are a shortlist that collides.
-    * Otherwise the shortlist is every point of a ball that holds the
-      union box of the inflated body, sorted ascending. Points outside it
-      are outside every box. If a ball point lies within ``_BAND`` of a
-      box face, the verdict could hang on rounding, and the whole cloud
-      is tested instead.
-    * A body whose box centres or ball are not finite (a NaN margin, a
-      width near the float limit) is tested against the whole cloud.
+      batched, against the inflated boxes shrunk by ``_BAND``. If any
+      passes, the points that pass are the shortlist: it collides.
+    * Otherwise the shortlist comes from a cover of the inflated boxes by
+      balls (see ``_ball_cover``), queried once per chunk of poses. The
+      cover is conservative: every point within ``_BAND`` of a box lies in
+      one of its balls. The shortlist is the ball points inside a box
+      shrunk by ``_BAND``, sorted ascending, and is empty when no ball
+      point lies within ``_BAND`` of a box. If one does but none lies well
+      inside, the verdict could hang on rounding, and the whole cloud is
+      tested instead.
+    * A body whose box centres or cover balls are not finite (a NaN
+      margin, a width near the float limit) is tested against the whole
+      cloud.
     """
     if len(cloud) == 0:
         for _ in poses:
@@ -356,32 +417,75 @@ def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: Gr
         lo = boxes[:, :, 0, :] - margin
         hi = boxes[:, :, 1, :] + margin
 
+        owner, world, radius = _ball_cover(rotations, translations, lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             centres = np.matmul(rotations[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + translations[:, None, :]
-            union_lo, union_hi = lo.min(axis=1), hi.max(axis=1)
-            union_centre = (union_lo + union_hi) / 2.0
-            half = np.linalg.norm(union_hi - union_lo, axis=1) / 2.0
-            radius = half + _BALL_SLACK * (half + np.linalg.norm(union_centre, axis=1)) + _BAND
-            world_centre = np.matmul(rotations, union_centre[..., None])[..., 0] + translations
-        usable = np.isfinite(centres).all(axis=(1, 2)) & np.isfinite(world_centre).all(axis=1) & np.isfinite(radius)
+        finite = np.isfinite(world).all(axis=1) & np.isfinite(radius)
+        usable = np.isfinite(centres).all(axis=(1, 2)) & (np.bincount(owner[~finite], minlength=len(chunk)) == 0)
 
         _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
         near = near.reshape(len(chunk), 3 * k)
         local = np.matmul(cloud[near] - translations[:, None, :], rotations)
         hit = _in_boxes(local, lo + _BAND, hi - _BAND)
-        for g in range(len(chunk)):
+        decided = hit.any(axis=1)
+
+        # (grasp, point) pairs of the open grasps' balls, sorted, no repeats
+        ball = usable[owner] & ~decided[owner]
+        found = tree.query_ball_point(world[ball], radius[ball])
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
+        grasp, points = np.divmod(np.unique(np.repeat(owner[ball], counts) * len(cloud) + points), len(cloud))
+        local = np.matmul((cloud[points] - translations[grasp])[:, None, :], rotations[grasp])
+        inside = _in_boxes(local, lo[grasp] + _BAND, hi[grasp] - _BAND)[:, 0]
+        borderline = np.bincount(grasp[_in_boxes(local, lo[grasp] - _BAND, hi[grasp] + _BAND)[:, 0]],
+                                 minlength=len(chunk)) > 0
+        per_grasp = np.split(points[inside], np.cumsum(np.bincount(grasp[inside], minlength=len(chunk)))[:-1])
+
+        for g, inside_points in enumerate(per_grasp):
             if not usable[g]:
                 yield None
-            elif hit[g].any():
+            elif decided[g]:
                 yield np.unique(near[g, hit[g]])
+            elif borderline[g] and not len(inside_points):
+                yield None
             else:
-                ball = np.asarray(tree.query_ball_point(world_centre[g], radius[g], return_sorted=True), dtype=np.intp)
-                local = (cloud[ball] - translations[g]) @ rotations[g]
-                borderline = (
-                    not _in_boxes(local, lo[g] + _BAND, hi[g] - _BAND).any()
-                    and _in_boxes(local, lo[g] - _BAND, hi[g] + _BAND).any()
-                )
-                yield None if borderline else ball
+                yield inside_points
+
+
+def _ball_cover(rotations: np.ndarray, translations: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """World-frame balls that cover the (g, b, 3) boxes ``lo``..``hi`` of g grasps.
+
+    Each box is cut along its longest side into equal pieces about as long
+    as its middle side (at most ``_MAX_PIECES``), so a finger or the palm
+    bar becomes a row of near-cubic pieces, each held by the ball through
+    its corners. Returns the grasp of each ball, its world centre and its
+    radius: the piece's half-diagonal padded by ``_BALL_SLACK`` of itself
+    plus the centre's distance from the gripper origin (room for the
+    rotations ``GraspPose`` accepts, which may scale lengths by about
+    5e-6) and by ``_BAND``. Non-finite boxes give non-finite balls.
+    """
+    n_boxes = lo.shape[1]
+    lo, hi = lo.reshape(-1, 3), hi.reshape(-1, 3)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        extent = hi - lo
+        boxes = np.arange(len(extent))
+        axis = extent.argmax(axis=1)
+        longest = extent[boxes, axis]
+        pieces = np.ceil(longest / np.sort(extent, axis=1)[:, 1])
+        pieces = np.where(np.isfinite(pieces), np.clip(pieces, 1, _MAX_PIECES), 1).astype(np.intp)
+        step = longest / pieces
+        extent[boxes, axis] = step
+        half = np.linalg.norm(extent, axis=1) / 2.0
+
+        box = np.repeat(boxes, pieces)
+        along = axis[box]
+        index = np.arange(len(box)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        centre = (lo[box] + hi[box]) / 2.0
+        centre[np.arange(len(box)), along] = lo[box, along] + (index + 0.5) * step[box]
+        radius = half[box] + _BALL_SLACK * (half[box] + np.linalg.norm(centre, axis=1)) + _BAND
+        grasp = box // n_boxes
+        world = np.matmul(rotations[grasp], centre[..., None])[..., 0] + translations[grasp]
+    return grasp, world, radius
 
 
 def _below_table(grasp: GraspPose, gripper: GripperModel, table_height: float) -> bool:
@@ -468,14 +572,20 @@ def evaluate_ap(
     survivors are padded with zero true scores; no survivors at all yields
     a zeroed, flagged report.
 
-    Both filters have a spatial broad phase, and both give what the
-    exhaustive scans give. NMS files kept grasps in a translation grid
-    (see ``grasp_nms``). The collision filter builds one KD-tree over the
-    scene cloud and calls ``gripper_collides`` once per NMS survivor, on a
-    shortlist of cloud points that decides it as the whole cloud would:
-    points near the box centres that lie well inside a box, or else every
-    point of a ball around the gripper body. Each instance's vertices are
-    posed at most once per call, for association.
+    Both filters test in bulk, and both give what the exhaustive scans
+    give. NMS (see ``grasp_nms``) takes the predictions a block at a time
+    and tests each only against the kept grasps near it in a 6-D pose
+    embedding; any pair that could suppress lies within the embedding's
+    radius, so that broad phase drops no suppressor. The collision filter
+    builds one KD-tree over the scene cloud and calls ``gripper_collides``
+    once per NMS survivor, on a shortlist that decides it as the whole
+    cloud would (see ``_collision_shortlists``): points near the box
+    centres or in a ball cover of the boxes that lie well inside a box, an
+    empty shortlist when no point comes within ``_BAND`` of a box, or the
+    whole cloud when one lies on a face within rounding. The cover's balls
+    hold every point within ``_BAND`` of a box, so no colliding point is
+    left out. Each instance's vertices are posed at most once per call,
+    for association.
 
     NMS reads the table's pose columns as arrays; a ``PredictedGrasp`` is
     built only for the NMS survivors. A sequence of ``PredictedGrasp`` is

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -494,3 +495,92 @@ def test_batched_parse_matches_float(tmp_path):
     got = read_predictions(str(path)).values
     want = np.array([[float(tok)] * 3 for tok in tokens])
     assert np.array_equal(got[:, [9, 10, 11]].view(np.int64), want.view(np.int64))
+
+
+# --- the read in blocks of text and chunks of rows ---
+
+def _read_any(path, kind):
+    """(values, ids) of a read, or the (type, message, line) of its error."""
+    reader = read_labels if kind == "labels" else read_predictions
+    try:
+        table = reader(path)
+    except (SchemaError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    ids = (table.object_id,) if kind == "labels" else table.object_ids
+    return table.values.tobytes(), ids
+
+
+_SIZES = [(1, 1), (2, 3), (7, 2), (64, 5)]  # (_READ_BLOCK characters, _READ_CHUNK rows)
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+def test_read_is_the_same_in_any_block_and_chunk_size(tmp_path, kind):
+    """Mixed line breaks, blank lines and a last line without a break, read
+    a few characters and rows at a time, give what one read gives."""
+    path = _fault_file(tmp_path, kind, {}, n=9)
+    lines = open(path).read().splitlines()
+    breaks = ["\n", "\r\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\x1c", "\x1d"]
+    text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+    variants = {"mixed": text, "no_last_break": text.rstrip("\r\n\x0b\x0c\x1c\x1d\x1e")}
+    for name, body in variants.items():
+        with open(path, "w", newline="") as fh:
+            fh.write(body)
+        want = _read_any(path, kind)
+        assert len(want) == 2 and len(want[1]) == (1 if kind == "labels" else 9)
+        for block, chunk in _SIZES:
+            with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
+                assert _read_any(path, kind) == want, (name, block, chunk)
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_read_error_is_the_same_in_any_chunk_size(tmp_path, kind, fault):
+    path = _fault_file(tmp_path, kind, {7: fault, 9: "bad_float"}, n=10)
+    for block, chunk in _SIZES:
+        with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
+            assert _assert_same_error(path, kind).line == 7
+
+
+def test_second_object_id_outranks_an_earlier_bad_value(tmp_path):
+    path = _fault_file(tmp_path, "labels", {3: "bad_float"}, n=12)
+    lines = open(path).read().splitlines()
+    lines[10] = "other" + lines[10][len("obj"):]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for block, chunk in [(1 << 20, 4096), *_SIZES]:
+        with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
+            with pytest.raises(SchemaError, match="'other' differs from 'obj'") as err:
+                read_labels(path)
+            assert err.value.line == 11
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+def test_decoding_error_outranks_an_earlier_short_row(tmp_path, kind):
+    # past the 8 KiB a text file decodes at a time
+    path = _fault_file(tmp_path, kind, {3: "short_row"}, n=60)
+    with open(path, "ab") as fh:
+        fh.write(b"caf\xc3\xa9\n")
+    for block, chunk in [(1 << 20, 4096), *_SIZES]:
+        with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
+            with pytest.raises(UnicodeDecodeError):
+                (read_labels if kind == "labels" else read_predictions)(path)
+
+
+# A read that holds every row as split strings peaks near 176 MiB here.
+_READ_PEAK_BOUND = 48 * 2**20
+
+
+def test_read_memory_is_bounded(tmp_path):
+    n = 100_000
+    values = np.tile(_random_values(np.random.default_rng(55), 1000)[:, :15], (n // 1000, 1))
+    path = str(tmp_path / "preds.csv")
+    write_predictions(path, PredictionTable(values, [None, "a", "b", "c"] * (n // 4)))
+    tracemalloc.start()
+    try:
+        table = read_predictions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.values, values)
+    assert table.object_ids[:4] == (None, "a", "b", "c")
+    assert peak < _READ_PEAK_BOUND

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from graspscore import (
@@ -150,7 +153,7 @@ def test_nms_grid_matches_exhaustive_over_many_cells(trans_thresh):
 
 def test_nms_pairs_at_threshold_and_across_cell_faces():
     thresh = 0.25  # exact in binary, so every distance below is exact
-    face = thresh * (1.0 + scene._CELL_PAD)  # first cell boundary on each axis
+    face = thresh * (1.0 + 1e-3)  # a cell boundary of the former translation grid
     poses, scores = [], []
     for k, offset in enumerate([-3, -1, 1, 2, 4]):
         # dyadic, so each step below is exactly trans_thresh long
@@ -203,6 +206,156 @@ def test_nms_far_from_origin(scale):
     scores = rng.uniform(0, 1, len(poses))
     kept = _assert_nms_matches(poses, scores)
     assert len(kept) < len(poses)
+
+
+def _nms_table(rng, n, clusters=40, copies=0.2):
+    """Clustered predictions with many score ties; the last ``copies`` of
+    the rows repeat earlier rows, half exactly and half turned by about
+    3e-7 rad and moved by about 1e-4 m."""
+    n_copies = int(n * copies)
+    n_base = n - n_copies
+    centres = rng.uniform(-0.15, 0.15, (clusters, 3))
+    bases = Rotation.from_quat(rng.normal(size=(clusters, 4)))
+    which = rng.integers(0, clusters, n_base)
+    values = np.zeros((n, 15))
+    turned = bases[which] * Rotation.from_rotvec(rng.normal(0, 0.3, (n_base, 3)))
+    values[:n_base, :9] = turned.as_matrix().reshape(-1, 9)
+    values[:n_base, 9:12] = centres[which] + rng.normal(0, 0.01, (n_base, 3))
+    values[:, 12:14] = [0.05, 0.02]
+    source = rng.integers(0, n_base, n_copies)
+    values[n_base:] = values[source]
+    nudged = np.arange(n_base, n, 2)
+    turn = Rotation.from_rotvec(rng.normal(0, 3e-7, (len(nudged), 3)))
+    values[nudged, :9] = (Rotation.from_matrix(values[nudged, :9].reshape(-1, 3, 3)) * turn).as_matrix().reshape(-1, 9)
+    values[nudged, 9:12] += rng.normal(0, 1e-4, (len(nudged), 3))
+    values[:, 14] = rng.choice(np.linspace(0.0, 1.0, 50), n)
+    return PredictionTable(values, [None] * n)
+
+
+def _visit_order(scores):
+    return np.lexsort((np.arange(len(scores)), -np.asarray(scores))).tolist()
+
+
+@pytest.mark.parametrize("rot_thresh", [1e-6, 0.0, -1.0, float("nan"), np.pi, 4.0, 2 * np.pi])
+def test_nms_rotation_threshold_edges(rot_thresh):
+    table = _nms_table(np.random.default_rng(60), 2 * scene._NMS_BLOCK + 200)
+    kept = _assert_nms_matches(table, table.scores, rot_thresh=rot_thresh)
+    if rot_thresh > 0:
+        assert len(kept) < len(table)
+    else:  # NaN, zero or negative: d_r < rot_thresh never holds
+        assert kept.tolist() == _visit_order(table.scores)
+
+
+@pytest.mark.parametrize("trans_thresh", [float("nan"), float("inf"), 1e-12])
+def test_nms_translation_threshold_edges(trans_thresh):
+    table = _nms_table(np.random.default_rng(61), 2 * scene._NMS_BLOCK + 200)
+    kept = _assert_nms_matches(table, table.scores, trans_thresh=trans_thresh)
+    if trans_thresh != trans_thresh:
+        assert kept.tolist() == _visit_order(table.scores)
+    elif trans_thresh == 1e-12:
+        # only the exact copies (every other copy row) fall within 1e-12 m
+        # of another row, and each group of identical poses keeps one
+        n_exact = len(range(len(table) - int(0.2 * len(table)) + 1, len(table), 2))
+        assert len(kept) == len(table) - n_exact
+    else:
+        assert len(kept) < len(table) // 5  # rotation alone decides, so few survive
+
+
+def test_nms_duplicates_and_ties_across_block_boundary():
+    block = scene._NMS_BLOCK
+    table = _nms_table(np.random.default_rng(62), 2 * block + 40, copies=0.0)
+    values = table.values.copy()
+    values[:, 14] = 0.5  # all tied: grasps are visited in input order
+    copies = {block: block - 1, block + 1: block - 2, 2 * block: 0, 2 * block + 1: block}
+    for later, earlier in copies.items():
+        values[later] = values[earlier]
+    table = PredictionTable(values, [None] * len(values))
+    kept = _assert_nms_matches(table, table.scores)
+    assert kept.tolist() == sorted(kept.tolist())
+    # a later copy is suppressed by its source, or by whatever suppressed it
+    assert not set(copies) & set(kept.tolist())
+
+
+@pytest.mark.parametrize("kind", ["shrink", "grow", "shear"])
+@pytest.mark.parametrize("rot_thresh", [1e-6, 1e-3, np.deg2rad(30.0)])
+def test_nms_rotations_at_tolerance(kind, rot_thresh):
+    """Rotations at the edge of what GraspPose accepts. Scaled up by
+    4.9e-6, two rotations whose closing axes are over 5e-3 apart can still
+    have a computed angle of 0, so the embedding needs an absolute slack
+    next to 2 sin(rot_thresh / 2)."""
+    rng = np.random.default_rng(63)
+    scale = {"shrink": 1.0 - 4.9e-6, "grow": 1.0 + 4.9e-6}.get(kind)
+    poses = []
+    for phi in np.linspace(0.0, 6e-3, 60):
+        base = random_rotation(rng)
+        turned = base @ Rotation.from_euler("z", phi).as_matrix()
+        t = rng.uniform(-0.1, 0.1, 3)
+        for r, shift in ((base, 0.0), (turned, 0.01)):
+            r = _at_tolerance(r, "shear") if scale is None else r * scale
+            poses.append(_pose(t + shift, rotation=r))
+    scores = rng.choice(np.linspace(0.0, 1.0, 7), len(poses))
+    kept = _assert_nms_matches(poses, scores, rot_thresh=rot_thresh)
+    if kind == "grow" and rot_thresh == 1e-6:
+        suppressed = set(range(len(poses))) - set(kept.tolist())
+        gaps = [np.linalg.norm(poses[i].rotation[:, 0] - poses[i ^ 1].rotation[:, 0]) for i in suppressed]
+        assert max(gaps) > 5e-3 > 1000 * 2.0 * np.sin(rot_thresh / 2.0)
+
+
+def test_nms_pairs_near_both_thresholds_far_from_origin():
+    """Suppressing pairs near 1e12 m, a few float steps apart and close to
+    both thresholds. Divided by trans_thresh alone, translations that large
+    round by enough that most of these pairs would land farther apart than
+    sqrt(2) in the embedding."""
+    rng = np.random.default_rng(64)
+    trans_thresh, rot_thresh = 1e-3, 2.0
+    step = np.spacing(1e12)  # 1.2e-4, the float step on [5.5e11, 1.1e12)
+    phi = 2.0 * np.arcsin(0.999 * np.sin(rot_thresh / 2.0))  # just under rot_thresh
+    turn = Rotation.from_euler("z", phi).as_matrix()
+    poses, scores = [], []
+    for _ in range(300):
+        t = rng.uniform(6e11, 1e12, 3) * rng.choice([-1.0, 1.0], 3)
+        shift = step * rng.permutation([7.0, 4.0, 1.0]) * rng.choice([-1.0, 1.0], 3)  # 9.9e-4 long
+        r = random_rotation(rng)
+        poses += [_pose(t, rotation=r), _pose(t + shift, rotation=r @ turn)]
+        scores += [0.9, 0.1]
+    kept = _assert_nms_matches(poses, np.asarray(scores), trans_thresh, rot_thresh)
+    assert kept.tolist() == list(range(0, 600, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    clusters=st.integers(1, 12),
+    trans_thresh=st.one_of(st.floats(1e-4, 0.3), st.sampled_from([0.0, 1e-12, float("inf"), float("nan")])),
+    rot_thresh=st.one_of(st.floats(1e-6, 4.0), st.sampled_from([0.0, np.pi, 2 * np.pi, float("nan")])),
+    block=st.sampled_from([1, 3, 16, 64, 512]),
+)
+def test_nms_matches_exhaustive_on_clustered_poses(seed, n, clusters, trans_thresh, rot_thresh, block):
+    table = _nms_table(np.random.default_rng(seed), n, clusters=clusters)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene, "_NMS_BLOCK", block)
+        _assert_nms_matches(table, table.scores, trans_thresh, rot_thresh)
+
+
+# A one-query_pairs NMS holds every candidate pair at once: at the default
+# thresholds on these 20k poses, 3.2M pairs, whose sorting and gathers peak
+# near 74 MiB; with trans_thresh=inf and rot_thresh=pi every pair of the
+# 20k is a candidate.
+_NMS_PEAK_BOUND = 16 * 2**20
+
+
+@pytest.mark.parametrize("trans_thresh, rot_thresh", [(0.03, np.deg2rad(30.0)), (np.inf, np.pi)])
+def test_nms_memory_is_bounded(trans_thresh, rot_thresh):
+    table = _nms_table(np.random.default_rng(70), 20000, copies=0.0)
+    tracemalloc.start()
+    try:
+        kept = grasp_nms(table, table.scores, trans_thresh, rot_thresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(kept) < len(table)
+    assert peak < _NMS_PEAK_BOUND
 
 
 # --- scene composition and serialization ---
@@ -602,6 +755,142 @@ def test_collision_far_corner_of_a_shrinking_rotation():
     got, want = _collision_verdicts(cloud, [pose], gripper)
     assert want == [True]
     assert got == want
+
+
+# --- the ball cover of the collision broad phase ---
+
+def _cover_probes(lo, hi):
+    """Gripper-frame points on the cover's seams: the corners of each cut
+    between two pieces of a box and the box's own corners (the ends of the
+    cut), each as given, one float step out of the box and one step in."""
+    probes = []
+    for l, h in zip(lo, hi):
+        extent = h - l
+        axis = int(np.argmax(extent))
+        u, v = [a for a in range(3) if a != axis]
+        pieces = int(np.ceil(extent[axis] / np.sort(extent)[1]))
+        centre = (l + h) / 2.0
+        for p in range(pieces + 1):
+            for cu in (l[u], h[u]):
+                for cv in (l[v], h[v]):
+                    q = np.empty(3)
+                    q[axis], q[u], q[v] = l[axis] + p * extent[axis] / pieces if p < pieces else h[axis], cu, cv
+                    away = np.where(q >= centre, np.inf, -np.inf)
+                    probes += [q, np.nextafter(q, away), np.nextafter(q, -away)]
+    return np.array(probes)
+
+
+def _decoys(rng, lo, hi, per_box=scene._NEAREST + 8):
+    """Gripper-frame points just outside the face of each box nearest its
+    centre, outside every box: nearer each box centre than any probe, so
+    the nearest-point pre-test decides nothing and the cover must."""
+    decoys = []
+    for l, h in zip(lo, hi):
+        half = (h - l) / 2.0
+        thin = int(np.argmin(half))
+        points = (l + h) / 2.0 + rng.uniform(-0.1, 0.1, (per_box, 3)) * half
+        points[:, thin] = h[thin] + 0.01 * half[thin]
+        decoys.append(points)
+    decoys = np.vstack(decoys)
+    inside = ((decoys[:, None] >= lo - 1e-9) & (decoys[:, None] <= hi + 1e-9)).all(axis=2).any(axis=1)
+    return decoys[~inside]
+
+
+def _assert_cover_cases(pose, gripper, margin, exact=False):
+    """Each probe, next to the decoys, gets the whole cloud's verdict."""
+    boxes = gripper.collision_body(pose.width, pose.depth)
+    lo, hi = boxes[:, 0] - margin, boxes[:, 1] + margin
+    decoys = _decoys(np.random.default_rng(49), lo, hi)
+    assert len(decoys) >= 3 * scene._NEAREST
+
+    def to_world(local):
+        if exact:  # a signed permutation and no translation: bit for bit
+            return local @ pose.rotation.T
+        return np.linalg.solve(pose.rotation.T, local.T).T + pose.translation
+
+    clear = to_world(decoys)
+    assert not gripper_collides(clear, pose, gripper, margin)
+    verdicts = []
+    for probe in _cover_probes(lo, hi):
+        got, want = _collision_verdicts(np.vstack([clear, to_world(probe[None])]), [pose], gripper, margin)
+        assert got == want
+        verdicts += want
+    if exact:  # on or one step inside a box face: inside
+        assert verdicts[0::3] == verdicts[2::3] == [True] * (len(verdicts) // 3)
+    assert True in verdicts
+
+
+@pytest.mark.parametrize("margin", [0.001, 0.0])
+@pytest.mark.parametrize("kind", ["xyz", "zxy", "flip_yz", "shrink", "grow", "shear"])
+def test_collision_points_on_cover_seams_and_corners(margin, kind):
+    gripper = GripperModel()
+    exact = {"xyz": np.eye(3), "zxy": np.eye(3)[[2, 0, 1]], "flip_yz": np.diag([1.0, -1.0, -1.0])}
+    if kind in exact:
+        rotation, translation = exact[kind], np.zeros(3)
+    else:
+        rotation = Rotation.from_euler("xyz", [20, -35, 50], degrees=True).as_matrix()
+        rotation = rotation * (1.0 + 4.9e-6) if kind == "grow" else _at_tolerance(rotation, kind)
+        translation = np.array([0.1, -0.2, 0.3])
+    pose = GraspPose(rotation=rotation, translation=translation, width=0.05, depth=0.02)
+    _assert_cover_cases(pose, gripper, margin, exact=kind in exact)
+
+
+class _SlabGripper(GripperModel):
+    """Collision boxes that are thin slabs, their two short sides 100x apart."""
+
+    def collision_body(self, width, depth):
+        return np.array([
+            [[-0.05, -0.005, -0.00005], [0.05, 0.005, 0.00005]],
+            [[0.02, -0.05, 0.01], [0.0201, 0.05, 0.02]],
+            [[-0.03, 0.02, -0.04], [-0.02, 0.0201, 0.06]],
+        ])
+
+
+@pytest.mark.parametrize("kind", ["exact", "turned", "grow"])
+def test_collision_thin_slabs_under_the_cover(kind):
+    rotation = Rotation.from_euler("xyz", [-40, 15, 70], degrees=True).as_matrix()
+    if kind == "exact":
+        rotation = np.diag([1.0, -1.0, -1.0])
+    elif kind == "grow":
+        rotation = rotation * (1.0 + 4.9e-6)
+    pose = GraspPose(rotation=rotation, translation=np.zeros(3) if kind == "exact" else np.array([0.3, 0.1, -0.2]),
+                     width=0.05, depth=0.02)
+    for margin in (0.0, 1e-6):
+        _assert_cover_cases(pose, _SlabGripper(), margin, exact=kind == "exact")
+
+
+def test_collision_clear_grasp_gets_an_empty_shortlist():
+    gripper = GripperModel()
+    pose = GraspPose(rotation=random_rotation(np.random.default_rng(50)), translation=np.array([0.1, 0.0, 0.2]),
+                     width=0.05, depth=0.02)
+    boxes = gripper.collision_body(pose.width, pose.depth)
+    lo, hi = boxes[:, 0] - 0.001, boxes[:, 1] + 0.001
+    decoys = _decoys(np.random.default_rng(51), lo, hi)
+    cloud = np.vstack([decoys @ pose.rotation.T + pose.translation, [[5.0, 5.0, 5.0]]])
+    shortlist, = scene._collision_shortlists(cloud, [pose], gripper, 0.001)
+    assert shortlist is not None and shortlist.dtype == np.intp and len(shortlist) == 0
+    assert not gripper_collides(cloud, pose, gripper, 0.001)
+
+
+# Gathering a rotation and the boxes for every (grasp, point) pair of one
+# ball around each grasp's union box peaks near 29 MiB on this input.
+_COLLISION_PEAK_BOUND = 8 * 2**20
+
+
+def test_collision_shortlists_memory_is_bounded(clutter):
+    _, layout = clutter
+    rng = np.random.default_rng(48)
+    centers = np.array([inst.translation for inst in layout.instances])
+    poses = _grasps_near(rng, centers, 1650)  # the NMS survivors of an eval-clutter op
+    tracemalloc.start()
+    try:
+        lengths = [-1 if s is None else len(s)
+                   for s in scene._collision_shortlists(layout.scene_cloud, poses, GripperModel(), 0.001)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lengths) == len(poses) and 0 < lengths.count(0) < len(poses)
+    assert peak < _COLLISION_PEAK_BOUND
 
 
 # --- evaluate_ap against the exhaustive filters ---
