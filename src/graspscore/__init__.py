@@ -7,14 +7,12 @@ from .candidates import (
     farthest_point_sampling,
     generate_views,
 )
-from .closure import DEFAULT_BINS, FrictionBins, antipodal_force_closure, force_closure_score
+from .closure import DEFAULT_BINS, FrictionBins, closure_scores
 from .config import PipelineConfig, load_config, save_config
 from .errors import (
     ConfigError,
-    DegenerateContacts,
     EmptyMesh,
     GraspScoreError,
-    InvalidFrame,
     KTooLarge,
     ParseError,
     SchemaError,
@@ -33,16 +31,8 @@ from .mesh import (
     with_surface_samples,
 )
 from .meshio import load_mesh, save_obj, save_ply
-from .metrics import (
-    MetricWeights,
-    ScoreBreakdown,
-    collision_score,
-    flatness_score,
-    gravity_score,
-    neighborhood_normal_consistency,
-    normalize_and_combine,
-)
-from .pipeline import LabelSummary, label_mesh, score_frames
+from .metrics import MetricWeights, combine_scores, neighborhood_normal_consistency, score_contacts
+from .pipeline import LabelSummary, label_mesh
 from .scene import (
     EvalReport,
     PredictedGrasp,
@@ -64,14 +54,12 @@ __all__ = [
     "ConfigError",
     "ContactFrame",
     "DEFAULT_BINS",
-    "DegenerateContacts",
     "EmptyMesh",
     "EvalReport",
     "FrictionBins",
     "GraspPose",
     "GraspScoreError",
     "GripperModel",
-    "InvalidFrame",
     "KTooLarge",
     "LabelSummary",
     "LabelTable",
@@ -84,23 +72,19 @@ __all__ = [
     "SceneInstance",
     "SceneLayout",
     "SchemaError",
-    "ScoreBreakdown",
     "SpatialIndex",
     "TriangleMesh",
     "UnknownObjectId",
-    "antipodal_force_closure",
     "build_mesh",
     "build_scene",
     "closest_surface_point",
-    "collision_score",
+    "closure_scores",
+    "combine_scores",
     "enumerate_candidates",
     "evaluate_ap",
     "farthest_point_sampling",
-    "flatness_score",
-    "force_closure_score",
     "generate_views",
     "grasp_nms",
-    "gravity_score",
     "gripper_collides",
     "knn",
     "label_mesh",
@@ -109,7 +93,6 @@ __all__ = [
     "load_scene_instances",
     "mass_properties",
     "neighborhood_normal_consistency",
-    "normalize_and_combine",
     "read_labels",
     "read_predictions",
     "resolve_contacts",
@@ -118,7 +101,7 @@ __all__ = [
     "save_obj",
     "save_ply",
     "save_scene",
-    "score_frames",
+    "score_contacts",
     "transform_mesh",
     "with_surface_samples",
     "write_labels",

@@ -28,14 +28,6 @@ class KTooLarge(GraspScoreError):
     """A k-NN query asked for more neighbors than the index holds."""
 
 
-class InvalidFrame(GraspScoreError):
-    """A scoring operation received a contact frame marked invalid."""
-
-
-class DegenerateContacts(GraspScoreError):
-    """The two contact points coincide, so the contact line is undefined."""
-
-
 class UnknownObjectId(GraspScoreError):
     """A prediction or scene references an object id with no loaded mesh."""
 

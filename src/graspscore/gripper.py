@@ -170,14 +170,9 @@ def resolve_contacts(mesh: TriangleMesh, grasp: GraspPose, gripper: GripperModel
     points. The frame is invalid when either ray misses within the finger
     gap or first hits a back face.
     """
-    frames = resolve_contacts_batch(
-        mesh,
-        grasp.rotation[None, :, :],
-        grasp.translation[None, :],
-        np.array([grasp.width]),
-        np.array([grasp.depth]),
-    )
-    return frames[0]
+    valid, contacts, _ = contacts_on_lines(
+        mesh, grasp.center[None, :], grasp.closing_axis[None, :], np.array([grasp.width / 2.0]))
+    return contacts.frame(0) if valid[0] else ContactFrame.invalid()
 
 
 class ContactArrays(NamedTuple):
@@ -200,22 +195,6 @@ class ContactArrays(NamedTuple):
 
     def frame(self, i: int) -> ContactFrame:
         return ContactFrame(*(a[i] for a in self))
-
-
-def resolve_contacts_batch(
-    mesh: TriangleMesh,
-    rotations: np.ndarray,
-    translations: np.ndarray,
-    widths: np.ndarray,
-    depths: np.ndarray,
-) -> list[ContactFrame]:
-    """Vectorized contact resolution for many grasps on one mesh."""
-    centers = translations + depths[:, None] * rotations[:, :, 2]
-    valid, contacts, _ = contacts_on_lines(mesh, centers, rotations[:, :, 0], widths / 2.0)
-    frames = [ContactFrame.invalid()] * len(centers)
-    for j, i in enumerate(np.flatnonzero(valid)):
-        frames[i] = contacts.frame(j)
-    return frames
 
 
 def contacts_on_lines(

@@ -34,14 +34,14 @@ import numpy as np
 
 from .errors import SchemaError
 from .gripper import _ROTATION_TOL, GraspPose
-from .metrics import MetricWeights, ScoreBreakdown, combine_scores
+from .metrics import SCORE_COLUMNS, MetricWeights, combine_scores
 from .scene import PredictedGrasp, PredictionTable
 
 _POSE_COLUMNS = (
     "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
     "tx", "ty", "tz", "width", "depth",
 )
-LABEL_COLUMNS = ("object_id",) + _POSE_COLUMNS + ScoreBreakdown.FIELD_ORDER
+LABEL_COLUMNS = ("object_id",) + _POSE_COLUMNS + SCORE_COLUMNS
 PREDICTION_COLUMNS = ("object_id",) + _POSE_COLUMNS + ("predicted_score",)
 _LABEL_INDEX = {name: j for j, name in enumerate(LABEL_COLUMNS[1:])}
 

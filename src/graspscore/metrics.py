@@ -11,23 +11,26 @@ Four terms make up the hybrid score:
 * ``s_c``  fingertip clearance, from the raw endpoint/contact distance
   ``s_c_raw``.
 
-Raw distances are min-max normalized over a candidate set before the
-weighted sum; the distance-based gravity term is inverted there so that
-1 is best for every component.
+:func:`score_contacts` computes the raw columns of valid contacts, each
+within one contact's row; :func:`combine_scores` then min-max normalizes
+the raw distances over a candidate set and forms the weighted sum,
+inverting the gravity term so that 1 is best for every component. Both
+``label`` and ``eval`` score through these two functions.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateContacts, InvalidFrame
-from .gripper import ContactFrame
+from .closure import FrictionBins, closure_scores
+from .gripper import ContactArrays
 from .spatial import SpatialIndex
 
-_NAN = float("nan")
+# Score columns of a label row, in file order.
+SCORE_COLUMNS = ("s_t", "s_f1", "s_f2", "s_f", "s_g_raw", "s_g", "s_c_raw", "s_c", "s_hybrid")
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class MetricWeights:
 
     def __post_init__(self):
         vals = (self.lambda_t, self.lambda_f, self.lambda_g, self.lambda_c)
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in vals):  # NaN fails too
+            raise ValueError("weights must be finite and nonnegative")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(vals)!r}")
 
@@ -52,30 +55,6 @@ class MetricWeights:
         if len(parts) != 4:
             raise ValueError("weights need exactly 4 comma-separated values")
         return cls(*parts)
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """All score components of one grasp.
-
-    ``s_g``, ``s_c`` and ``s_hybrid`` stay NaN until
-    :func:`normalize_and_combine` fills them from the candidate set.
-    """
-
-    s_t: float
-    s_f1: float
-    s_f2: float
-    s_f: float
-    s_g_raw: float
-    s_c_raw: float
-    s_g: float = _NAN
-    s_c: float = _NAN
-    s_hybrid: float = _NAN
-
-    FIELD_ORDER = ("s_t", "s_f1", "s_f2", "s_f", "s_g_raw", "s_g", "s_c_raw", "s_c", "s_hybrid")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in self.FIELD_ORDER)
 
 
 def neighborhood_normal_consistency(
@@ -94,44 +73,38 @@ def neighborhood_normal_consistency(
     return np.clip(cos.mean(axis=1), 0.0, 1.0)
 
 
-def flatness_score(frame: ContactFrame, index: SpatialIndex, k: int = 10):
-    """Flatness terms (s_f1, s_f2, s_f) of one contact frame.
+def score_contacts(
+    contacts: ContactArrays,
+    index: SpatialIndex,
+    gravity_center: np.ndarray,
+    bins: FrictionBins = FrictionBins(),
+    knn_k: int = 10,
+) -> tuple[np.ndarray, ...]:
+    """Raw score columns (s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw) of valid contacts.
 
     s_f1 averages the clamped neighborhood normal consistency of the two
     contacts; s_f2 averages |cos| between the contact line and each contact
-    normal; s_f is their product.
+    normal; s_f is their product. s_g_raw is the distance of the gravity
+    center from the infinite contact line (smaller is better); s_c_raw is
+    the smaller of the two fingertip-to-contact distances.
     """
-    if not frame.valid:
-        raise InvalidFrame("cannot score an invalid frame")
-    pts = np.stack([frame.p_cl, frame.p_cr])
-    nrm = np.stack([frame.v_ql, frame.v_qr])
-    s_f1 = float(neighborhood_normal_consistency(pts, nrm, index, k).mean())
-    s_f2 = float(np.mean(np.abs(nrm @ frame.v_a)))
-    return s_f1, s_f2, s_f1 * s_f2
+    p_cl, p_cr, n_l, n_r, v_a, p_el, p_er = contacts
+    s_t = closure_scores(v_a, n_l, n_r, bins)
 
+    cons_l = neighborhood_normal_consistency(p_cl, n_l, index, knn_k)
+    cons_r = neighborhood_normal_consistency(p_cr, n_r, index, knn_k)
+    s_f1 = (cons_l + cons_r) / 2.0
+    s_f2 = (np.abs(np.einsum("ij,ij->i", n_l, v_a)) + np.abs(np.einsum("ij,ij->i", n_r, v_a))) / 2.0
+    s_f = s_f1 * s_f2
 
-def gravity_score(frame: ContactFrame, gravity_center: np.ndarray) -> float:
-    """Distance of the gravity center from the infinite contact line.
-
-    This is the raw (unnormalized) value; smaller is better.
-    """
-    if not frame.valid:
-        raise InvalidFrame("cannot score an invalid frame")
-    gc = np.asarray(gravity_center, dtype=float)
-    chord = frame.p_cr - frame.p_cl
-    denom = np.linalg.norm(chord)
-    if denom < 1e-12:
-        raise DegenerateContacts("contact points coincide")
-    return float(np.linalg.norm(np.cross(frame.p_cl - gc, frame.p_cr - gc)) / denom)
-
-
-def collision_score(frame: ContactFrame) -> float:
-    """Smaller of the two fingertip-to-contact distances (raw value)."""
-    if not frame.valid:
-        raise InvalidFrame("cannot score an invalid frame")
-    d_l = np.linalg.norm(frame.p_el - frame.p_cl)
-    d_r = np.linalg.norm(frame.p_er - frame.p_cr)
-    return float(min(d_l, d_r))
+    chord = p_cr - p_cl
+    s_g_raw = np.linalg.norm(
+        np.cross(p_cl - gravity_center, p_cr - gravity_center), axis=1
+    ) / np.linalg.norm(chord, axis=1)
+    s_c_raw = np.minimum(
+        np.linalg.norm(p_el - p_cl, axis=1), np.linalg.norm(p_er - p_cr, axis=1)
+    )
+    return s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw
 
 
 def _minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -143,18 +116,6 @@ def _minmax_normalize(values: np.ndarray) -> np.ndarray:
     if rng <= 0.0:
         return np.zeros_like(values)
     return (values - lo) / rng
-
-
-def normalize_and_combine(
-    breakdowns: list[ScoreBreakdown], weights: MetricWeights = MetricWeights()
-) -> list[ScoreBreakdown]:
-    """List form of :func:`combine_scores`; returns new instances."""
-    raw = np.array([(b.s_t, b.s_f, b.s_g_raw, b.s_c_raw) for b in breakdowns], dtype=float).reshape(-1, 4)
-    s_g, s_c, hybrid = combine_scores(*raw.T, weights)
-    return [
-        dataclasses.replace(b, s_g=g, s_c=c, s_hybrid=h)
-        for b, g, c, h in zip(breakdowns, s_g.tolist(), s_c.tolist(), hybrid.tolist())
-    ]
 
 
 def combine_scores(

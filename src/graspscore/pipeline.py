@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidateGrid, candidate_arrays
-from .closure import closure_scores
 from .config import PipelineConfig
-from .gripper import ContactArrays, ContactFrame
 from .labels import LabelTable, check_object_id
 from .mesh import TriangleMesh, mass_properties, with_surface_samples
-from .metrics import ScoreBreakdown, combine_scores, neighborhood_normal_consistency
+from .metrics import combine_scores, score_contacts
 from .spatial import SpatialIndex
 
 logger = logging.getLogger(__name__)
@@ -69,7 +67,8 @@ def label_mesh(
         depths=gripper.depth_levels,
     )
     batch = candidate_arrays(mesh, grid, gripper, config.width_clearance)
-    s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(batch.contacts, index, gravity_center, config)
+    s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
+        batch.contacts, index, gravity_center, config.bins(), config.knn_k)
     s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
 
     table = LabelTable(object_id, np.column_stack([
@@ -88,43 +87,6 @@ def label_mesh(
         object_id, summary.n_labeled, summary.n_skipped,
     )
     return table, summary
-
-
-def score_frames(
-    frames: list[ContactFrame],
-    index: SpatialIndex,
-    gravity_center: np.ndarray,
-    config: PipelineConfig = PipelineConfig(),
-) -> list[ScoreBreakdown]:
-    """Raw score components for a list of valid frames (no normalization)."""
-    columns = score_contacts(ContactArrays.stack(frames), index, gravity_center, config)
-    return [ScoreBreakdown(*row) for row in np.column_stack(columns).tolist()]
-
-
-def score_contacts(
-    contacts: ContactArrays,
-    index: SpatialIndex,
-    gravity_center: np.ndarray,
-    config: PipelineConfig = PipelineConfig(),
-) -> tuple[np.ndarray, ...]:
-    """Raw score columns (s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw) of valid contacts."""
-    p_cl, p_cr, n_l, n_r, v_a, p_el, p_er = contacts
-    s_t = closure_scores(v_a, n_l, n_r, config.bins())
-
-    cons_l = neighborhood_normal_consistency(p_cl, n_l, index, config.knn_k)
-    cons_r = neighborhood_normal_consistency(p_cr, n_r, index, config.knn_k)
-    s_f1 = (cons_l + cons_r) / 2.0
-    s_f2 = (np.abs(np.einsum("ij,ij->i", n_l, v_a)) + np.abs(np.einsum("ij,ij->i", n_r, v_a))) / 2.0
-    s_f = s_f1 * s_f2
-
-    chord = p_cr - p_cl
-    s_g_raw = np.linalg.norm(
-        np.cross(p_cl - gravity_center, p_cr - gravity_center), axis=1
-    ) / np.linalg.norm(chord, axis=1)
-    s_c_raw = np.minimum(
-        np.linalg.norm(p_el - p_cl, axis=1), np.linalg.norm(p_er - p_cr, axis=1)
-    )
-    return s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw
 
 
 def _histogram(values, bins: int = 10) -> tuple[int, ...]:

@@ -19,25 +19,18 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .closure import FrictionBins, force_closure_score
-from .errors import DegenerateContacts, ParseError, UnknownObjectId
+from .closure import FrictionBins
+from .errors import ParseError, UnknownObjectId
 from .gripper import (
     GraspPose,
     GripperModel,
     _is_proper_rotation,
     collision_box_corners,
+    contacts_on_lines,
     gripper_collides,
-    resolve_contacts,
 )
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, transform_mesh, with_surface_samples
-from .metrics import (
-    MetricWeights,
-    ScoreBreakdown,
-    collision_score,
-    flatness_score,
-    gravity_score,
-    normalize_and_combine,
-)
+from .metrics import MetricWeights, combine_scores, score_contacts
 from .spatial import SpatialIndex
 
 logger = logging.getLogger(__name__)
@@ -568,9 +561,11 @@ def evaluate_ap(
     Pipeline: NMS -> collision filter (scene cloud + table plane) -> top-50
     by predicted score -> recompute the true hybrid score of each survivor
     on its associated object -> precision@k -> AP per threshold -> mAP.
-    Grasps whose contacts cannot be resolved score 0. Fewer than 50
-    survivors are padded with zero true scores; no survivors at all yields
-    a zeroed, flagged report.
+    True scores come from the labeling code (``score_contacts``, then
+    ``combine_scores``), normalized over the resolvable survivors of one
+    scene instance. Grasps whose contacts cannot be resolved score 0.
+    Fewer than 50 survivors are padded with zero true scores; no survivors
+    at all yields a zeroed, flagged report.
 
     Both filters test in bulk, and both give what the exhaustive scans
     give. NMS (see ``grasp_nms``) takes the predictions a block at a time
@@ -657,27 +652,15 @@ def evaluate_ap(
     for gi, members in groups.items():
         inst = instances[gi]
         mesh, index, gravity_center = prepare(inst.object_id)
-        valid_ids, partials = [], []
-        for si in members:
-            local = _grasp_in_object_frame(survivors[si].pose, inst)
-            frame = resolve_contacts(mesh, local, gripper)
-            if not frame.valid:
-                continue
-            try:
-                s_g_raw = gravity_score(frame, gravity_center)
-            except DegenerateContacts:
-                continue
-            s_t = force_closure_score(frame, bins)
-            s_f1, s_f2, s_f = flatness_score(frame, index, knn_k)
-            partials.append(
-                ScoreBreakdown(
-                    s_t=s_t, s_f1=s_f1, s_f2=s_f2, s_f=s_f,
-                    s_g_raw=s_g_raw, s_c_raw=collision_score(frame),
-                )
-            )
-            valid_ids.append(si)
-        for si, done in zip(valid_ids, normalize_and_combine(partials, weights)):
-            true_scores[si] = done.s_hybrid
+        local = [_grasp_in_object_frame(survivors[si].pose, inst) for si in members]
+        valid, contacts, _ = contacts_on_lines(
+            mesh,
+            np.array([g.center for g in local]),
+            np.array([g.closing_axis for g in local]),
+            np.array([g.width for g in local]) / 2.0,
+        )
+        s_t, _, _, s_f, s_g_raw, s_c_raw = score_contacts(contacts, index, gravity_center, bins, knn_k)
+        true_scores[np.array(members)[valid]] = combine_scores(s_t, s_f, s_g_raw, s_c_raw, weights)[2]
 
     aps = _ap_per_threshold(true_scores, thresholds)
     return EvalReport(

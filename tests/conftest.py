@@ -61,8 +61,8 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def run_cli(*argv, cwd):
-    """Run ``python -m graspscore.cli *argv`` in a child process under ``cwd``.
+def run_python(*argv, cwd):
+    """Run ``python *argv`` in a child process under ``cwd``.
 
     The child gets a copy of this process's environment with the directory
     holding the imported ``graspscore`` package put first on ``PYTHONPATH``,
@@ -73,5 +73,10 @@ def run_cli(*argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "graspscore.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, cwd=str(cwd), env=env)
+
+
+def run_cli(*argv, cwd):
+    """Run ``python -m graspscore.cli *argv`` in a child process under ``cwd``."""
+    return run_python("-m", "graspscore.cli", *argv, cwd=cwd)

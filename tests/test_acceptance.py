@@ -30,29 +30,27 @@ from graspscore import (
     MetricWeights,
     PipelineConfig,
     SpatialIndex,
-    antipodal_force_closure,
+    closure_scores,
+    combine_scores,
     enumerate_candidates,
     evaluate_ap,
-    flatness_score,
     grasp_nms,
-    gravity_score,
     label_mesh,
     mass_properties,
     neighborhood_normal_consistency,
-    normalize_and_combine,
     resolve_contacts,
     save_obj,
-    score_frames,
+    score_contacts,
     transform_mesh,
 )
 from graspscore.candidates import generate_views
-from graspscore.gripper import resolve_contacts_batch
+from graspscore.gripper import ContactArrays, contacts_on_lines
 from graspscore.scene import DEFAULT_ROT_THRESH, DEFAULT_TRANS_THRESH
 
 import _scenes
 from conftest import random_rotation, run_cli
 
-# Breakdown tuple layout: (s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw,
+# Score column layout: (s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw,
 # s_c, s_hybrid).
 _T, _F1, _F2, _F, _G, _C, _H = 0, 1, 2, 3, 5, 7, 8
 
@@ -78,7 +76,7 @@ def labeled_desk(desk_meshes):
 @pytest.fixture(scope="module")
 def desk_breakdowns(labeled_desk):
     tables, _ = labeled_desk
-    # the breakdown columns, in ScoreBreakdown.FIELD_ORDER
+    # the score columns, in metrics.SCORE_COLUMNS order
     return {name: table.values[:, 14:] for name, table in tables.items()}
 
 
@@ -119,26 +117,22 @@ def test_criterion_2_rigid_invariance(icosphere):
     widths = np.array([p.width for p in poses])
     depths = np.array([p.depth for p in poses])
 
-    search = np.full(len(poses), gripper.max_width)
+    search_half = np.full(len(poses), gripper.max_width / 2.0)
 
     def field_matrix(mesh, rots, trans):
         # Contacts are searched at full jaw opening, as during enumeration;
         # fingertip endpoints then follow the commanded width.
-        hits = resolve_contacts_batch(mesh, rots, trans, search, depths)
-        if not all(f.valid for f in hits):
+        centers = trans + depths[:, None] * rots[:, :, 2]
+        valid, contacts, _ = contacts_on_lines(mesh, centers, rots[:, :, 0], search_half)
+        if not valid.all():
             return None
-        frames = []
-        for i, f in enumerate(hits):
-            center = trans[i] + depths[i] * rots[i][:, 2]
-            half_jaw = (widths[i] / 2.0) * rots[i][:, 0]
-            frames.append(ContactFrame(
-                p_cl=f.p_cl, p_cr=f.p_cr, v_ql=f.v_ql, v_qr=f.v_qr, v_a=f.v_a,
-                p_el=center - half_jaw, p_er=center + half_jaw,
-            ))
-        breakdowns = normalize_and_combine(
-            score_frames(frames, SpatialIndex.from_mesh(mesh),
-                         mass_properties(mesh).gravity_center, config))
-        return np.array([b.as_tuple() for b in breakdowns])
+        half_jaw = (widths / 2.0)[:, None] * rots[:, :, 0]
+        contacts = contacts._replace(p_el=centers - half_jaw, p_er=centers + half_jaw)
+        s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
+            contacts, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center,
+            config.bins(), config.knn_k)
+        s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
+        return np.column_stack([s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw, s_c, s_hybrid])
 
     base = field_matrix(icosphere, rotations, translations)
     assert base is not None and len(base) > 50
@@ -212,6 +206,13 @@ def _random_closure_frame(rng) -> ContactFrame:
     )
 
 
+def _closes(frames, mu) -> np.ndarray:
+    """Force closure of each frame at friction mu: a one-bin ladder scores
+    1.1 - mu on a pass and 0 on a fail."""
+    contacts = ContactArrays.stack(frames)
+    return closure_scores(contacts.v_a, contacts.v_ql, contacts.v_qr, FrictionBins((mu,))) != 0.0
+
+
 def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
     failures = []
     gripper = GripperModel()
@@ -232,32 +233,26 @@ def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
         failures.append(f"{knn_bad} kNN queries disagree with the linear scan")
 
     # Gravity term against dense minimization along the contact line.
-    frames = []
-    gcs = []
+    gravity_dev = 0.0
     for mesh in (cube, icosphere):
         grid = CandidateGrid.build(mesh, n_seeds=8, n_views=6, n_rotations=2)
         gc = mass_properties(mesh).gravity_center
-        for _, frame in itertools.islice(enumerate_candidates(mesh, grid, gripper), 75):
-            frames.append(frame)
-            gcs.append(gc)
-    gravity_dev = max(
-        abs(gravity_score(f, gc) - _dense_line_min(f.p_cl, f.p_cr, gc))
-        for f, gc in zip(frames, gcs)
-    )
+        frames = [f for _, f in itertools.islice(enumerate_candidates(mesh, grid, gripper), 75)]
+        s_g_raw = score_contacts(ContactArrays.stack(frames), SpatialIndex.from_mesh(mesh), gc)[4]
+        gravity_dev = max(gravity_dev, *(
+            abs(g - _dense_line_min(f.p_cl, f.p_cr, gc)) for f, g in zip(frames, s_g_raw)))
     if gravity_dev > 1e-6:
         failures.append(f"gravity distance off by {gravity_dev:.2e}")
 
     # Force-closure decisions against cone-boundary sampling, 500 frames
     # across the whole friction ladder.
     rng = np.random.default_rng(13)
+    frames = [_random_closure_frame(rng) for _ in range(500)]
     closure_bad = 0
-    for _ in range(500):
-        frame = _random_closure_frame(rng)
-        for mu in FrictionBins().mus:
-            want = (_rim_cone_contains(frame.v_a, -frame.v_ql, mu)
-                    and _rim_cone_contains(-frame.v_a, -frame.v_qr, mu))
-            if antipodal_force_closure(frame, mu) != want:
-                closure_bad += 1
+    for mu in FrictionBins().mus:
+        want = [_rim_cone_contains(f.v_a, -f.v_ql, mu) and _rim_cone_contains(-f.v_a, -f.v_qr, mu)
+                for f in frames]
+        closure_bad += int(np.sum(_closes(frames, mu) != want))
     if closure_bad:
         failures.append(f"{closure_bad} closure decisions disagree")
 
@@ -336,14 +331,14 @@ def test_criterion_5_flatness_sanity(plate, icosphere):
     if flatness[top] < 0.99:
         failures.append(f"best flatness only {flatness[top]:.4f}")
 
-    sphere_index = SpatialIndex.from_mesh(icosphere)
     gripper = GripperModel()
-    worst_alignment = 1.0
-    for view in generate_views(8):
-        pose = _scenes.diametral_grasp(np.zeros(3), view)
-        frame = resolve_contacts(icosphere, pose, gripper)
-        _, s_f2, _ = flatness_score(frame, sphere_index)
-        worst_alignment = min(worst_alignment, s_f2)
+    frames = [resolve_contacts(icosphere, _scenes.diametral_grasp(np.zeros(3), view), gripper)
+              for view in generate_views(8)]
+    if not all(f.valid for f in frames):
+        failures.append("a diametral grasp lost its contacts")
+    s_f2 = score_contacts(ContactArrays.stack([f for f in frames if f.valid]),
+                          SpatialIndex.from_mesh(icosphere), np.zeros(3))[2]
+    worst_alignment = float(s_f2.min(initial=1.0))
     if worst_alignment < 0.99:
         failures.append(f"diametral alignment only {worst_alignment:.4f}")
 
@@ -354,12 +349,9 @@ def test_criterion_5_flatness_sanity(plate, icosphere):
 def test_criterion_6_closure_monotonicity(desk_breakdowns):
     rng = np.random.default_rng(17)
     mus = FrictionBins().mus
-    non_monotone = 0
-    for _ in range(500):
-        frame = _random_closure_frame(rng)
-        passes = [antipodal_force_closure(frame, mu) for mu in mus]
-        if any(a and not b for a, b in zip(passes, passes[1:])):
-            non_monotone += 1
+    frames = [_random_closure_frame(rng) for _ in range(500)]
+    passes = np.column_stack([_closes(frames, mu) for mu in mus])
+    non_monotone = int(np.sum((passes[:, :-1] & ~passes[:, 1:]).any(axis=1)))
 
     allowed = {0.0} | {round(1.1 - mu, 10) for mu in mus}
     observed = set(np.vstack(list(desk_breakdowns.values()))[:, _T].tolist())

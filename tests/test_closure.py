@@ -1,118 +1,112 @@
 import numpy as np
 import pytest
 
-from graspscore import ContactFrame, FrictionBins, antipodal_force_closure, force_closure_score
-from graspscore.closure import force_closure_scores
-from graspscore.errors import InvalidFrame
-from graspscore.geometry import unit
+from graspscore import FrictionBins, closure_scores
+from graspscore.geometry import unit, unit_rows
 
 from conftest import random_rotation
 
 
-def _frame(v_ql, v_qr, v_a=(1.0, 0.0, 0.0)):
-    v_a = unit(np.asarray(v_a, dtype=float))
-    p_cl = np.array([-0.02, 0.0, 0.0])
-    p_cr = np.array([0.02, 0.0, 0.0])
-    return ContactFrame(
-        p_cl=p_cl, p_cr=p_cr,
-        v_ql=unit(np.asarray(v_ql, dtype=float)),
-        v_qr=unit(np.asarray(v_qr, dtype=float)),
-        v_a=v_a,
-        p_el=p_cl - 0.005 * v_a, p_er=p_cr + 0.005 * v_a,
-    )
+def _rows(v_ql, v_qr, v_a=(1.0, 0.0, 0.0)):
+    """One (1, 3) row each of the contact line and the two outward normals."""
+    return tuple(unit(np.asarray(v, dtype=float))[None, :] for v in (v_a, v_ql, v_qr))
 
 
-def _random_frame(rng):
-    while True:
-        v_ql = unit(rng.normal(size=3))
-        v_qr = unit(rng.normal(size=3))
-        v_a = unit(rng.normal(size=3))
-        if min(np.linalg.norm(v_ql), np.linalg.norm(v_qr), np.linalg.norm(v_a)) > 0:
-            return _frame(v_ql, v_qr, v_a)
+def _score(v_ql, v_qr, v_a=(1.0, 0.0, 0.0), bins=FrictionBins()):
+    return float(closure_scores(*_rows(v_ql, v_qr, v_a), bins)[0])
+
+
+def _passes(v_a, v_ql, v_qr, mu):
+    """Force closure at friction mu, per row: a one-bin ladder scores
+    1.1 - mu on a pass and 0 on a fail."""
+    return closure_scores(v_a, v_ql, v_qr, FrictionBins((mu,))) != 0.0
+
+
+def _random_unit_rows(rng, n):
+    """(v_a, v_ql, v_qr), each n random unit rows."""
+    return tuple(unit_rows(v) for v in rng.normal(size=(3, n, 3)))
 
 
 def test_perfect_antipodal_pair():
-    frame = _frame([-1, 0, 0], [1, 0, 0])
-    assert antipodal_force_closure(frame, 0.1)
-    assert force_closure_score(frame) == 1.0
+    rows = _rows([-1, 0, 0], [1, 0, 0])
+    assert _passes(*rows, 0.1)[0]
+    assert _score([-1, 0, 0], [1, 0, 0]) == 1.0
 
 
 def test_forty_five_degree_normals():
-    frame = _frame([-1, -1, 0], [1, 1, 0])
-    assert not antipodal_force_closure(frame, 0.5)
-    assert antipodal_force_closure(frame, 1.5)
+    rows = _rows([-1, -1, 0], [1, 1, 0])
+    assert not _passes(*rows, 0.5)[0]
+    assert _passes(*rows, 1.5)[0]
 
 
 def test_thirty_degree_normals_score():
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
-    frame = _frame([-c, -s, 0], [c, -s, 0])
-    assert force_closure_score(frame) == 0.5
+    assert _score([-c, -s, 0], [c, -s, 0]) == 0.5
 
 
 def test_score_zero_past_last_bin():
     ang = np.deg2rad(50.0)
-    frame = _frame([-np.cos(ang), -np.sin(ang), 0], [1, 0, 0])
-    assert force_closure_score(frame) == 0.0
-    assert not antipodal_force_closure(frame, 1.0)
+    v_ql = [-np.cos(ang), -np.sin(ang), 0]
+    assert _score(v_ql, [1, 0, 0]) == 0.0
+    assert not _passes(*_rows(v_ql, [1, 0, 0]), 1.0)[0]
+
+
+def _inside(v, axis, mu):
+    # v lies inside a cone of half-angle atan(mu) around axis u exactly
+    # when v.u > 0 and |v x u| <= mu * (v.u); no trig involved
+    d = np.einsum("ij,ij->i", v, axis)
+    return (d > 0) & (np.linalg.norm(np.cross(v, axis), axis=1) <= mu * d)
+
+
+def _oracle_scores(v_a, v_ql, v_qr, bins=FrictionBins()):
+    """1.1 - (smallest passing mu) per row by the cross-product test, else 0."""
+    want = np.zeros(len(v_a))
+    for mu in reversed(bins.mus):
+        passing = _inside(v_a, -v_ql, mu) & _inside(-v_a, -v_qr, mu)
+        want[passing] = round(1.1 - mu, 10)
+    return want
 
 
 def test_scores_live_on_decimal_grid():
     rng = np.random.default_rng(7)
-    frames = [_random_frame(rng) for _ in range(300)]
-    for deg in np.linspace(1.0, 60.0, 100):
-        a = np.deg2rad(deg)
-        frames.append(_frame([-np.cos(a), -np.sin(a), 0], [np.cos(a), -np.sin(a), 0]))
-    allowed = {round(0.1 * k, 10) for k in range(11)}
-    singles = [force_closure_score(f) for f in frames]
-    assert set(singles) == allowed
-    batch = force_closure_scores(frames)
-    assert np.array_equal(batch, np.array(singles))
+    v_a, v_ql, v_qr = _random_unit_rows(rng, 300)
+    a = np.deg2rad(np.linspace(1.0, 60.0, 100))
+    zero = np.zeros_like(a)
+    v_a = np.vstack([v_a, np.tile([1.0, 0.0, 0.0], (len(a), 1))])
+    v_ql = np.vstack([v_ql, np.column_stack([-np.cos(a), -np.sin(a), zero])])
+    v_qr = np.vstack([v_qr, np.column_stack([np.cos(a), -np.sin(a), zero])])
+    scores = closure_scores(v_a, v_ql, v_qr)
+    assert set(scores.tolist()) == {round(0.1 * k, 10) for k in range(11)}
+    assert np.array_equal(scores, _oracle_scores(v_a, v_ql, v_qr))
 
 
 def test_pass_is_monotone_in_friction():
     rng = np.random.default_rng(8)
-    mus = [0.1 * k for k in range(1, 11)]
-    for _ in range(200):
-        frame = _random_frame(rng)
-        passes = [antipodal_force_closure(frame, mu) for mu in mus]
-        assert passes == sorted(passes)
+    rows = _random_unit_rows(rng, 200)
+    passes = np.column_stack([_passes(*rows, 0.1 * k) for k in range(1, 11)])
+    assert (np.diff(passes.astype(int), axis=1) >= 0).all()
 
 
 def test_matches_cross_product_oracle():
-    # v lies inside a cone of half-angle atan(mu) around axis u exactly
-    # when v.u > 0 and |v x u| <= mu * (v.u); no trig involved
-    def inside(v, axis, mu):
-        d = float(np.dot(v, axis))
-        return d > 0 and np.linalg.norm(np.cross(v, axis)) <= mu * d
-
     rng = np.random.default_rng(11)
-    for _ in range(500):
-        frame = _random_frame(rng)
-        for mu in (0.3, 0.7, 1.0):
-            want = inside(frame.v_a, -frame.v_ql, mu) and inside(-frame.v_a, -frame.v_qr, mu)
-            assert antipodal_force_closure(frame, mu) == want
+    v_a, v_ql, v_qr = _random_unit_rows(rng, 500)
+    for mu in (0.3, 0.7, 1.0):
+        want = _inside(v_a, -v_ql, mu) & _inside(-v_a, -v_qr, mu)
+        assert np.array_equal(_passes(v_a, v_ql, v_qr, mu), want)
 
 
 def test_score_rotation_invariant():
     rng = np.random.default_rng(12)
     for _ in range(100):
-        frame = _random_frame(rng)
+        rows = _random_unit_rows(rng, 1)
         rot = random_rotation(rng)
-        moved = _frame(rot @ frame.v_ql, rot @ frame.v_qr, rot @ frame.v_a)
-        assert force_closure_score(moved) == force_closure_score(frame)
+        moved = tuple(v @ rot.T for v in rows)
+        assert np.array_equal(closure_scores(*moved), closure_scores(*rows))
 
 
 def test_custom_bins():
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
-    frame = _frame([-c, -s, 0], [c, -s, 0])
-    assert force_closure_score(frame, FrictionBins((0.25, 0.75))) == 0.35
-
-
-def test_invalid_frame_rejected():
-    with pytest.raises(InvalidFrame):
-        antipodal_force_closure(ContactFrame.invalid(), 0.5)
-    with pytest.raises(InvalidFrame):
-        force_closure_score(ContactFrame.invalid())
+    assert _score([-c, -s, 0], [c, -s, 0], bins=FrictionBins((0.25, 0.75))) == 0.35
 
 
 def test_bins_validation():
@@ -126,5 +120,12 @@ def test_bins_validation():
         FrictionBins((0.5, 0.3))
 
 
+@pytest.mark.parametrize("mus", [(0.1, float("nan"), 0.3), (float("nan"),), (0.1, float("inf"))])
+def test_bins_reject_non_finite(mus):
+    with pytest.raises(ValueError, match="finite"):
+        FrictionBins(mus)
+
+
 def test_empty_batch():
-    assert force_closure_scores([]).shape == (0,)
+    empty = np.zeros((0, 3))
+    assert closure_scores(empty, empty, empty).shape == (0,)

@@ -12,7 +12,8 @@ from graspscore import (
     transform_mesh,
 )
 from graspscore.candidates import CandidateGrid
-from graspscore.gripper import collision_box_corners, resolve_contacts_batch
+from graspscore.gripper import collision_box_corners, contacts_on_lines
+from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
 from conftest import random_rotation
@@ -123,19 +124,43 @@ def test_batch_matches_single(icosphere):
         translation = rot[:, 2] * -0.03
         poses.append(GraspPose(rotation=rot, translation=translation,
                                width=0.07, depth=0.03))
-    frames = resolve_contacts_batch(
+    valid, contacts, _ = contacts_on_lines(
         icosphere,
-        np.stack([p.rotation for p in poses]),
-        np.stack([p.translation for p in poses]),
-        np.array([p.width for p in poses]),
-        np.array([p.depth for p in poses]),
+        np.stack([p.center for p in poses]),
+        np.stack([p.closing_axis for p in poses]),
+        np.array([p.width / 2.0 for p in poses]),
     )
-    for pose, batched in zip(poses, frames):
+    rows = iter(range(len(contacts.p_cl)))
+    for pose, batched_valid in zip(poses, valid):
         single = resolve_contacts(icosphere, pose, gripper)
-        assert single.valid == batched.valid
+        assert single.valid == batched_valid
         if single.valid:
+            batched = contacts.frame(next(rows))
             assert np.array_equal(single.p_cl, batched.p_cl)
             assert np.array_equal(single.v_qr, batched.v_qr)
+    assert valid.any()
+
+
+def _two_sheets(gap):
+    """Two parallel unit squares in the planes x = 0 (normal -x) and
+    x = gap (normal +x): a slab whose sides face outward."""
+    square = np.array([[0.0, -1, -1], [0.0, 1, -1], [0.0, 1, 1], [0.0, -1, 1]])
+    vertices = np.vstack([square, square + [gap, 0.0, 0.0]])
+    faces = np.array([[0, 2, 1], [0, 3, 2], [4, 5, 6], [4, 6, 7]])
+    normals = np.repeat([[-1.0, 0, 0], [1.0, 0, 0]], 4, axis=0)
+    return TriangleMesh(vertices, faces, normals, watertight=False)
+
+
+def test_coincident_contacts_are_dropped():
+    # Both rays hit a front face; the line is kept only when the contacts
+    # are at least 1e-12 apart, since the contact line needs a direction.
+    for gap, resolved in ((1e-3, True), (1e-13, False)):
+        valid, contacts, separation = contacts_on_lines(
+            _two_sheets(gap), np.array([[gap / 2, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]),
+            np.array([0.02]))
+        assert valid.tolist() == [resolved]
+        assert len(contacts.p_cl) == len(separation) == int(resolved)
+        assert contacts.v_a.tolist() == [[1.0, 0.0, 0.0]] * int(resolved)
 
 
 # --- collision checking ---

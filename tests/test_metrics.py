@@ -1,24 +1,22 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from graspscore import (
-    ContactFrame,
     GraspPose,
     GripperModel,
     MetricWeights,
-    ScoreBreakdown,
     SpatialIndex,
-    collision_score,
-    flatness_score,
-    gravity_score,
+    combine_scores,
     neighborhood_normal_consistency,
-    normalize_and_combine,
     resolve_contacts,
+    score_contacts,
 )
-from graspscore.errors import DegenerateContacts, InvalidFrame
-from graspscore.geometry import unit
+from graspscore.gripper import ContactArrays
+from graspscore.labels import LABEL_COLUMNS
+from graspscore.metrics import SCORE_COLUMNS
+
+# Raw score columns returned by score_contacts.
+_S_T, _S_F1, _S_F2, _S_F, _S_G_RAW, _S_C_RAW = range(6)
 
 
 def _two_plane_index(gap=0.02, step=0.002, half=0.01):
@@ -34,34 +32,36 @@ def _two_plane_index(gap=0.02, step=0.002, half=0.01):
     return SpatialIndex(points, normals), gap
 
 
-def _pinch_frame(gap):
-    return ContactFrame(
-        p_cl=np.array([0.0, 0.0, 0.0]), p_cr=np.array([0.0, 0.0, gap]),
-        v_ql=np.array([0.0, 0.0, -1.0]), v_qr=np.array([0.0, 0.0, 1.0]),
-        v_a=np.array([0.0, 0.0, 1.0]),
-        p_el=np.array([0.0, 0.0, -0.005]), p_er=np.array([0.0, 0.0, gap + 0.005]),
-    )
+def _contacts(p_cl, p_cr, v_ql, v_qr, v_a, p_el, p_er):
+    """One-row ContactArrays from 3-vectors."""
+    return ContactArrays(*(np.asarray(v, dtype=float).reshape(1, 3)
+                           for v in (p_cl, p_cr, v_ql, v_qr, v_a, p_el, p_er)))
+
+
+def _pinch(gap, v_ql=(0.0, 0.0, -1.0), v_qr=(0.0, 0.0, 1.0)):
+    return _contacts(p_cl=[0.0, 0.0, 0.0], p_cr=[0.0, 0.0, gap], v_ql=v_ql, v_qr=v_qr,
+                     v_a=[0.0, 0.0, 1.0], p_el=[0.0, 0.0, -0.005], p_er=[0.0, 0.0, gap + 0.005])
+
+
+def _scores(contacts, index=None, gravity_center=np.zeros(3)):
+    if index is None:
+        index, _ = _two_plane_index()
+    return [float(col[0]) for col in score_contacts(contacts, index, gravity_center)]
 
 
 def test_flat_patch_scores_perfectly():
     index, gap = _two_plane_index()
-    s_f1, s_f2, s_f = flatness_score(_pinch_frame(gap), index, k=10)
-    assert s_f1 == 1.0
-    assert s_f2 == 1.0
-    assert s_f == 1.0
+    s = _scores(_pinch(gap), index)
+    assert s[_S_F1] == 1.0
+    assert s[_S_F2] == 1.0
+    assert s[_S_F] == 1.0
 
 
 def test_grazing_contact_has_zero_alignment():
     index, gap = _two_plane_index()
-    frame = ContactFrame(
-        p_cl=np.array([0.0, 0.0, 0.0]), p_cr=np.array([0.0, 0.0, gap]),
-        v_ql=np.array([1.0, 0.0, 0.0]), v_qr=np.array([1.0, 0.0, 0.0]),
-        v_a=np.array([0.0, 0.0, 1.0]),
-        p_el=np.array([0.0, 0.0, -0.005]), p_er=np.array([0.0, 0.0, gap + 0.005]),
-    )
-    _, s_f2, s_f = flatness_score(frame, index, k=10)
-    assert s_f2 == 0.0
-    assert s_f == 0.0
+    s = _scores(_pinch(gap, v_ql=(1.0, 0.0, 0.0), v_qr=(1.0, 0.0, 0.0)), index)
+    assert s[_S_F2] == 0.0
+    assert s[_S_F] == 0.0
 
 
 def test_consistency_clamps_opposing_normals():
@@ -84,122 +84,102 @@ def test_flatness_matches_bruteforce_on_sphere(icosphere):
                      width=0.07, depth=0.03)
     frame = resolve_contacts(icosphere, pose, GripperModel())
     assert frame.valid
-    s_f1, s_f2, s_f = flatness_score(frame, index, k=10)
+    s = _scores(ContactArrays.stack([frame]), index)
 
     acc = 0.0
     for p, n in ((frame.p_cl, frame.v_ql), (frame.p_cr, frame.v_qr)):
         rows = _oracle_knn_rows(index.points, p, 10)
         acc += np.clip(np.mean(index.normals[rows] @ n), 0.0, 1.0)
-    assert s_f1 == pytest.approx(acc / 2.0, abs=1e-9)
-    assert s_f2 > 0.999
-    assert s_f == pytest.approx(s_f1 * s_f2, abs=1e-12)
+    assert s[_S_F1] == pytest.approx(acc / 2.0, abs=1e-9)
+    assert s[_S_F2] > 0.999
+    assert s[_S_F] == pytest.approx(s[_S_F1] * s[_S_F2], abs=1e-12)
 
 
 def test_gravity_distance_examples():
-    frame = ContactFrame(
-        p_cl=np.array([-1.0, 0.0, 0.0]), p_cr=np.array([1.0, 0.0, 0.0]),
-        v_ql=np.array([-1.0, 0.0, 0.0]), v_qr=np.array([1.0, 0.0, 0.0]),
-        v_a=np.array([1.0, 0.0, 0.0]),
-        p_el=np.array([-1.1, 0.0, 0.0]), p_er=np.array([1.1, 0.0, 0.0]),
-    )
-    assert gravity_score(frame, np.zeros(3)) < 1e-12
-    lifted = dataclasses.replace(frame,
-                                 p_cl=np.array([-1.0, 0.0, 1.0]),
-                                 p_cr=np.array([1.0, 0.0, 1.0]))
-    assert gravity_score(lifted, np.zeros(3)) == pytest.approx(1.0, abs=1e-12)
+    level = _contacts(p_cl=[-1.0, 0.0, 0.0], p_cr=[1.0, 0.0, 0.0],
+                      v_ql=[-1.0, 0.0, 0.0], v_qr=[1.0, 0.0, 0.0], v_a=[1.0, 0.0, 0.0],
+                      p_el=[-1.1, 0.0, 0.0], p_er=[1.1, 0.0, 0.0])
+    assert _scores(level)[_S_G_RAW] < 1e-12
+    lifted = level._replace(p_cl=np.array([[-1.0, 0.0, 1.0]]), p_cr=np.array([[1.0, 0.0, 1.0]]))
+    assert _scores(lifted)[_S_G_RAW] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gravity_matches_projection_oracle():
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        p_cl = rng.uniform(-1, 1, 3)
-        p_cr = rng.uniform(-1, 1, 3)
-        if np.linalg.norm(p_cr - p_cl) < 1e-3:
-            continue
-        gc = rng.uniform(-1, 1, 3)
-        v_a = unit(p_cr - p_cl)
-        frame = ContactFrame(p_cl=p_cl, p_cr=p_cr, v_ql=-v_a, v_qr=v_a, v_a=v_a,
-                             p_el=p_cl - 0.01 * v_a, p_er=p_cr + 0.01 * v_a)
-        rel = gc - p_cl
-        want = np.linalg.norm(rel - (rel @ v_a) * v_a)
-        assert gravity_score(frame, gc) == pytest.approx(want, abs=1e-9)
-
-
-def test_gravity_rejects_coincident_contacts():
-    p = np.array([0.1, 0.2, 0.3])
-    frame = ContactFrame(p_cl=p, p_cr=p.copy(),
-                         v_ql=np.array([-1.0, 0, 0]), v_qr=np.array([1.0, 0, 0]),
-                         v_a=np.array([1.0, 0, 0]),
-                         p_el=p - [0.01, 0, 0], p_er=p + [0.01, 0, 0])
-    with pytest.raises(DegenerateContacts):
-        gravity_score(frame, np.zeros(3))
+    p_cl = rng.uniform(-1, 1, (200, 3))
+    p_cr = rng.uniform(-1, 1, (200, 3))
+    keep = np.linalg.norm(p_cr - p_cl, axis=1) >= 1e-3
+    p_cl, p_cr = p_cl[keep], p_cr[keep]
+    v_a = (p_cr - p_cl) / np.linalg.norm(p_cr - p_cl, axis=1, keepdims=True)
+    contacts = ContactArrays(p_cl, p_cr, -v_a, v_a, v_a, p_cl - 0.01 * v_a, p_cr + 0.01 * v_a)
+    gc = rng.uniform(-1, 1, 3)
+    index, _ = _two_plane_index()
+    got = score_contacts(contacts, index, gc)[_S_G_RAW]
+    rel = gc - p_cl
+    want = np.linalg.norm(rel - np.einsum("ij,ij->i", rel, v_a)[:, None] * v_a, axis=1)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_collision_score_takes_worse_side():
-    frame = ContactFrame(
-        p_cl=np.array([-0.02, 0.0, 0.0]), p_cr=np.array([0.02, 0.0, 0.0]),
-        v_ql=np.array([-1.0, 0.0, 0.0]), v_qr=np.array([1.0, 0.0, 0.0]),
-        v_a=np.array([1.0, 0.0, 0.0]),
-        p_el=np.array([-0.025, 0.0, 0.0]), p_er=np.array([0.023, 0.0, 0.0]),
-    )
-    assert collision_score(frame) == pytest.approx(0.003, abs=1e-12)
-    snug = dataclasses.replace(frame, p_el=frame.p_cl, p_er=frame.p_cr)
-    assert collision_score(snug) == 0.0
+    loose = _contacts(p_cl=[-0.02, 0.0, 0.0], p_cr=[0.02, 0.0, 0.0],
+                      v_ql=[-1.0, 0.0, 0.0], v_qr=[1.0, 0.0, 0.0], v_a=[1.0, 0.0, 0.0],
+                      p_el=[-0.025, 0.0, 0.0], p_er=[0.023, 0.0, 0.0])
+    assert _scores(loose)[_S_C_RAW] == pytest.approx(0.003, abs=1e-12)
+    snug = loose._replace(p_el=loose.p_cl, p_er=loose.p_cr)
+    assert _scores(snug)[_S_C_RAW] == 0.0
 
 
-def _breakdown(s_t=0.5, s_f=0.5, g_raw=0.01, c_raw=0.002):
-    return ScoreBreakdown(s_t=s_t, s_f1=1.0, s_f2=s_f, s_f=s_f,
-                          s_g_raw=g_raw, s_c_raw=c_raw)
+def _combine(s_t=(0.5,), s_f=(0.5,), g_raw=(0.01,), c_raw=(0.002,), weights=MetricWeights()):
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (s_t, s_f, g_raw, c_raw)))
+    return combine_scores(*columns, weights)
 
 
 def test_single_candidate_normalization():
-    out = normalize_and_combine([_breakdown(s_t=1.0, s_f=0.5)])
-    assert len(out) == 1
-    assert out[0].s_g == 1.0
-    assert out[0].s_c == 0.0
-    assert out[0].s_hybrid == pytest.approx(0.7 + 0.2 * 0.5 + 0.05, abs=1e-12)
+    s_g, s_c, hybrid = _combine(s_t=[1.0], s_f=[0.5])
+    assert s_g.tolist() == [1.0]
+    assert s_c.tolist() == [0.0]
+    assert hybrid[0] == pytest.approx(0.7 + 0.2 * 0.5 + 0.05, abs=1e-12)
 
 
 def test_normalization_conventions():
-    batch = [_breakdown(g_raw=g, c_raw=2.0) for g in (0.0, 1.0, 3.0)]
-    out = normalize_and_combine(batch, MetricWeights(0.0, 0.0, 1.0, 0.0))
-    assert [b.s_g for b in out] == pytest.approx([1.0, 2.0 / 3.0, 0.0])
-    assert [b.s_c for b in out] == [0.0, 0.0, 0.0]
-    assert [b.s_hybrid for b in out] == [b.s_g for b in out]
+    s_g, s_c, hybrid = _combine(g_raw=[0.0, 1.0, 3.0], c_raw=2.0,
+                                weights=MetricWeights(0.0, 0.0, 1.0, 0.0))
+    assert s_g.tolist() == pytest.approx([1.0, 2.0 / 3.0, 0.0])
+    assert s_c.tolist() == [0.0, 0.0, 0.0]
+    assert hybrid.tolist() == s_g.tolist()
 
 
 def test_closure_only_weights_pass_through():
-    batch = [_breakdown(s_t=t) for t in (0.0, 0.3, 1.0)]
-    out = normalize_and_combine(batch, MetricWeights(1.0, 0.0, 0.0, 0.0))
-    assert [b.s_hybrid for b in out] == [0.0, 0.3, 1.0]
+    _, _, hybrid = _combine(s_t=[0.0, 0.3, 1.0], weights=MetricWeights(1.0, 0.0, 0.0, 0.0))
+    assert hybrid.tolist() == [0.0, 0.3, 1.0]
 
 
 def test_gravity_weight_separates_extremes():
-    batch = [_breakdown(g_raw=0.0), _breakdown(g_raw=0.04)]
-    out = normalize_and_combine(batch)
-    assert out[0].s_hybrid - out[1].s_hybrid == pytest.approx(0.05, abs=1e-12)
+    _, _, hybrid = _combine(g_raw=[0.0, 0.04])
+    assert hybrid[0] - hybrid[1] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_normalized_terms_are_monotone():
-    g_raws = [0.0, 0.01, 0.02, 0.05]
-    c_raws = [0.0, 0.001, 0.004, 0.01]
-    batch = [_breakdown(g_raw=g, c_raw=c) for g, c in zip(g_raws, c_raws)]
-    out = normalize_and_combine(batch)
-    s_g = [b.s_g for b in out]
-    s_c = [b.s_c for b in out]
-    assert s_g == sorted(s_g, reverse=True)
-    assert s_c == sorted(s_c)
-    assert all(0.0 <= v <= 1.0 for v in s_g + s_c)
+    s_g, s_c, _ = _combine(g_raw=[0.0, 0.01, 0.02, 0.05], c_raw=[0.0, 0.001, 0.004, 0.01])
+    assert s_g.tolist() == sorted(s_g.tolist(), reverse=True)
+    assert s_c.tolist() == sorted(s_c.tolist())
+    assert ((0.0 <= s_g) & (s_g <= 1.0) & (0.0 <= s_c) & (s_c <= 1.0)).all()
 
 
 def test_inputs_not_modified():
-    batch = [_breakdown(), _breakdown(g_raw=0.03)]
-    normalize_and_combine(batch)
-    assert all(np.isnan(b.s_hybrid) for b in batch)
+    g_raw = np.array([0.01, 0.03])
+    c_raw = np.array([0.002, 0.002])
+    _combine(g_raw=g_raw, c_raw=c_raw)
+    assert g_raw.tolist() == [0.01, 0.03]
+    assert c_raw.tolist() == [0.002, 0.002]
 
 
 def test_empty_batch():
-    assert normalize_and_combine([]) == []
+    empty = np.zeros(0)
+    assert all(col.shape == (0,) for col in combine_scores(empty, empty, empty, empty))
+    no_contacts = ContactArrays(*(np.zeros((0, 3)) for _ in ContactArrays._fields))
+    index, _ = _two_plane_index()
+    assert all(col.shape == (0,) for col in score_contacts(no_contacts, index, np.zeros(3)))
 
 
 def test_weights_validation():
@@ -215,20 +195,19 @@ def test_weights_validation():
         MetricWeights.parse("0.5,0.5,0.5,0.5")
 
 
-def test_breakdown_tuple_order():
-    b = ScoreBreakdown(s_t=1, s_f1=2, s_f2=3, s_f=4, s_g_raw=5, s_c_raw=7,
-                       s_g=6, s_c=8, s_hybrid=9)
-    assert b.as_tuple() == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    assert ScoreBreakdown.FIELD_ORDER[0] == "s_t"
-    assert ScoreBreakdown.FIELD_ORDER[-1] == "s_hybrid"
+@pytest.mark.parametrize("weights", [
+    (float("nan"), 0.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, float("nan")),
+    (float("inf"), 0.0, 0.0, 1.0),
+    (float("inf"), float("-inf"), 0.0, 1.0),
+])
+def test_weights_reject_non_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        MetricWeights(*weights)
+    with pytest.raises(ValueError, match="finite"):
+        MetricWeights.parse(",".join(map(str, weights)))
 
 
-def test_invalid_frame_rejected():
-    index, _ = _two_plane_index()
-    bad = ContactFrame.invalid()
-    with pytest.raises(InvalidFrame):
-        flatness_score(bad, index)
-    with pytest.raises(InvalidFrame):
-        gravity_score(bad, np.zeros(3))
-    with pytest.raises(InvalidFrame):
-        collision_score(bad)
+def test_score_columns_order():
+    assert SCORE_COLUMNS == ("s_t", "s_f1", "s_f2", "s_f", "s_g_raw", "s_g", "s_c_raw", "s_c", "s_hybrid")
+    assert LABEL_COLUMNS[-len(SCORE_COLUMNS):] == SCORE_COLUMNS

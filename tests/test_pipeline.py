@@ -7,14 +7,15 @@ from graspscore import (
     GraspPose,
     PipelineConfig,
     SpatialIndex,
+    combine_scores,
     label_mesh,
     mass_properties,
-    normalize_and_combine,
-    score_frames,
+    resolve_contacts,
+    score_contacts,
     transform_mesh,
 )
 from graspscore.geometry import frame_from_approach
-from graspscore.gripper import resolve_contacts_batch
+from graspscore.gripper import ContactArrays
 
 from conftest import random_rotation
 
@@ -55,24 +56,23 @@ def test_label_mesh_builds_no_per_candidate_objects(cube, monkeypatch):
 
 
 def _per_candidate_rows(mesh, config):
-    """Label rows from a per-candidate loop: one GraspPose and one
-    ContactFrame per valid cell, the contact line normalized and the width
-    set from a per-row np.linalg.norm, then the list scorers. Returns the
-    (n, 23) values of the label columns after object_id."""
+    """Label rows from a per-candidate loop: one resolve_contacts call, one
+    GraspPose and one ContactFrame per grid cell, the contact line
+    normalized and the width set from a per-row np.linalg.norm, then the
+    array scorers over the stacked frames. Returns the (n, 23) values of the
+    label columns after object_id."""
     gripper = config.gripper()
     grid = CandidateGrid.build(mesh, n_seeds=config.n_seeds, n_views=config.n_views,
                                n_rotations=config.n_rotations, depths=gripper.depth_levels)
     cells = [(frame_from_approach(-view, theta), depth)
              for view in grid.views for theta in grid.rotations for depth in grid.depths]
-    rotations = np.array([rot for rot, _ in cells])
-    depths = np.array([depth for _, depth in cells])
-    search = np.full(len(cells), gripper.max_width)
 
     poses, frames = [], []
     for seed in grid.seed_points:
-        hits = resolve_contacts_batch(mesh, rotations, np.broadcast_to(seed, (len(cells), 3)),
-                                      search, depths)
-        for (rotation, depth), hit in zip(cells, hits):
+        for rotation, depth in cells:
+            search = GraspPose(rotation=rotation, translation=seed, width=gripper.max_width,
+                               depth=float(depth))
+            hit = resolve_contacts(mesh, search, gripper)
             if not hit.valid:
                 continue
             gap = hit.p_cr - hit.p_cl
@@ -85,11 +85,13 @@ def _per_candidate_rows(mesh, config):
             frames.append(ContactFrame(p_cl=hit.p_cl, p_cr=hit.p_cr, v_ql=hit.v_ql, v_qr=hit.v_qr,
                                        v_a=gap / separation,
                                        p_el=pose.center - jaw, p_er=pose.center + jaw))
-    breakdowns = normalize_and_combine(
-        score_frames(frames, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center, config),
-        config.weights())
-    return np.array([[*p.rotation.ravel(), *p.translation, p.width, p.depth, *b.as_tuple()]
-                     for p, b in zip(poses, breakdowns)])
+    s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
+        ContactArrays.stack(frames), SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center,
+        config.bins(), config.knn_k)
+    s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
+    scores = np.column_stack([s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw, s_c, s_hybrid])
+    return np.array([[*p.rotation.ravel(), *p.translation, p.width, p.depth, *row]
+                     for p, row in zip(poses, scores)])
 
 
 @pytest.mark.parametrize("shape", ["cube", "icosphere", "moved_icosphere"])

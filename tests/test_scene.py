@@ -13,14 +13,21 @@ from graspscore import (
     PredictedGrasp,
     PredictionTable,
     SceneInstance,
+    SpatialIndex,
     build_scene,
+    combine_scores,
     evaluate_ap,
     gripper_collides,
     grasp_nms,
     load_scene_instances,
+    mass_properties,
+    resolve_contacts,
     save_scene,
+    score_contacts,
 )
-from graspscore import geometry, scene
+from graspscore import geometry, metrics, scene
+from graspscore.candidates import generate_views
+from graspscore.gripper import ContactArrays
 from graspscore.errors import ParseError, UnknownObjectId
 
 import _scenes
@@ -891,6 +898,73 @@ def test_collision_shortlists_memory_is_bounded(clutter):
         tracemalloc.stop()
     assert len(lengths) == len(poses) and 0 < lengths.count(0) < len(poses)
     assert peak < _COLLISION_PEAK_BOUND
+
+
+@pytest.fixture(scope="module")
+def one_sphere_group():
+    """One turned and shifted sphere with six grasps on it: three diametral
+    pinches, two chord pinches and, ranked third, a diametral pinch moved
+    5 cm along its finger axis so that its closing line misses the sphere.
+    All six survive NMS and the collision filter."""
+    library = _scenes.sphere_library()
+    center = np.array([0.1, -0.05, 0.02])
+    inst = SceneInstance(_scenes.SPHERE_ID, random_rotation(np.random.default_rng(3)), center)
+    layout = build_scene([inst], library, table_height=_scenes.TABLE_HEIGHT)
+    poses = [_scenes.diametral_grasp(center, view) for view in generate_views(4)]
+    miss = poses[2]
+    poses[2] = GraspPose(miss.rotation, miss.translation + 0.05 * miss.rotation[:, 1], miss.width, miss.depth)
+    poses += [_scenes.chord_grasp(center, phi) for phi in (0.3, 1.5)]
+    preds = [PredictedGrasp(p, 0.9 - 0.1 * i, _scenes.SPHERE_ID) for i, p in enumerate(poses)]
+    return library, layout, inst, preds
+
+
+def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_group):
+    library, layout, inst, preds = one_sphere_group
+    report = evaluate_ap(preds, layout, library)
+    assert (report.n_evaluated, report.n_filtered_nms, report.n_filtered_collision) == (len(preds), 0, 0)
+
+    # Per grasp: the pose in the object frame, resolve_contacts and a
+    # one-row score_contacts; then combine_scores over the resolvable ones.
+    mesh = library[_scenes.SPHERE_ID]
+    index = SpatialIndex.from_mesh(mesh)
+    gravity_center = mass_properties(mesh).gravity_center
+    resolved, rows = [], []
+    for i, pred in enumerate(preds):
+        local = GraspPose(inst.rotation.T @ pred.pose.rotation,
+                          inst.rotation.T @ (pred.pose.translation - inst.translation),
+                          pred.pose.width, pred.pose.depth)
+        frame = resolve_contacts(mesh, local, GripperModel())
+        if frame.valid:
+            resolved.append(i)
+            rows.append([c[0] for c in score_contacts(ContactArrays.stack([frame]), index, gravity_center)])
+    s_t, _, _, s_f, s_g_raw, s_c_raw = np.array(rows).T
+    want = np.zeros(len(preds))
+    want[resolved] = combine_scores(s_t, s_f, s_g_raw, s_c_raw)[2]
+
+    assert resolved == [0, 1, 3, 4, 5]
+    assert report.true_scores == tuple(want.tolist())
+    # every term moves the hybrid: closure levels differ, and the gravity and
+    # clearance columns are not constant, so normalization is in play
+    assert len(set(s_t)) > 1 and np.ptp(s_g_raw) > 0 and np.ptp(s_c_raw) > 0
+    assert len(set(report.true_scores)) == len(preds)
+
+
+def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch):
+    library, layout, _, preds = one_sphere_group
+    calls = []
+
+    def spy(original, rows):
+        def wrapped(*args, **kwargs):
+            calls.append((original.__name__, rows(args[0])))
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scene, "score_contacts", spy(metrics.score_contacts, lambda c: len(c.p_cl)))
+    monkeypatch.setattr(scene, "combine_scores", spy(metrics.combine_scores, len))
+    report = evaluate_ap(preds, layout, library)
+    # one group: its five resolvable grasps are scored and combined together
+    assert calls == [("score_contacts", 5), ("combine_scores", 5)]
+    assert report.n_evaluated == len(preds)
 
 
 # --- evaluate_ap against the exhaustive filters ---
