@@ -18,13 +18,12 @@ from .errors import (
     SchemaError,
     UnknownObjectId,
 )
-from .gripper import ContactFrame, GraspPose, GripperModel, gripper_collides, resolve_contacts
+from .gripper import ContactFrame, GraspPose, GripperModel, gripper_collides
 from .labels import LabelTable, read_labels, read_predictions, write_labels, write_predictions
 from .mesh import (
     MassProperties,
     TriangleMesh,
     build_mesh,
-    closest_surface_point,
     mass_properties,
     sample_surface,
     transform_mesh,
@@ -45,7 +44,7 @@ from .scene import (
     load_scene_instances,
     save_scene,
 )
-from .spatial import SpatialIndex, knn
+from .spatial import SpatialIndex
 
 __version__ = "0.1.0"
 
@@ -77,7 +76,6 @@ __all__ = [
     "UnknownObjectId",
     "build_mesh",
     "build_scene",
-    "closest_surface_point",
     "closure_scores",
     "combine_scores",
     "enumerate_candidates",
@@ -86,7 +84,6 @@ __all__ = [
     "generate_views",
     "grasp_nms",
     "gripper_collides",
-    "knn",
     "label_mesh",
     "load_config",
     "load_mesh",
@@ -95,7 +92,6 @@ __all__ = [
     "neighborhood_normal_consistency",
     "read_labels",
     "read_predictions",
-    "resolve_contacts",
     "sample_surface",
     "save_config",
     "save_obj",

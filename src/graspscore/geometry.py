@@ -56,19 +56,6 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
-def perpendicular_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing a right-handed frame with the given axis.
-
-    The choice is a fixed deterministic function of the axis so repeated
-    calls agree bit-for-bit.
-    """
-    a = unit(np.asarray(axis, dtype=float))
-    ref = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    b1 = unit(ref - np.dot(ref, a) * a)
-    b2 = np.cross(a, b1)
-    return b1, b2
-
-
 def _row_norms(m: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (n, 3) array, bit for bit ``np.linalg.norm`` of the row."""
     n = np.sqrt(np.vecdot(m, m))
@@ -78,7 +65,14 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def perpendicular_bases(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`perpendicular_basis` of each row of an (n, 3) array, bit for bit."""
+    """Two unit vectors completing a right-handed frame with each row of an (n, 3) array.
+
+    The choice is a fixed deterministic function of the axis, so repeated
+    calls agree bit for bit: ``b1`` is the unit part of x (or of y, when
+    the unit axis has |x| >= 0.9) orthogonal to the axis, and ``b2`` is
+    axis x ``b1``. Each row equals the scalar ``perpendicular_basis`` of
+    ``tests/conftest.py``, bit for bit.
+    """
     a = axes / _row_norms(axes)[:, None]
     ref = np.where((np.abs(a[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     w = ref - np.vecdot(ref, a)[:, None] * a
@@ -87,25 +81,18 @@ def perpendicular_bases(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frames_from_approaches(approaches: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """(n, m, 3, 3) frames: entry [i, j] is ``frame_from_approach(approaches[i], thetas[j])``, bit for bit."""
+    """(n, m, 3, 3) rotations: column z is the unit ``approaches[i]``, column x rotated by ``thetas[j]``.
+
+    Column x (the closing axis) starts at the first :func:`perpendicular_bases`
+    vector of the approach and is spun about it by theta; column y is z x x.
+    Entry [i, j] equals the scalar ``frame_from_approach(approaches[i],
+    thetas[j])`` of ``tests/conftest.py``, bit for bit.
+    """
     z = approaches / _row_norms(approaches)[:, None]
     b1, b2 = perpendicular_bases(z)
     x = np.cos(thetas)[None, :, None] * b1[:, None, :] + np.sin(thetas)[None, :, None] * b2[:, None, :]
     z = np.broadcast_to(z[:, None, :], x.shape)
     return np.stack([x, np.cross(z, x), z], axis=-1)
-
-
-def frame_from_approach(approach: np.ndarray, theta: float) -> np.ndarray:
-    """Rotation matrix with column z = approach and column x rotated by theta.
-
-    Column x (the closing axis) starts at a deterministic perpendicular of
-    the approach axis and is spun about it by theta.
-    """
-    z = unit(np.asarray(approach, dtype=float))
-    b1, b2 = perpendicular_basis(z)
-    x = np.cos(theta) * b1 + np.sin(theta) * b2
-    y = np.cross(z, x)
-    return np.column_stack([x, y, z])
 
 
 def transform_points(points: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -476,78 +463,3 @@ def _first_hits(
         v_out[idx] = v[rr, best][hit]
     return t_out, face_out, u_out, v_out
 
-
-def closest_point_on_triangles(point: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Closest point to `point` on each triangle of a batch.
-
-    Vectorized region-by-region closest-point construction. Returns
-    ((f, 3) closest points, (f, 3) barycentric coordinates).
-    """
-    p = np.asarray(point, dtype=float)
-    ab = v1 - v0
-    ac = v2 - v0
-    ap = p - v0
-
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - v1
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - v2
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
-    n = len(v0)
-    bary = np.zeros((n, 3))
-    done = np.zeros(n, dtype=bool)
-
-    # Vertex regions.
-    m = (d1 <= 0) & (d2 <= 0)
-    bary[m] = [1.0, 0.0, 0.0]
-    done |= m
-    m = (~done) & (d3 >= 0) & (d4 <= d3)
-    bary[m] = [0.0, 1.0, 0.0]
-    done |= m
-    m = (~done) & (d6 >= 0) & (d5 <= d6)
-    bary[m] = [0.0, 0.0, 1.0]
-    done |= m
-
-    # Edge AB.
-    vc = d1 * d4 - d3 * d2
-    m = (~done) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    denom = np.where(d1 - d3 != 0, d1 - d3, 1.0)
-    w = d1 / denom
-    bary[m, 0] = 1.0 - w[m]
-    bary[m, 1] = w[m]
-    done |= m
-
-    # Edge AC.
-    vb = d5 * d2 - d1 * d6
-    m = (~done) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    denom = np.where(d2 - d6 != 0, d2 - d6, 1.0)
-    w = d2 / denom
-    bary[m, 0] = 1.0 - w[m]
-    bary[m, 2] = w[m]
-    done |= m
-
-    # Edge BC.
-    va = d3 * d6 - d5 * d4
-    m = (~done) & (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    denom = (d4 - d3) + (d5 - d6)
-    denom = np.where(denom != 0, denom, 1.0)
-    w = (d4 - d3) / denom
-    bary[m, 1] = 1.0 - w[m]
-    bary[m, 2] = w[m]
-    done |= m
-
-    # Interior.
-    m = ~done
-    denom = np.where(va + vb + vc != 0, va + vb + vc, 1.0)
-    v = vb / denom
-    w = vc / denom
-    bary[m, 0] = 1.0 - v[m] - w[m]
-    bary[m, 1] = v[m]
-    bary[m, 2] = w[m]
-
-    points = bary[:, 0:1] * v0 + bary[:, 1:2] * v1 + bary[:, 2:3] * v2
-    return points, bary

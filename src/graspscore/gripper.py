@@ -11,7 +11,7 @@ Contacts are found by marching two rays toward each other along the closing
 line through the grasp center, starting at the finger inner faces
 (+/- width/2 from the center). The first front-face triangle hit on each
 side is that finger's contact. A back-face first hit means the finger would
-start inside the object, which marks the frame invalid; so does a miss.
+start inside the object, which marks the grasp line invalid; so does a miss.
 """
 
 from __future__ import annotations
@@ -129,14 +129,12 @@ class GraspPose:
 
 @dataclass(frozen=True, eq=False)
 class ContactFrame:
-    """Resolved finger contacts for one grasp.
+    """Resolved finger contacts for one grasp: one row of :class:`ContactArrays`.
 
     Fields are world-space. ``p_cl``/``p_cr`` are the left/right contact
     points with outward surface normals ``v_ql``/``v_qr``; ``v_a`` is the
     unit vector from left to right contact; ``p_el``/``p_er`` are the
-    fingertip inner-edge centers at the commanded width. When ``valid`` is
-    False the geometric fields are unusable and scoring must refuse the
-    frame.
+    fingertip inner-edge centers at the commanded width.
     """
 
     p_cl: np.ndarray
@@ -146,39 +144,19 @@ class ContactFrame:
     v_a: np.ndarray
     p_el: np.ndarray
     p_er: np.ndarray
-    valid: bool = True
 
     def __post_init__(self):
-        if self.valid:
-            for name in ("v_ql", "v_qr", "v_a"):
-                v = getattr(self, name)
-                if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-                    raise ValueError(f"{name} must be a unit vector")
-
-    @classmethod
-    def invalid(cls) -> "ContactFrame":
-        z = np.zeros(3)
-        return cls(z, z, z, z, z, z, z, valid=False)
-
-
-def resolve_contacts(mesh: TriangleMesh, grasp: GraspPose, gripper: GripperModel) -> ContactFrame:
-    """Resolve the two finger contacts of a grasp against a mesh.
-
-    Both rays start at the finger inner faces (half the commanded width out
-    from the grasp center) and march inward along the closing line. Contact
-    normals are barycentric interpolations of vertex normals at the hit
-    points. The frame is invalid when either ray misses within the finger
-    gap or first hits a back face.
-    """
-    valid, contacts, _ = contacts_on_lines(
-        mesh, grasp.center[None, :], grasp.closing_axis[None, :], np.array([grasp.width / 2.0]))
-    return contacts.frame(0) if valid[0] else ContactFrame.invalid()
+        for name in ("v_ql", "v_qr", "v_a"):
+            v = getattr(self, name)
+            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+                raise ValueError(f"{name} must be a unit vector")
 
 
 class ContactArrays(NamedTuple):
-    """Valid contact frames as parallel (n, 3) arrays; row i is frame i.
+    """Resolved contacts as parallel (n, 3) arrays; row i is one grasp line.
 
     Fields follow :class:`ContactFrame`, in its positional order.
+    ``contacts_on_lines`` returns the rows of the valid lines only.
     """
 
     p_cl: np.ndarray
@@ -188,10 +166,6 @@ class ContactArrays(NamedTuple):
     v_a: np.ndarray
     p_el: np.ndarray
     p_er: np.ndarray
-
-    @classmethod
-    def stack(cls, frames: list[ContactFrame]) -> "ContactArrays":
-        return cls(*(np.array([getattr(f, name) for f in frames]).reshape(-1, 3) for name in cls._fields))
 
     def frame(self, i: int) -> ContactFrame:
         return ContactFrame(*(a[i] for a in self))

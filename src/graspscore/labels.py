@@ -26,7 +26,6 @@ rows those checks flag go through the per-row check, whose
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -35,7 +34,7 @@ import numpy as np
 from .errors import SchemaError
 from .gripper import _ROTATION_TOL, GraspPose
 from .metrics import SCORE_COLUMNS, MetricWeights, combine_scores
-from .scene import PredictedGrasp, PredictionTable
+from .scene import PredictionTable
 
 _POSE_COLUMNS = (
     "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
@@ -152,10 +151,8 @@ def read_labels(path: str) -> LabelTable:
     return LabelTable(object_id or "", values)
 
 
-def write_predictions(path: str, predictions: PredictionTable | Sequence[PredictedGrasp]) -> int:
+def write_predictions(path: str, predictions: PredictionTable) -> int:
     """Write a minimal prediction file (pose + predicted_score)."""
-    if not isinstance(predictions, PredictionTable):
-        predictions = PredictionTable.from_grasps(predictions)
     ids = ["" if oid is None else oid for oid in predictions.object_ids]
     for object_id in set(ids):
         check_object_id(object_id)

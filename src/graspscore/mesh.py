@@ -168,25 +168,6 @@ def mass_properties(mesh: TriangleMesh) -> MassProperties:
     return MassProperties(0.0, centroid, "area_centroid")
 
 
-def closest_surface_point(mesh: TriangleMesh, point: np.ndarray):
-    """Exact closest point on the mesh surface to a query point.
-
-    Scans every triangle; among exactly tied faces the lowest face index
-    wins. The returned normal is the barycentric interpolation of the
-    vertex normals at the closest point.
-
-    Returns:
-        (surface_point, normal, distance)
-    """
-    point = np.asarray(point, dtype=float)
-    v0, v1, v2 = mesh.face_corners()
-    candidates, bary = geometry.closest_point_on_triangles(point, v0, v1, v2)
-    d2 = np.einsum("ij,ij->i", candidates - point, candidates - point)
-    best = int(np.argmin(d2))
-    n = (bary[best][None, :] @ mesh.vertex_normals[mesh.faces[best]])[0]
-    return candidates[best], geometry.unit(n), float(np.sqrt(d2[best]))
-
-
 def sample_surface(mesh: TriangleMesh, density: float, rng: np.random.Generator):
     """Area-uniform random points on the surface with interpolated normals.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .gripper import (
     contacts_on_lines,
     gripper_collides,
 )
-from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, transform_mesh, with_surface_samples
+from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import MetricWeights, combine_scores, score_contacts
 from .spatial import SpatialIndex
 
@@ -120,7 +119,7 @@ class PredictionTable:
         object.__setattr__(self, "object_ids", tuple(self.object_ids))
 
     @classmethod
-    def from_grasps(cls, grasps: Sequence[PredictedGrasp]) -> "PredictionTable":
+    def from_grasps(cls, grasps: list[PredictedGrasp]) -> "PredictionTable":
         """One row per grasp, in order."""
         values = [
             [*g.pose.rotation.ravel(), *g.pose.translation, g.pose.width, g.pose.depth, g.predicted_score]
@@ -225,13 +224,22 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
     """Read instances and table height back from a scene JSON file.
 
     Raises:
-        ParseError: the document lacks a required key, has the wrong
-            shape, or holds a NaN table height, a non-finite translation
-            or a rotation that GraspPose would reject; the message names
-            the file and the instance index.
+        ParseError: the file is not ascii or not JSON (the message gives
+            the line and column), or the document lacks a required key, has
+            the wrong shape, or holds a NaN table height, a non-finite
+            translation or a rotation that GraspPose would reject; the
+            message names the file and the instance index.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{path}: byte {raw[exc.start]:#04x} is not ascii: line {line} column {column}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: malformed scene JSON: {exc}") from exc
     try:
         items = list(doc["instances"])
         table_height = float(doc["table_height"])
@@ -262,15 +270,17 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
 
 
 def grasp_nms(
-    grasps: PredictionTable | Sequence[GraspPose],
+    rotations: np.ndarray,
+    translations: np.ndarray,
     scores: np.ndarray,
     trans_thresh: float = DEFAULT_TRANS_THRESH,
     rot_thresh: float = DEFAULT_ROT_THRESH,
 ) -> np.ndarray:
     """Greedy pose non-maximum suppression.
 
-    ``grasps`` is a prediction table, whose pose columns are read as
-    arrays, or a sequence of poses. Grasps are visited by descending score
+    Grasp i has rotation ``rotations[i]`` (3, 3), translation
+    ``translations[i]`` (3,) and score ``scores[i]``, as in the columns of
+    a ``PredictionTable``. Grasps are visited by descending score
     (ties by ascending input index); one is suppressed iff some
     already-kept grasp is closer than ``trans_thresh`` in translation AND
     closer than ``rot_thresh`` in geodesic rotation angle. Returns kept
@@ -292,15 +302,12 @@ def grasp_nms(
     every kept grasp. Memory is bounded by the block size times the kept
     grasps near it, plus the block size squared, whatever the thresholds.
     """
-    n = len(grasps)
+    scores = np.asarray(scores, dtype=float)
+    n = len(scores)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    scores = np.asarray(scores, dtype=float)
-    if isinstance(grasps, PredictionTable):
-        translations, rotations = grasps.translations, grasps.rotations
-    else:
-        translations = np.array([g.translation for g in grasps])
-        rotations = np.array([g.rotation for g in grasps])
+    rotations = np.asarray(rotations, dtype=float)
+    translations = np.asarray(translations, dtype=float)
 
     order = np.lexsort((np.arange(n), -scores))
     if not (trans_thresh > 0 and rot_thresh > 0):
@@ -541,7 +548,7 @@ def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
 
 
 def evaluate_ap(
-    predictions: PredictionTable | Sequence[PredictedGrasp],
+    predictions: PredictionTable,
     layout: SceneLayout,
     library: dict[str, TriangleMesh],
     weights: MetricWeights = MetricWeights(),
@@ -583,14 +590,13 @@ def evaluate_ap(
     for association.
 
     NMS reads the table's pose columns as arrays; a ``PredictedGrasp`` is
-    built only for the NMS survivors. A sequence of ``PredictedGrasp`` is
-    first packed into a table.
+    built only for the NMS survivors. ``PredictionTable.from_grasps`` packs
+    a list of ``PredictedGrasp`` into a table.
     """
-    if not isinstance(predictions, PredictionTable):
-        predictions = PredictionTable.from_grasps(predictions)
     n_in = len(predictions)
 
-    kept = grasp_nms(predictions, predictions.scores, trans_thresh, rot_thresh)
+    kept = grasp_nms(predictions.rotations, predictions.translations, predictions.scores,
+                     trans_thresh, rot_thresh)
     n_nms = n_in - len(kept)
 
     kept_grasps = [predictions.grasp(i) for i in kept.tolist()]

@@ -9,7 +9,6 @@ force linear scan, ties included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,15 +19,6 @@ from .errors import KTooLarge
 # with the (k+1)-th; generous against last-ulp drift between the tree's
 # metric and numpy's.
 _TIE_RTOL = 1e-9
-
-
-class NeighborSet(NamedTuple):
-    """k nearest neighbors of one query, ascending (distance, index)."""
-
-    indices: np.ndarray    # (k,) int
-    points: np.ndarray     # (k, 3)
-    normals: np.ndarray    # (k, 3)
-    distances: np.ndarray  # (k,)
 
 
 @dataclass
@@ -106,12 +96,3 @@ class SpatialIndex:
         order = np.lexsort((cand, d))[:k]
         return cand[order], d[order]
 
-
-def knn(index: SpatialIndex, query: np.ndarray, k: int) -> NeighborSet:
-    """k nearest indexed points to a single query point.
-
-    Results match a brute-force linear scan exactly: sorted by ascending
-    distance, equal distances resolved by ascending point index.
-    """
-    idx, dist = index.knn_batch(np.asarray(query, dtype=float)[None, :], k)
-    return NeighborSet(idx[0], index.points[idx[0]], index.normals[idx[0]], dist[0])

@@ -23,8 +23,9 @@ from graspscore import (
     with_surface_samples,
 )
 from graspscore.candidates import generate_views
-from graspscore.geometry import perpendicular_basis
 from graspscore.primitives import make_icosphere
+
+from conftest import perpendicular_basis
 
 CLOSURE_ONLY = MetricWeights(1.0, 0.0, 0.0, 0.0)
 SPHERE_ID = "sph3"

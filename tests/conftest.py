@@ -7,6 +7,8 @@ import pytest
 
 import graspscore
 from graspscore import with_surface_samples
+from graspscore.geometry import unit
+from graspscore.gripper import contacts_on_lines
 from graspscore.primitives import (
     make_box,
     make_cylinder,
@@ -59,6 +61,65 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def perpendicular_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar oracle of ``geometry.perpendicular_bases``: two unit vectors
+    completing a right-handed frame with one axis."""
+    a = unit(np.asarray(axis, dtype=float))
+    ref = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    b1 = unit(ref - np.dot(ref, a) * a)
+    b2 = np.cross(a, b1)
+    return b1, b2
+
+
+def frame_from_approach(approach: np.ndarray, theta: float) -> np.ndarray:
+    """Scalar oracle of ``geometry.frames_from_approaches``: the rotation with
+    column z = approach and column x spun by theta from its perpendicular."""
+    z = unit(np.asarray(approach, dtype=float))
+    b1, b2 = perpendicular_basis(z)
+    x = np.cos(theta) * b1 + np.sin(theta) * b2
+    y = np.cross(z, x)
+    return np.column_stack([x, y, z])
+
+
+def closest_on_triangle(p, a, b, c) -> float:
+    """Distance from p to triangle abc: plane projection plus edge segments."""
+    n = np.cross(b - a, c - a)
+    n2 = n @ n
+    best = None
+    if n2 > 0:
+        # barycentric coordinates of the in-plane projection
+        q = p - n * ((p - a) @ n) / n2
+        w = np.cross(b - a, q - a) @ n / n2
+        u = np.cross(c - b, q - b) @ n / n2
+        v = np.cross(a - c, q - c) @ n / n2
+        if u >= 0 and v >= 0 and w >= 0:
+            best = q
+    candidates = [] if best is None else [best]
+    for s, e in ((a, b), (b, c), (c, a)):
+        d = e - s
+        t = np.clip((p - s) @ d / (d @ d), 0.0, 1.0)
+        candidates.append(s + t * d)
+    dists = [np.linalg.norm(p - q) for q in candidates]
+    return min(dists)
+
+
+def surface_distance(mesh, p) -> float:
+    """Distance from p to the mesh surface, one triangle at a time."""
+    v0, v1, v2 = mesh.face_corners()
+    return min(closest_on_triangle(p, v0[i], v1[i], v2[i]) for i in range(len(v0)))
+
+
+def one_line_contacts(mesh, pose):
+    """A grasp's contacts from a one-line ``contacts_on_lines`` call.
+
+    Returns ``ContactArrays`` with one row, or with none when a finger
+    misses or first meets a back face.
+    """
+    _, contacts, _ = contacts_on_lines(mesh, pose.center[None, :], pose.closing_axis[None, :],
+                                       np.array([pose.width / 2.0]))
+    return contacts
 
 
 def run_python(*argv, cwd):

@@ -29,6 +29,7 @@ from graspscore import (
     GripperModel,
     MetricWeights,
     PipelineConfig,
+    PredictionTable,
     SpatialIndex,
     closure_scores,
     combine_scores,
@@ -38,12 +39,11 @@ from graspscore import (
     label_mesh,
     mass_properties,
     neighborhood_normal_consistency,
-    resolve_contacts,
     save_obj,
     score_contacts,
     transform_mesh,
 )
-from graspscore.candidates import generate_views
+from graspscore.candidates import candidate_arrays, generate_views
 from graspscore.gripper import ContactArrays, contacts_on_lines
 from graspscore.scene import DEFAULT_ROT_THRESH, DEFAULT_TRANS_THRESH
 
@@ -209,8 +209,8 @@ def _random_closure_frame(rng) -> ContactFrame:
 def _closes(frames, mu) -> np.ndarray:
     """Force closure of each frame at friction mu: a one-bin ladder scores
     1.1 - mu on a pass and 0 on a fail."""
-    contacts = ContactArrays.stack(frames)
-    return closure_scores(contacts.v_a, contacts.v_ql, contacts.v_qr, FrictionBins((mu,))) != 0.0
+    v_a, v_ql, v_qr = (np.array([getattr(f, name) for f in frames]) for name in ("v_a", "v_ql", "v_qr"))
+    return closure_scores(v_a, v_ql, v_qr, FrictionBins((mu,))) != 0.0
 
 
 def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
@@ -237,10 +237,10 @@ def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
     for mesh in (cube, icosphere):
         grid = CandidateGrid.build(mesh, n_seeds=8, n_views=6, n_rotations=2)
         gc = mass_properties(mesh).gravity_center
-        frames = [f for _, f in itertools.islice(enumerate_candidates(mesh, grid, gripper), 75)]
-        s_g_raw = score_contacts(ContactArrays.stack(frames), SpatialIndex.from_mesh(mesh), gc)[4]
-        gravity_dev = max(gravity_dev, *(
-            abs(g - _dense_line_min(f.p_cl, f.p_cr, gc)) for f, g in zip(frames, s_g_raw)))
+        contacts = ContactArrays(*(a[:75] for a in candidate_arrays(mesh, grid, gripper).contacts))
+        s_g_raw = score_contacts(contacts, SpatialIndex.from_mesh(mesh), gc)[4]
+        gravity_dev = max(gravity_dev, *(abs(g - _dense_line_min(p_cl, p_cr, gc))
+                                         for p_cl, p_cr, g in zip(contacts.p_cl, contacts.p_cr, s_g_raw)))
     if gravity_dev > 1e-6:
         failures.append(f"gravity distance off by {gravity_dev:.2e}")
 
@@ -331,13 +331,13 @@ def test_criterion_5_flatness_sanity(plate, icosphere):
     if flatness[top] < 0.99:
         failures.append(f"best flatness only {flatness[top]:.4f}")
 
-    gripper = GripperModel()
-    frames = [resolve_contacts(icosphere, _scenes.diametral_grasp(np.zeros(3), view), gripper)
-              for view in generate_views(8)]
-    if not all(f.valid for f in frames):
+    poses = [_scenes.diametral_grasp(np.zeros(3), view) for view in generate_views(8)]
+    valid, contacts, _ = contacts_on_lines(icosphere, np.array([p.center for p in poses]),
+                                           np.array([p.closing_axis for p in poses]),
+                                           np.array([p.width / 2.0 for p in poses]))
+    if not valid.all():
         failures.append("a diametral grasp lost its contacts")
-    s_f2 = score_contacts(ContactArrays.stack([f for f in frames if f.valid]),
-                          SpatialIndex.from_mesh(icosphere), np.zeros(3))[2]
+    s_f2 = score_contacts(contacts, SpatialIndex.from_mesh(icosphere), np.zeros(3))[2]
     worst_alignment = float(s_f2.min(initial=1.0))
     if worst_alignment < 0.99:
         failures.append(f"diametral alignment only {worst_alignment:.4f}")
@@ -370,9 +370,9 @@ def test_criterion_7_ap_protocol():
     library = _scenes.sphere_library()
     layout = _scenes.sphere_scene(library)
 
-    perfect = evaluate_ap(_scenes.perfect_predictions(), layout, library, _scenes.CLOSURE_ONLY)
-    zero = evaluate_ap(_scenes.zero_predictions(), layout, library, _scenes.CLOSURE_ONLY)
-    good25 = evaluate_ap(_scenes.good25_predictions(), layout, library, _scenes.CLOSURE_ONLY)
+    perfect, zero, good25 = (
+        evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
+        for preds in (_scenes.perfect_predictions(), _scenes.zero_predictions(), _scenes.good25_predictions()))
     zero_dev = abs(zero.map_value - 1.0 / 6.0)
     good_dev = abs(good25.map_value - _scenes.good25_oracle_map())
 
@@ -397,7 +397,8 @@ def test_criterion_7_ap_protocol():
             for _ in range(100)
         ]
         scores = rng.uniform(size=100)
-        kept = grasp_nms(grasps, scores)
+        rotations = np.array([g.rotation for g in grasps])
+        kept = grasp_nms(rotations, np.array([g.translation for g in grasps]), scores)
         if int(np.argmax(scores)) not in kept.tolist():
             dropped_best += 1
         for a, b in itertools.combinations(kept.tolist(), 2):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from graspscore import GraspPose, GripperModel, resolve_contacts
+from graspscore import GraspPose, GripperModel
 from graspscore.candidates import (
     CandidateGrid,
     enumerate_candidates,
     farthest_point_sampling,
     generate_views,
 )
-from graspscore.geometry import frame_from_approach, frames_from_approaches
+from graspscore.geometry import frames_from_approaches
 from graspscore.primitives import make_plate
+
+from conftest import frame_from_approach, one_line_contacts
 
 
 def test_views_single_is_north_pole():
@@ -91,17 +93,20 @@ def test_grid_requires_samples(icosphere):
 
 
 def test_frame_from_approach_properties():
+    def frame_of(approach, theta):
+        return frames_from_approaches(approach[None, :], np.array([theta]))[0, 0]
+
     rng = np.random.default_rng(5)
     for _ in range(50):
         approach = rng.normal(size=3)
         approach /= np.linalg.norm(approach)
         theta = rng.uniform(0, np.pi)
-        frame = frame_from_approach(approach, theta)
+        frame = frame_of(approach, theta)
         assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(frame) > 0
         assert np.allclose(frame[:, 2], approach, atol=1e-12)
-    base = frame_from_approach(np.array([0.0, 0.0, 1.0]), 0.0)
-    quarter = frame_from_approach(np.array([0.0, 0.0, 1.0]), np.pi / 2)
+    base = frame_of(np.array([0.0, 0.0, 1.0]), 0.0)
+    quarter = frame_of(np.array([0.0, 0.0, 1.0]), np.pi / 2)
     want_x = np.cos(np.pi / 2) * base[:, 0] + np.sin(np.pi / 2) * base[:, 1]
     assert np.allclose(quarter[:, 0], want_x, atol=1e-12)
 
@@ -163,13 +168,13 @@ def _sideways_pose(center_z, depth):
 
 def test_plate_wider_than_gripper_rejects_sideways_grasp():
     wide = make_plate((0.12, 0.04, 0.004))
-    frame = resolve_contacts(wide, _sideways_pose(-0.002, 0.004), GripperModel())
-    assert not frame.valid
+    assert len(one_line_contacts(wide, _sideways_pose(-0.002, 0.004)).p_cl) == 0
 
 
 def test_narrow_plate_accepts_sideways_grasp():
     narrow = make_plate((0.04, 0.04, 0.004))
-    frame = resolve_contacts(narrow, _sideways_pose(-0.002, 0.004), GripperModel())
-    assert frame.valid
+    contacts = one_line_contacts(narrow, _sideways_pose(-0.002, 0.004))
+    assert len(contacts.p_cl) == 1
+    frame = contacts.frame(0)
     assert np.allclose(frame.p_cl, [-0.02, 0, -0.002], atol=1e-9)
     assert np.allclose(frame.p_cr, [0.02, 0, -0.002], atol=1e-9)

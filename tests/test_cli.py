@@ -5,6 +5,7 @@ import pytest
 
 from graspscore import (
     PredictedGrasp,
+    PredictionTable,
     SceneInstance,
     build_scene,
     evaluate_ap,
@@ -124,12 +125,12 @@ def eval_setup(tmp_path_factory):
     sphere = make_icosphere(0.03, 3)
     save_obj(str(meshes / "sph3.obj"), sphere.vertices, sphere.faces)
 
-    preds = [
+    preds = PredictionTable.from_grasps([
         PredictedGrasp(_scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])),
                        0.9, "sph3"),
         PredictedGrasp(_scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2),
                        0.8, "sph3"),
-    ]
+    ])
     write_predictions(str(path / "preds.csv"), preds)
     return path, preds
 
@@ -238,6 +239,21 @@ def test_eval_rejects_bad_scene(eval_setup, field, value):
     if field != "table_height":
         assert "instance 1" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"table_height": ', "line 1 column 18"),
+    ('{"table_height": -0.2,\n "note": "caf\u00e9", "instances": []}', "line 2 column 14"),
+], ids=["truncated", "non-ascii"])
+def test_eval_rejects_malformed_scene_file(eval_setup, text, where):
+    path, _ = eval_setup
+    (path / "broken_scene.json").write_bytes(text.encode("utf-8"))
+    res = _run("eval", "preds.csv", "--scene", "broken_scene.json", "--meshes", "meshes",
+               "--out", "broken_report.json", cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "ParseError" in res.stderr and "broken_scene.json" in res.stderr and where in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (path / "broken_report.json").exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])

@@ -5,10 +5,8 @@ from graspscore import (
     ContactFrame,
     GraspPose,
     GripperModel,
-    closest_surface_point,
     enumerate_candidates,
     gripper_collides,
-    resolve_contacts,
     transform_mesh,
 )
 from graspscore.candidates import CandidateGrid
@@ -16,7 +14,7 @@ from graspscore.gripper import collision_box_corners, contacts_on_lines
 from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
-from conftest import random_rotation
+from conftest import closest_on_triangle, one_line_contacts, random_rotation
 
 
 def _pose_closing_x(center, width, depth):
@@ -28,10 +26,9 @@ def _pose_closing_x(center, width, depth):
 
 def test_cube_centered_grasp():
     cube = make_box((1.0, 1.0, 1.0))
-    gripper = GripperModel(max_width=1.5, finger_length=0.8,
-                           finger_thickness=0.05, depth_levels=(0.25,))
-    frame = resolve_contacts(cube, _pose_closing_x((0, 0, 0), 1.2, 0.25), gripper)
-    assert frame.valid
+    contacts = one_line_contacts(cube, _pose_closing_x((0, 0, 0), 1.2, 0.25))
+    assert len(contacts.p_cl) == 1
+    frame = contacts.frame(0)
     assert np.allclose(frame.p_cl, [-0.5, 0, 0], atol=1e-12)
     assert np.allclose(frame.p_cr, [0.5, 0, 0], atol=1e-12)
     assert np.allclose(frame.v_a, [1, 0, 0], atol=1e-12)
@@ -45,14 +42,14 @@ def test_cube_centered_grasp():
 
 def test_grasp_above_object_misses():
     cube = make_box((0.04, 0.04, 0.04))
-    frame = resolve_contacts(cube, _pose_closing_x((0, 0, 1.0), 0.05, 0.01), GripperModel())
-    assert not frame.valid
+    assert len(one_line_contacts(cube, _pose_closing_x((0, 0, 1.0), 0.05, 0.01)).p_cl) == 0
 
 
 def test_icosphere_diametral_contacts():
     sphere = make_icosphere(0.03, 3)
-    frame = resolve_contacts(sphere, _pose_closing_x((0, 0, 0), 0.07, 0.03), GripperModel())
-    assert frame.valid
+    contacts = one_line_contacts(sphere, _pose_closing_x((0, 0, 0), 0.07, 0.03))
+    assert len(contacts.p_cl) == 1
+    frame = contacts.frame(0)
     separation = np.linalg.norm(frame.p_cr - frame.p_cl)
     assert abs(separation - 0.06) < 2e-3
     ang_l = np.arccos(np.clip(np.dot(frame.v_ql, -frame.v_a), -1, 1))
@@ -64,22 +61,19 @@ def test_icosphere_diametral_contacts():
 def test_back_face_hit_is_invalid():
     # the left ray starts inside the cube and exits through the +x face
     cube = make_box((0.04, 0.04, 0.04))
-    frame = resolve_contacts(cube, _pose_closing_x((0.015, 0, 0), 0.02, 0.01), GripperModel())
-    assert not frame.valid
+    assert len(one_line_contacts(cube, _pose_closing_x((0.015, 0, 0), 0.02, 0.01)).p_cl) == 0
 
 
 def test_rays_starting_inside_without_reach_are_invalid():
     cube = make_box((0.04, 0.04, 0.04))
-    frame = resolve_contacts(cube, _pose_closing_x((0, 0, 0), 0.02, 0.01), GripperModel())
-    assert not frame.valid
+    assert len(one_line_contacts(cube, _pose_closing_x((0, 0, 0), 0.02, 0.01)).p_cl) == 0
 
 
 def test_resolve_rigid_equivariance():
     sphere = make_icosphere(0.03, 3)
-    gripper = GripperModel()
     pose = _pose_closing_x((0, 0, 0.005), 0.07, 0.02)
-    base = resolve_contacts(sphere, pose, gripper)
-    assert base.valid
+    base = one_line_contacts(sphere, pose)
+    assert len(base.p_cl) == 1
     rng = np.random.default_rng(9)
     for _ in range(10):
         rot = random_rotation(rng)
@@ -88,35 +82,37 @@ def test_resolve_rigid_equivariance():
         moved_pose = GraspPose(rotation=rot @ pose.rotation,
                                translation=rot @ pose.translation + trans,
                                width=pose.width, depth=pose.depth)
-        moved = resolve_contacts(moved_mesh, moved_pose, gripper)
-        assert moved.valid
+        moved = one_line_contacts(moved_mesh, moved_pose)
+        assert len(moved.p_cl) == 1
         for name in ("p_cl", "p_cr", "p_el", "p_er"):
-            want = rot @ getattr(base, name) + trans
+            want = getattr(base, name) @ rot.T + trans
             assert np.all(np.abs(getattr(moved, name) - want) < 1e-6), name
         for name in ("v_ql", "v_qr", "v_a"):
-            want = rot @ getattr(base, name)
+            want = getattr(base, name) @ rot.T
             assert np.all(np.abs(getattr(moved, name) - want) < 1e-6), name
 
 
 def test_contact_frame_invariants_on_candidates(icosphere):
     gripper = GripperModel()
     grid = CandidateGrid.build(icosphere, n_seeds=8, n_views=10, n_rotations=3)
+    v0, v1, v2 = icosphere.face_corners()
+    # a point within 1e-6 of a face lies in its bounding box grown by 1e-6
+    lo = np.minimum(np.minimum(v0, v1), v2) - 1e-6
+    hi = np.maximum(np.maximum(v0, v1), v2) + 1e-6
     count = 0
     for pose, frame in enumerate_candidates(icosphere, grid, gripper):
-        assert frame.valid
         assert np.linalg.norm(frame.p_cr - frame.p_cl) <= gripper.max_width + 1e-12
         for v in (frame.v_a, frame.v_ql, frame.v_qr):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-6
         if count % 37 == 0:
             for p in (frame.p_cl, frame.p_cr):
-                _, _, dist = closest_surface_point(icosphere, p)
-                assert dist < 1e-6
+                near = np.flatnonzero(((lo <= p) & (p <= hi)).all(axis=1))
+                assert any(closest_on_triangle(p, v0[i], v1[i], v2[i]) < 1e-6 for i in near)
         count += 1
     assert count > 0
 
 
 def test_batch_matches_single(icosphere):
-    gripper = GripperModel()
     rng = np.random.default_rng(13)
     poses = []
     for _ in range(20):
@@ -132,12 +128,12 @@ def test_batch_matches_single(icosphere):
     )
     rows = iter(range(len(contacts.p_cl)))
     for pose, batched_valid in zip(poses, valid):
-        single = resolve_contacts(icosphere, pose, gripper)
-        assert single.valid == batched_valid
-        if single.valid:
-            batched = contacts.frame(next(rows))
-            assert np.array_equal(single.p_cl, batched.p_cl)
-            assert np.array_equal(single.v_qr, batched.v_qr)
+        single = one_line_contacts(icosphere, pose)
+        assert len(single.p_cl) == batched_valid
+        if batched_valid:
+            row = next(rows)
+            for name in single._fields:
+                assert np.array_equal(getattr(single, name)[0], getattr(contacts, name)[row]), name
     assert valid.any()
 
 
@@ -252,7 +248,6 @@ def test_contact_frame_unit_check():
     with pytest.raises(ValueError):
         ContactFrame(p_cl=z, p_cr=z, v_ql=np.array([2.0, 0, 0]), v_qr=np.array([1.0, 0, 0]),
                      v_a=np.array([1.0, 0, 0]), p_el=z, p_er=z)
-    assert not ContactFrame.invalid().valid
 
 
 def test_collision_body_layout():

@@ -133,7 +133,7 @@ def test_object_id_with_comma_rejected(tmp_path):
         with pytest.raises(ValueError, match="object_id"):
             LabelTable(object_id, values)
         with pytest.raises(ValueError, match="object_id"):
-            write_predictions(str(path), [PredictedGrasp(pose, 0.5, object_id)])
+            write_predictions(str(path), PredictionTable.from_grasps([PredictedGrasp(pose, 0.5, object_id)]))
         assert not path.exists()
 
 
@@ -151,7 +151,7 @@ def test_prediction_round_trip(tmp_path):
     rng = np.random.default_rng(45)
     preds = _random_predictions(rng, 200)
     path = str(tmp_path / "preds.csv")
-    assert write_predictions(path, preds) == 200
+    assert write_predictions(path, PredictionTable.from_grasps(preds)) == 200
     header = open(path).readline().rstrip("\n")
     assert header == ",".join(PREDICTION_COLUMNS)
     loaded = read_predictions(path)
@@ -193,7 +193,7 @@ def test_predictions_missing_column(tmp_path):
 def test_predictions_reject_non_finite_values(tmp_path, column, value):
     rng = np.random.default_rng(48)
     path = str(tmp_path / "preds.csv")
-    write_predictions(path, _random_predictions(rng, 2))
+    write_predictions(path, PredictionTable.from_grasps(_random_predictions(rng, 2)))
     lines = open(path).read().splitlines()
     parts = lines[2].split(",")
     parts[PREDICTION_COLUMNS.index(column)] = value
@@ -219,7 +219,7 @@ def test_labels_reject_non_finite_values(tmp_path):
 def test_predictions_reject_bad_pose(tmp_path):
     rng = np.random.default_rng(47)
     path = str(tmp_path / "preds.csv")
-    write_predictions(path, _random_predictions(rng, 2))
+    write_predictions(path, PredictionTable.from_grasps(_random_predictions(rng, 2)))
     lines = open(path).read().splitlines()
     parts = lines[2].split(",")
     parts[1:10] = [repr(v) for v in (2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)]

@@ -7,7 +7,6 @@ from graspscore import (
     EmptyMesh,
     ParseError,
     build_mesh,
-    closest_surface_point,
     load_mesh,
     mass_properties,
     sample_surface,
@@ -17,7 +16,7 @@ from graspscore import (
 from graspscore.meshio import save_obj, save_ply
 from graspscore.primitives import make_box, make_icosphere, make_l_prism
 
-from conftest import random_rotation
+from conftest import random_rotation, surface_distance
 
 UNIT_CUBE_OBJ = """\
 v -0.5 -0.5 -0.5
@@ -47,36 +46,6 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-# --- independent closest-point oracle: plane projection + edge segments ---
-
-def _closest_on_triangle(p, a, b, c):
-    n = np.cross(b - a, c - a)
-    n2 = n @ n
-    best = None
-    if n2 > 0:
-        # barycentric coordinates of the in-plane projection
-        q = p - n * ((p - a) @ n) / n2
-        w = np.cross(b - a, q - a) @ n / n2
-        u = np.cross(c - b, q - b) @ n / n2
-        v = np.cross(a - c, q - c) @ n / n2
-        if u >= 0 and v >= 0 and w >= 0:
-            best = q
-    candidates = [] if best is None else [best]
-    for s, e in ((a, b), (b, c), (c, a)):
-        d = e - s
-        t = np.clip((p - s) @ d / (d @ d), 0.0, 1.0)
-        candidates.append(s + t * d)
-    dists = [np.linalg.norm(p - q) for q in candidates]
-    return min(dists)
-
-
-def _oracle_distance(mesh, p):
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    v1 = mesh.vertices[mesh.faces[:, 1]]
-    v2 = mesh.vertices[mesh.faces[:, 2]]
-    return min(_closest_on_triangle(p, v0[i], v1[i], v2[i]) for i in range(len(v0)))
 
 
 def test_load_obj_unit_cube(tmp_path):
@@ -358,35 +327,11 @@ def test_gravity_center_inside_bbox(desk_meshes):
         assert np.all(gc <= mesh.vertices.max(axis=0) + 1e-12)
 
 
-def test_closest_point_above_cube():
-    mesh = make_box((1.0, 1.0, 1.0))
-    point, normal, dist = closest_surface_point(mesh, np.array([0.0, 0.0, 2.0]))
-    assert np.allclose(point, [0.0, 0.0, 0.5], atol=1e-12)
-    assert abs(dist - 1.5) < 1e-12
-    assert normal[2] > 0
-
-
-def test_closest_point_at_vertex():
-    mesh = make_box((1.0, 1.0, 1.0))
-    _, _, dist = closest_surface_point(mesh, mesh.vertices[3])
-    assert dist < 1e-12
-
-
-def test_closest_point_matches_triangle_oracle(icosphere):
-    mesh = make_box((0.04, 0.04, 0.04))
-    rng = np.random.default_rng(11)
-    for target in (mesh, icosphere):
-        for _ in range(50):
-            q = rng.uniform(-0.08, 0.08, 3)
-            _, _, dist = closest_surface_point(target, q)
-            assert abs(dist - _oracle_distance(target, q)) < 1e-9
-
-
 def test_closest_point_lower_bounds_samples(cube):
     rng = np.random.default_rng(3)
     for _ in range(25):
         q = rng.uniform(-0.1, 0.1, 3)
-        _, _, dist = closest_surface_point(cube, q)
+        dist = surface_distance(cube, q)
         nearest_sample = np.linalg.norm(cube.surface_points - q, axis=1).min()
         assert dist <= nearest_sample + 1e-12
 
@@ -405,8 +350,7 @@ def test_sample_surface_count_and_determinism():
 
 def test_samples_lie_on_surface(cube):
     for q in cube.surface_points[::200]:
-        _, _, dist = closest_surface_point(cube, q)
-        assert dist < 1e-9
+        assert surface_distance(cube, q) < 1e-9
 
 
 def test_with_surface_samples_preserves_mesh(cube):

@@ -3,17 +3,17 @@ import pytest
 
 from graspscore import (
     GraspPose,
-    GripperModel,
     MetricWeights,
     SpatialIndex,
     combine_scores,
     neighborhood_normal_consistency,
-    resolve_contacts,
     score_contacts,
 )
 from graspscore.gripper import ContactArrays
 from graspscore.labels import LABEL_COLUMNS
 from graspscore.metrics import SCORE_COLUMNS
+
+from conftest import one_line_contacts
 
 # Raw score columns returned by score_contacts.
 _S_T, _S_F1, _S_F2, _S_F, _S_G_RAW, _S_C_RAW = range(6)
@@ -82,9 +82,10 @@ def test_flatness_matches_bruteforce_on_sphere(icosphere):
     rot = np.column_stack([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
     pose = GraspPose(rotation=rot, translation=np.array([0.0, 0.0, 0.03]),
                      width=0.07, depth=0.03)
-    frame = resolve_contacts(icosphere, pose, GripperModel())
-    assert frame.valid
-    s = _scores(ContactArrays.stack([frame]), index)
+    contacts = one_line_contacts(icosphere, pose)
+    assert len(contacts.p_cl) == 1
+    s = _scores(contacts, index)
+    frame = contacts.frame(0)
 
     acc = 0.0
     for p, n in ((frame.p_cl, frame.v_ql), (frame.p_cr, frame.v_qr)):

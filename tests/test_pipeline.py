@@ -10,14 +10,12 @@ from graspscore import (
     combine_scores,
     label_mesh,
     mass_properties,
-    resolve_contacts,
     score_contacts,
     transform_mesh,
 )
-from graspscore.geometry import frame_from_approach
 from graspscore.gripper import ContactArrays
 
-from conftest import random_rotation
+from conftest import frame_from_approach, one_line_contacts, random_rotation
 
 TINY = PipelineConfig(n_seeds=12, n_views=10, n_rotations=4)
 
@@ -56,38 +54,37 @@ def test_label_mesh_builds_no_per_candidate_objects(cube, monkeypatch):
 
 
 def _per_candidate_rows(mesh, config):
-    """Label rows from a per-candidate loop: one resolve_contacts call, one
-    GraspPose and one ContactFrame per grid cell, the contact line
-    normalized and the width set from a per-row np.linalg.norm, then the
-    array scorers over the stacked frames. Returns the (n, 23) values of the
-    label columns after object_id."""
+    """Label rows from a per-candidate loop: one one-line contacts_on_lines
+    call and one GraspPose per grid cell, the contact line normalized and
+    the width set from a per-row np.linalg.norm, then the array scorers
+    over the stacked contacts. Returns the (n, 23) values of the label
+    columns after object_id."""
     gripper = config.gripper()
     grid = CandidateGrid.build(mesh, n_seeds=config.n_seeds, n_views=config.n_views,
                                n_rotations=config.n_rotations, depths=gripper.depth_levels)
     cells = [(frame_from_approach(-view, theta), depth)
              for view in grid.views for theta in grid.rotations for depth in grid.depths]
 
-    poses, frames = [], []
+    poses, rows = [], []
     for seed in grid.seed_points:
         for rotation, depth in cells:
             search = GraspPose(rotation=rotation, translation=seed, width=gripper.max_width,
                                depth=float(depth))
-            hit = resolve_contacts(mesh, search, gripper)
-            if not hit.valid:
+            hit = one_line_contacts(mesh, search)
+            if not len(hit.p_cl):
                 continue
-            gap = hit.p_cr - hit.p_cl
+            gap = hit.p_cr[0] - hit.p_cl[0]
             separation = np.linalg.norm(gap)
             pose = GraspPose(rotation=rotation, translation=np.array(seed),
                              width=min(float(separation) + config.width_clearance, gripper.max_width),
                              depth=float(depth))
             jaw = pose.width / 2.0 * pose.closing_axis
             poses.append(pose)
-            frames.append(ContactFrame(p_cl=hit.p_cl, p_cr=hit.p_cr, v_ql=hit.v_ql, v_qr=hit.v_qr,
-                                       v_a=gap / separation,
-                                       p_el=pose.center - jaw, p_er=pose.center + jaw))
+            rows.append(hit._replace(v_a=(gap / separation)[None, :], p_el=(pose.center - jaw)[None, :],
+                                     p_er=(pose.center + jaw)[None, :]))
     s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
-        ContactArrays.stack(frames), SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center,
-        config.bins(), config.knn_k)
+        ContactArrays(*map(np.concatenate, zip(*rows))), SpatialIndex.from_mesh(mesh),
+        mass_properties(mesh).gravity_center, config.bins(), config.knn_k)
     s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
     scores = np.column_stack([s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw, s_c, s_hybrid])
     return np.array([[*p.rotation.ravel(), *p.translation, p.width, p.depth, *row]

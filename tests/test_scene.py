@@ -21,17 +21,15 @@ from graspscore import (
     grasp_nms,
     load_scene_instances,
     mass_properties,
-    resolve_contacts,
     save_scene,
     score_contacts,
 )
 from graspscore import geometry, metrics, scene
 from graspscore.candidates import generate_views
-from graspscore.gripper import ContactArrays
 from graspscore.errors import ParseError, UnknownObjectId
 
 import _scenes
-from conftest import random_rotation
+from conftest import one_line_contacts, random_rotation
 
 
 def _pose(translation, rotation=None, width=0.05, depth=0.02):
@@ -43,36 +41,48 @@ def _pose(translation, rotation=None, width=0.05, depth=0.02):
 
 # --- NMS ---
 
+def _pose_columns(poses):
+    """(rotations, translations) of a ``PredictionTable`` or a list of ``GraspPose``."""
+    if isinstance(poses, PredictionTable):
+        return poses.rotations, poses.translations
+    return (np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+            np.array([p.translation for p in poses]).reshape(-1, 3))
+
+
+def _nms(poses, scores, *thresholds):
+    return grasp_nms(*_pose_columns(poses), scores, *thresholds)
+
+
 def test_nms_suppresses_duplicate():
     poses = [_pose([0, 0, 0]), _pose([0, 0, 0])]
-    kept = grasp_nms(poses, np.array([0.9, 0.8]))
+    kept = _nms(poses, np.array([0.9, 0.8]))
     assert kept.tolist() == [0]
 
 
 def test_nms_keeps_distant_pair():
     poses = [_pose([0, 0, 0]), _pose([1, 0, 0])]
-    kept = grasp_nms(poses, np.array([0.8, 0.9]))
+    kept = _nms(poses, np.array([0.8, 0.9]))
     assert kept.tolist() == [1, 0]
 
 
 def test_nms_tie_breaks_by_input_order():
     poses = [_pose([0, 0, 0]), _pose([0, 0, 0]), _pose([1, 0, 0])]
-    kept = grasp_nms(poses, np.array([0.5, 0.5, 0.5]))
+    kept = _nms(poses, np.array([0.5, 0.5, 0.5]))
     assert kept.tolist() == [0, 2]
 
 
 def test_nms_requires_both_distances_close():
     quarter = Rotation.from_euler("z", 90, degrees=True).as_matrix()
     near_far_rot = [_pose([0, 0, 0]), _pose([0.001, 0, 0], rotation=quarter)]
-    assert len(grasp_nms(near_far_rot, np.array([0.9, 0.8]))) == 2
+    assert len(_nms(near_far_rot, np.array([0.9, 0.8]))) == 2
     far_near_rot = [_pose([0, 0, 0]), _pose([0.05, 0, 0])]
-    assert len(grasp_nms(far_near_rot, np.array([0.9, 0.8]))) == 2
+    assert len(_nms(far_near_rot, np.array([0.9, 0.8]))) == 2
     near_both = [_pose([0, 0, 0]), _pose([0.001, 0, 0])]
-    assert len(grasp_nms(near_both, np.array([0.9, 0.8]))) == 1
+    assert len(_nms(near_both, np.array([0.9, 0.8]))) == 1
 
 
 def test_nms_empty():
-    assert grasp_nms([], np.zeros(0)).shape == (0,)
+    assert grasp_nms(np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros(0)).shape == (0,)
 
 
 def _nms_reference(poses, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0)):
@@ -99,7 +109,7 @@ def test_nms_matches_reference_greedy():
     rng = np.random.default_rng(31)
     for _ in range(5):
         poses, scores = _random_cluster(rng)
-        kept = grasp_nms(poses, scores)
+        kept = _nms(poses, scores)
         assert kept.tolist() == _nms_reference(poses, scores)
         assert 0 < len(kept) < len(poses)
 
@@ -107,7 +117,7 @@ def test_nms_matches_reference_greedy():
 def test_nms_survivors_pass_pairwise_scan():
     rng = np.random.default_rng(32)
     poses, scores = _random_cluster(rng)
-    kept = grasp_nms(poses, scores)
+    kept = _nms(poses, scores)
     assert int(np.argmax(scores)) in kept.tolist()
     for a in range(len(kept)):
         for b in range(a + 1, len(kept)):
@@ -117,14 +127,10 @@ def test_nms_survivors_pass_pairwise_scan():
             assert d_t >= 0.03 or d_r >= np.deg2rad(30.0)
 
 
-def _nms_exhaustive(poses, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0)):
+def _nms_exhaustive(rotations, translations, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0)):
     """The all-kept-grasps scan ``grasp_nms`` replaced, kept as its oracle."""
-    if isinstance(poses, PredictionTable):
-        poses = [poses.grasp(i).pose for i in range(len(poses))]
-    translations = np.array([g.translation for g in poses])
-    rotations = np.array([g.rotation for g in poses])
     kept = []
-    for i in np.lexsort((np.arange(len(poses)), -np.asarray(scores, dtype=float))):
+    for i in np.lexsort((np.arange(len(scores)), -np.asarray(scores, dtype=float))):
         if kept:
             d_t = np.linalg.norm(translations[kept] - translations[i], axis=1)
             tr = np.einsum("kab,ab->k", rotations[kept], rotations[i])
@@ -136,9 +142,10 @@ def _nms_exhaustive(poses, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0
 
 
 def _assert_nms_matches(poses, scores, trans_thresh=0.03, rot_thresh=np.deg2rad(30.0)):
-    kept = grasp_nms(poses, scores, trans_thresh, rot_thresh)
+    columns = _pose_columns(poses)
+    kept = grasp_nms(*columns, scores, trans_thresh, rot_thresh)
     assert kept.dtype == np.int64
-    assert kept.tolist() == _nms_exhaustive(poses, scores, trans_thresh, rot_thresh)
+    assert kept.tolist() == _nms_exhaustive(*columns, scores, trans_thresh, rot_thresh)
     return kept
 
 
@@ -154,7 +161,7 @@ def test_nms_grid_matches_exhaustive_over_many_cells(trans_thresh):
     kept = _assert_nms_matches(poses, scores, trans_thresh)
     assert 0 < len(kept) < n
     few = slice(0, n, 3)
-    assert grasp_nms(poses[few], scores[few], trans_thresh).tolist() == _nms_reference(
+    assert _nms(poses[few], scores[few], trans_thresh).tolist() == _nms_reference(
         poses[few], scores[few], trans_thresh)
 
 
@@ -357,7 +364,8 @@ def test_nms_memory_is_bounded(trans_thresh, rot_thresh):
     table = _nms_table(np.random.default_rng(70), 20000, copies=0.0)
     tracemalloc.start()
     try:
-        kept = grasp_nms(table, table.scores, trans_thresh, rot_thresh)
+        # the pose columns are copies of the table, made inside the window
+        kept = grasp_nms(table.rotations, table.translations, table.scores, trans_thresh, rot_thresh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,7 +439,8 @@ def sphere_world():
 
 def test_perfect_predictor_maps_to_one(sphere_world):
     library, layout = sphere_world
-    report = evaluate_ap(_scenes.perfect_predictions(), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.perfect_predictions()), layout, library,
+                         _scenes.CLOSURE_ONLY)
     assert report.map_value == 1.0
     assert report.ap_values == (1.0,) * 6
     assert report.n_evaluated == 50
@@ -443,7 +452,8 @@ def test_perfect_predictor_maps_to_one(sphere_world):
 
 def test_zero_predictor_maps_to_one_sixth(sphere_world):
     library, layout = sphere_world
-    report = evaluate_ap(_scenes.zero_predictions(), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.zero_predictions()), layout, library,
+                         _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - 1.0 / 6.0) <= 1e-9
     assert report.ap_values[0] == 1.0
     assert report.ap_values[1:] == (0.0,) * 5
@@ -453,7 +463,8 @@ def test_zero_predictor_maps_to_one_sixth(sphere_world):
 
 def test_good25_matches_summation_oracle(sphere_world):
     library, layout = sphere_world
-    report = evaluate_ap(_scenes.good25_predictions(), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, library,
+                         _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - _scenes.good25_oracle_map()) <= 1e-9
     assert report.true_scores[:25] == (1.0,) * 25
     assert report.true_scores[25:] == (0.0,) * 25
@@ -464,7 +475,8 @@ def test_good25_matches_summation_oracle(sphere_world):
 
 def test_eval_report_invariants(sphere_world):
     library, layout = sphere_world
-    report = evaluate_ap(_scenes.good25_predictions(), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, library,
+                         _scenes.CLOSURE_ONLY)
     assert report.map_value == pytest.approx(np.mean(report.ap_values), abs=1e-15)
     assert all(0.0 <= ap <= 1.0 for ap in report.ap_values)
     assert list(report.ap_values) == sorted(report.ap_values, reverse=True)
@@ -479,7 +491,7 @@ def test_eval_counts_nms_suppression(sphere_world):
     library, layout = sphere_world
     preds = _scenes.perfect_predictions()
     preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
-    report = evaluate_ap(preds, layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_nms == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
@@ -493,7 +505,7 @@ def test_eval_counts_collision_filter(sphere_world):
     bad = GraspPose(rotation=squeeze.rotation, translation=squeeze.translation,
                     width=0.05, depth=squeeze.depth)
     preds.append(PredictedGrasp(bad, 2.0, _scenes.SPHERE_ID))
-    report = evaluate_ap(preds, layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_collision == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
@@ -504,7 +516,7 @@ def test_eval_below_table_filters_everything(sphere_world):
     instances = [SceneInstance(_scenes.SPHERE_ID, np.eye(3), np.zeros(3))]
     layout = build_scene(instances, library, table_height=10.0)
     preds = _scenes.perfect_predictions()[:3]
-    report = evaluate_ap(preds, layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.map_value == 0.0
     assert report.ap_values == (0.0,) * 6
@@ -516,12 +528,12 @@ def test_eval_unknown_object_id(sphere_world):
     library, layout = sphere_world
     stray = PredictedGrasp(_scenes.perfect_predictions()[0].pose, 0.9, "ghost")
     with pytest.raises(UnknownObjectId):
-        evaluate_ap([stray], layout, library, _scenes.CLOSURE_ONLY)
+        evaluate_ap(PredictionTable.from_grasps([stray]), layout, library, _scenes.CLOSURE_ONLY)
 
 
 def test_eval_empty_predictions(sphere_world):
     library, layout = sphere_world
-    report = evaluate_ap([], layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps([]), layout, library, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.n_predictions == 0
     assert report.map_value == 0.0
@@ -920,11 +932,12 @@ def one_sphere_group():
 
 def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_group):
     library, layout, inst, preds = one_sphere_group
-    report = evaluate_ap(preds, layout, library)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library)
     assert (report.n_evaluated, report.n_filtered_nms, report.n_filtered_collision) == (len(preds), 0, 0)
 
-    # Per grasp: the pose in the object frame, resolve_contacts and a
-    # one-row score_contacts; then combine_scores over the resolvable ones.
+    # Per grasp: the pose in the object frame, a one-line contacts_on_lines
+    # and a one-row score_contacts; then combine_scores over the resolvable
+    # ones.
     mesh = library[_scenes.SPHERE_ID]
     index = SpatialIndex.from_mesh(mesh)
     gravity_center = mass_properties(mesh).gravity_center
@@ -933,10 +946,10 @@ def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_gro
         local = GraspPose(inst.rotation.T @ pred.pose.rotation,
                           inst.rotation.T @ (pred.pose.translation - inst.translation),
                           pred.pose.width, pred.pose.depth)
-        frame = resolve_contacts(mesh, local, GripperModel())
-        if frame.valid:
+        contacts = one_line_contacts(mesh, local)
+        if len(contacts.p_cl):
             resolved.append(i)
-            rows.append([c[0] for c in score_contacts(ContactArrays.stack([frame]), index, gravity_center)])
+            rows.append([c[0] for c in score_contacts(contacts, index, gravity_center)])
     s_t, _, _, s_f, s_g_raw, s_c_raw = np.array(rows).T
     want = np.zeros(len(preds))
     want[resolved] = combine_scores(s_t, s_f, s_g_raw, s_c_raw)[2]
@@ -961,7 +974,7 @@ def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch
 
     monkeypatch.setattr(scene, "score_contacts", spy(metrics.score_contacts, lambda c: len(c.p_cl)))
     monkeypatch.setattr(scene, "combine_scores", spy(metrics.combine_scores, len))
-    report = evaluate_ap(preds, layout, library)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library)
     # one group: its five resolvable grasps are scored and combined together
     assert calls == [("score_contacts", 5), ("combine_scores", 5)]
     assert report.n_evaluated == len(preds)
@@ -979,7 +992,7 @@ def _clutter_predictions(layout, n=700, seed=44):
         object_id = ids[nearest] if rng.random() < 0.5 else None
         preds.append(PredictedGrasp(pose, float(rng.choice(np.linspace(0, 1, 40))), object_id))
     preds += [PredictedGrasp(p.pose, p.predicted_score, p.object_id) for p in preds[:50]]  # duplicates
-    return preds
+    return PredictionTable.from_grasps(preds)
 
 
 def _all_points(cloud, poses, gripper, margin):
@@ -994,7 +1007,7 @@ def test_evaluate_ap_matches_exhaustive_filters(clutter, monkeypatch):
 
     monkeypatch.setattr(scene, "_collision_shortlists", _all_points)
     monkeypatch.setattr(scene, "grasp_nms",
-                        lambda g, s, t, r: np.asarray(_nms_exhaustive(g, s, t, r), dtype=np.int64))
+                        lambda *args: np.asarray(_nms_exhaustive(*args), dtype=np.int64))
     want = evaluate_ap(preds, layout, library).as_dict()
     assert got == want
     assert want["n_filtered_nms"] > 50 and want["n_filtered_collision"] > 0 and want["n_evaluated"] > 0
@@ -1011,18 +1024,18 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
 
     monkeypatch.setattr(scene, "gripper_collides", counting)
     evaluate_ap(preds, layout, library)
-    kept = grasp_nms([p.pose for p in preds], np.array([p.predicted_score for p in preds]))
+    kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
 
     def pose_key(g):
         return g.rotation.tobytes(), g.translation.tobytes(), g.width, g.depth
 
     # evaluate_ap builds its own GraspPose per survivor, so poses compare by value
-    assert [pose_key(g) for g in calls] == [pose_key(preds[i].pose) for i in kept]
+    assert [pose_key(g) for g in calls] == [pose_key(preds.grasp(i).pose) for i in kept]
 
 
 def test_evaluate_ap_builds_poses_only_for_nms_survivors(clutter, monkeypatch):
     library, layout = clutter
-    table = PredictionTable.from_grasps(_clutter_predictions(layout, n=300, seed=47))
+    table = _clutter_predictions(layout, n=300, seed=47)
     built = []
     original = GraspPose.__post_init__
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from graspscore import KTooLarge, SpatialIndex, knn
-from graspscore.spatial import NeighborSet
+from graspscore import KTooLarge, SpatialIndex
 
 
 def _linear_scan(points, query, k):
@@ -21,9 +20,9 @@ def test_self_query():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(64, 3))
     index = _index_of(pts)
-    result = knn(index, pts[17], 1)
-    assert result.indices.tolist() == [17]
-    assert result.distances[0] == 0.0
+    idx, dist = index.knn_batch(pts[17:18], 1)
+    assert idx[0].tolist() == [17]
+    assert dist[0, 0] == 0.0
 
 
 def test_matches_linear_scan_random():
@@ -55,23 +54,23 @@ def test_matches_linear_scan_on_tie_grid():
 def test_duplicate_points_orderd_by_index():
     pts = np.array([[1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0], [2.0, 0, 0]])
     index = _index_of(pts)
-    result = knn(index, np.array([0.0, 0, 0]), 4)
-    assert result.indices.tolist() == [1, 3, 0, 2]
+    idx, _ = index.knn_batch(np.array([[0.0, 0, 0]]), 4)
+    assert idx[0].tolist() == [1, 3, 0, 2]
 
 
 def test_k_equals_point_count():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(12, 3))
     index = _index_of(pts)
-    result = knn(index, np.zeros(3), 12)
-    assert sorted(result.indices.tolist()) == list(range(12))
-    assert np.all(np.diff(result.distances) >= 0)
+    idx, dist = index.knn_batch(np.zeros((1, 3)), 12)
+    assert sorted(idx[0].tolist()) == list(range(12))
+    assert np.all(np.diff(dist[0]) >= 0)
 
 
 def test_k_too_large():
     index = _index_of(np.zeros((5, 3)))
     with pytest.raises(KTooLarge):
-        knn(index, np.zeros(3), 6)
+        index.knn_batch(np.zeros((1, 3)), 6)
 
 
 def test_neighbor_set_contents():
@@ -80,13 +79,13 @@ def test_neighbor_set_contents():
     nrm = rng.normal(size=(50, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     index = SpatialIndex(points=pts, normals=nrm)
-    result = knn(index, np.array([0.1, 0.2, 0.3]), 5)
-    assert isinstance(result, NeighborSet)
-    assert np.array_equal(result.points, pts[result.indices])
-    assert np.array_equal(result.normals, nrm[result.indices])
-    expected = np.linalg.norm(pts[result.indices] - [0.1, 0.2, 0.3], axis=1)
-    assert np.allclose(result.distances, expected, atol=1e-15)
-    assert np.all(np.diff(result.distances) >= 0)
+    assert np.array_equal(index.normals, nrm)
+    idx, dist = index.knn_batch(np.array([[0.1, 0.2, 0.3]]), 5)
+    assert idx.shape == dist.shape == (1, 5)
+    assert idx[0].tolist() == _linear_scan(pts, np.array([0.1, 0.2, 0.3]), 5).tolist()
+    expected = np.linalg.norm(pts[idx[0]] - [0.1, 0.2, 0.3], axis=1)
+    assert np.allclose(dist[0], expected, atol=1e-15)
+    assert np.all(np.diff(dist[0]) >= 0)
 
 
 def test_from_mesh_uses_samples(cube):
@@ -105,5 +104,5 @@ def test_near_tie_distances_stay_exact():
     base[:, 0] = 1.0 + np.arange(20) * 1e-13
     pts = np.vstack([base, [[5.0, 0, 0]]])
     index = _index_of(pts)
-    result = knn(index, np.zeros(3), 8)
-    assert result.indices.tolist() == _linear_scan(pts, np.zeros(3), 8).tolist()
+    idx, _ = index.knn_batch(np.zeros((1, 3)), 8)
+    assert idx[0].tolist() == _linear_scan(pts, np.zeros(3), 8).tolist()
