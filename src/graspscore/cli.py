@@ -193,6 +193,8 @@ def cmd_rescore(args) -> int:
 
 
 def cmd_scene(args) -> int:
+    if not np.isfinite(args.table_height):
+        raise ValueError(f"--table-height must be finite, got {args.table_height!r}")
     instances = []
     for spec_text in args.instance:
         instances.append(_parse_instance(spec_text))
@@ -223,10 +225,15 @@ def _parse_instance(text: str) -> SceneInstance:
     if len(parts) not in (2, 3):
         raise ValueError(f"instance must look like ID:X,Y,Z or ID:X,Y,Z:YAW_DEG, got {text!r}")
     oid = parts[0]
-    xyz = [float(v) for v in parts[1].split(",")]
+    try:
+        xyz = [float(v) for v in parts[1].split(",")]
+        yaw = float(parts[2]) if len(parts) == 3 else 0.0
+    except ValueError as exc:
+        raise ValueError(f"--instance {text!r}: {exc}") from exc
     if len(xyz) != 3:
         raise ValueError(f"instance translation needs 3 values: {text!r}")
-    yaw = float(parts[2]) if len(parts) == 3 else 0.0
+    if not np.isfinite([*xyz, yaw]).all():
+        raise ValueError(f"--instance {text!r}: translation and yaw must be finite")
     rot = rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.deg2rad(yaw))
     return SceneInstance(object_id=oid, rotation=rot, translation=np.asarray(xyz))
 

@@ -12,6 +12,7 @@ typos fail loudly.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -103,16 +104,25 @@ def load_config(path: str) -> PipelineConfig:
     """Parse a key=value config file into a PipelineConfig.
 
     Raises:
-        ConfigError: unknown key, bad value, or an invalid resulting
-            configuration.
+        ConfigError: a byte that is not ascii, an unknown key, a bad
+            value, or an invalid resulting configuration; the message names
+            the file and, but for the last, the line.
     """
     known = {f.name: f for f in fields(PipelineConfig)}
     overrides = {}
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # lines end at LF, CR LF or a lone CR, as in a text-mode read
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ConfigError(f"{path}:{line}: byte {raw[exc.start]:#04x} is not ascii") from exc
+    lines = io.StringIO(text, newline=None).readlines()
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

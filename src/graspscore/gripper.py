@@ -48,24 +48,27 @@ class GripperModel:
         if not self.depth_levels or any(d <= 0 for d in self.depth_levels):
             raise ValueError("depth levels must be positive")
 
-    def collision_body(self, width: float, depth: float) -> np.ndarray:
+    def collision_body(self, width, depth) -> np.ndarray:
         """Axis-aligned collision boxes in the gripper frame.
 
         Returns an (3, 2, 3) array of (lo, hi) corners: left finger, right
         finger, palm. Fingertips end at the grasp-center plane z = depth.
+        Array widths and depths broadcast to a shape s and give (*s, 3, 2, 3).
         """
         t = self.finger_thickness
-        h = t / 2.0
-        tip = depth
-        heel = depth - self.finger_length
-        half_w = width / 2.0
-        return np.array(
+        half_w, tip, h = width / 2.0, depth, t / 2.0
+        batched = np.ndim(half_w) or np.ndim(tip)
+        if batched:
+            half_w, tip, h = np.broadcast_arrays(half_w, tip, h)
+        heel = tip - self.finger_length
+        body = np.array(
             [
                 [[-half_w - t, -h, heel], [-half_w, h, tip]],
                 [[half_w, -h, heel], [half_w + t, h, tip]],
                 [[-half_w - t, -h, heel - t], [half_w + t, h, heel]],
             ]
         )
+        return np.ascontiguousarray(np.moveaxis(body, (0, 1, 2), (-3, -2, -1))) if batched else body
 
 
 # The orthonormality rule np.allclose(R^T R, I, atol=1e-8) written out: with
@@ -221,29 +224,22 @@ def contacts_on_lines(
 
 def gripper_collides(
     scene_points: np.ndarray,
-    grasp: GraspPose,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    width: float,
+    depth: float,
     gripper: GripperModel,
     margin: float = 0.001,
 ) -> bool:
     """True when any scene point lies inside the inflated gripper body.
 
-    Points are mapped into the gripper frame and tested against the three
-    collision boxes grown by ``margin`` on every side. Boundary points
-    count as colliding.
+    The grasp's pose fields are taken as valid. Points are mapped into the
+    gripper frame and tested against the three collision boxes grown by
+    ``margin`` on every side. Boundary points count as colliding.
     """
-    local = (np.atleast_2d(scene_points) - grasp.translation) @ grasp.rotation
-    boxes = gripper.collision_body(grasp.width, grasp.depth)
+    local = (np.atleast_2d(scene_points) - translation) @ rotation
+    boxes = gripper.collision_body(width, depth)
     lo = boxes[:, 0, :] - margin
     hi = boxes[:, 1, :] + margin
     inside = (local[:, None, :] >= lo[None, :, :]) & (local[:, None, :] <= hi[None, :, :])
     return bool(inside.all(axis=2).any())
-
-
-def collision_box_corners(grasp: GraspPose, gripper: GripperModel) -> np.ndarray:
-    """World-space corners of the collision boxes, (3 boxes, 8, 3)."""
-    boxes = gripper.collision_body(grasp.width, grasp.depth)
-    corners = []
-    for lo, hi in boxes:
-        pts = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
-        corners.append(pts @ grasp.rotation.T + grasp.translation)
-    return np.asarray(corners)

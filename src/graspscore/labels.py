@@ -26,6 +26,7 @@ rows those checks flag go through the per-row check, whose
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -53,6 +54,7 @@ _READ_BLOCK = 1 << 20
 _READ_CHUNK = 4096
 # Every ascii character str.splitlines breaks a line at.
 _LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e")
+_NOT_ASCII = re.compile(rb"[\x80-\xff]")
 # Characters an object id may not hold: the field separator and the line
 # breaks.
 _ID_FORBIDDEN = _LINE_BREAKS | {","}
@@ -217,16 +219,49 @@ def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], value
 
 def _lines(path: str):
     """Yield the lines of an ascii file as ``str.splitlines`` cuts its whole
-    text, decoding ``_READ_BLOCK`` characters at a time."""
+    text, decoding ``_READ_BLOCK`` characters at a time.
+
+    Raises:
+        SchemaError: a byte is not ascii; names the file, the byte and its
+            line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         tail = ""
-        while block := fh.read(_READ_BLOCK):
+        while block := _read_block(fh, path):
             lines = (tail + block).splitlines()
             # the block's last line may go on in the next block
             tail = "" if block[-1] in _LINE_BREAKS else lines.pop()
             yield from lines
         if tail:
             yield tail
+
+
+def _read_block(fh, path: str) -> str:
+    try:
+        return fh.read(_READ_BLOCK)
+    except UnicodeDecodeError:
+        raise _not_ascii(path) from None
+
+
+def _not_ascii(path: str) -> SchemaError:
+    """The error for the first non-ascii byte of a file, on the line
+    ``_lines`` gives it.
+
+    Text mode reads CR LF and a lone CR as one LF, so the line breaks
+    before the bad byte are its break characters less its CR LF pairs,
+    counted ``_READ_BLOCK`` bytes at a time.
+    """
+    breaks, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_BLOCK):
+            found = _NOT_ASCII.search(block)
+            head = block[:found.start()] if found else block
+            breaks += sum(head.count(c.encode()) for c in _LINE_BREAKS) - head.count(b"\r\n")
+            breaks -= last == b"\r" and head.startswith(b"\n")
+            if found:
+                return SchemaError(f"byte {found[0][0]:#04x} in {path} is not ascii", breaks + 1)
+            last = block[-1:]
+    return SchemaError(f"{path} is not ascii", breaks + 1)
 
 
 def _scan(path: str) -> tuple[list[str], int]:

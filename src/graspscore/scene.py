@@ -20,14 +20,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .closure import FrictionBins
 from .errors import ParseError, UnknownObjectId
-from .gripper import (
-    GraspPose,
-    GripperModel,
-    _is_proper_rotation,
-    collision_box_corners,
-    contacts_on_lines,
-    gripper_collides,
-)
+from .gripper import GraspPose, GripperModel, _is_proper_rotation, contacts_on_lines, gripper_collides
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import MetricWeights, combine_scores, score_contacts
 from .spatial import SpatialIndex
@@ -65,6 +58,8 @@ _COLLISION_CHUNK = 128
 _BAND = 1e-9
 _BALL_SLACK = 1e-4
 _MAX_PIECES = 64
+# A box's 8 corners as lo (0) / hi (1) picks per axis.
+_CORNER_PICKS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +98,8 @@ class PredictionTable:
     prediction file's columns. ``object_ids[i]`` is row i's object id, or
     None for an unbound prediction. The values are taken as given:
     ``read_predictions`` validates a file's rows, and ``from_grasps`` copies
-    poses that ``GraspPose`` has already validated.
+    poses that ``GraspPose`` has already validated. ``evaluate_ap`` works
+    on the columns and checks no row again.
     """
 
     values: np.ndarray
@@ -141,13 +137,6 @@ class PredictionTable:
     @property
     def scores(self) -> np.ndarray:
         return self.values[:, 14]
-
-    def grasp(self, i: int) -> PredictedGrasp:
-        """Row i as a ``PredictedGrasp``; its ``GraspPose`` checks the pose."""
-        vals = self.values[i].tolist()
-        pose = GraspPose(rotation=np.array(vals[0:9]).reshape(3, 3), translation=np.array(vals[9:12]),
-                         width=vals[12], depth=vals[13])
-        return PredictedGrasp(pose=pose, predicted_score=vals[14], object_id=self.object_ids[i])
 
 
 @dataclass(frozen=True)
@@ -378,12 +367,15 @@ def _in_boxes(local: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return inside.any(axis=-2)
 
 
-def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: GripperModel, margin: float):
-    """Yield, per pose, the cloud indices ``gripper_collides`` must see.
+def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
+                          bodies: np.ndarray, margin: float):
+    """Yield, per grasp, the cloud indices ``gripper_collides`` must see.
 
-    ``gripper_collides`` on ``cloud[shortlist]`` returns what it returns on
-    the whole cloud; ``None`` stands for the whole cloud. Points are mapped
-    into the gripper frame as ``gripper_collides`` maps them. A point
+    Grasp i has pose ``rotations[i]``, ``translations[i]`` and boxes
+    ``bodies[i]`` (from ``collision_body``). ``gripper_collides`` on
+    ``cloud[shortlist]`` returns what it returns on the whole cloud;
+    ``None`` stands for the whole cloud. Points are mapped into the
+    gripper frame as ``gripper_collides`` maps them. A point
     inside a box shrunk by ``_BAND`` is inside by far more than rounding,
     so ``gripper_collides`` finds it inside too, and one outside every box
     grown by ``_BAND`` is outside for it too.
@@ -392,7 +384,7 @@ def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: Gr
       batched, against the inflated boxes shrunk by ``_BAND``. If any
       passes, the points that pass are the shortlist: it collides.
     * Otherwise the shortlist comes from a cover of the inflated boxes by
-      balls (see ``_ball_cover``), queried once per chunk of poses. The
+      balls (see ``_ball_cover``), queried once per chunk of grasps. The
       cover is conservative: every point within ``_BAND`` of a box lies in
       one of its balls. The shortlist is the ball points inside a box
       shrunk by ``_BAND``, sorted ascending, and is empty when no ball
@@ -404,28 +396,27 @@ def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: Gr
       cloud.
     """
     if len(cloud) == 0:
-        for _ in poses:
+        for _ in range(len(rotations)):
             yield np.zeros(0, dtype=np.intp)
         return
     tree = cKDTree(cloud)
     k = min(_NEAREST, len(cloud))
-    for start in range(0, len(poses), _COLLISION_CHUNK):
-        chunk = poses[start:start + _COLLISION_CHUNK]
-        rotations = np.array([p.rotation for p in chunk])
-        translations = np.array([p.translation for p in chunk])
-        boxes = np.array([gripper.collision_body(p.width, p.depth) for p in chunk])
-        lo = boxes[:, :, 0, :] - margin
-        hi = boxes[:, :, 1, :] + margin
+    for start in range(0, len(rotations), _COLLISION_CHUNK):
+        chunk = slice(start, start + _COLLISION_CHUNK)
+        rot, trans = rotations[chunk], translations[chunk]
+        n = len(rot)
+        lo = bodies[chunk, :, 0, :] - margin
+        hi = bodies[chunk, :, 1, :] + margin
 
-        owner, world, radius = _ball_cover(rotations, translations, lo, hi)
+        owner, world, radius = _ball_cover(rot, trans, lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
-            centres = np.matmul(rotations[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + translations[:, None, :]
+            centres = np.matmul(rot[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + trans[:, None, :]
         finite = np.isfinite(world).all(axis=1) & np.isfinite(radius)
-        usable = np.isfinite(centres).all(axis=(1, 2)) & (np.bincount(owner[~finite], minlength=len(chunk)) == 0)
+        usable = np.isfinite(centres).all(axis=(1, 2)) & (np.bincount(owner[~finite], minlength=n) == 0)
 
         _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
-        near = near.reshape(len(chunk), 3 * k)
-        local = np.matmul(cloud[near] - translations[:, None, :], rotations)
+        near = near.reshape(n, 3 * k)
+        local = np.matmul(cloud[near] - trans[:, None, :], rot)
         hit = _in_boxes(local, lo + _BAND, hi - _BAND)
         decided = hit.any(axis=1)
 
@@ -435,11 +426,11 @@ def _collision_shortlists(cloud: np.ndarray, poses: list[GraspPose], gripper: Gr
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
         grasp, points = np.divmod(np.unique(np.repeat(owner[ball], counts) * len(cloud) + points), len(cloud))
-        local = np.matmul((cloud[points] - translations[grasp])[:, None, :], rotations[grasp])
+        local = np.matmul((cloud[points] - trans[grasp])[:, None, :], rot[grasp])
         inside = _in_boxes(local, lo[grasp] + _BAND, hi[grasp] - _BAND)[:, 0]
         borderline = np.bincount(grasp[_in_boxes(local, lo[grasp] - _BAND, hi[grasp] + _BAND)[:, 0]],
-                                 minlength=len(chunk)) > 0
-        per_grasp = np.split(points[inside], np.cumsum(np.bincount(grasp[inside], minlength=len(chunk)))[:-1])
+                                 minlength=n) > 0
+        per_grasp = np.split(points[inside], np.cumsum(np.bincount(grasp[inside], minlength=n))[:-1])
 
         for g, inside_points in enumerate(per_grasp):
             if not usable[g]:
@@ -488,35 +479,39 @@ def _ball_cover(rotations: np.ndarray, translations: np.ndarray, lo: np.ndarray,
     return grasp, world, radius
 
 
-def _below_table(grasp: GraspPose, gripper: GripperModel, table_height: float) -> bool:
+def _below_table(rotations: np.ndarray, translations: np.ndarray, bodies: np.ndarray,
+                 table_height: float) -> np.ndarray:
+    """Mask of the grasps with a box corner, mapped as ``corners @ R.T + t``,
+    below ``table_height``; a non-finite height filters nothing."""
     if not np.isfinite(table_height):
-        return False
-    corners = collision_box_corners(grasp, gripper)
-    return bool(corners[..., 2].min() < table_height)
+        return np.zeros(len(bodies), dtype=bool)
+    corners = bodies[..., _CORNER_PICKS, np.arange(3)].reshape(len(bodies), 24, 3)
+    world = np.matmul(corners, rotations.transpose(0, 2, 1)) + translations[:, None, :]
+    return world[..., 2].min(axis=1) < table_height
 
 
 def _associate_instance(
-    pred: PredictedGrasp, layout: SceneLayout, library: dict, posed: dict[int, np.ndarray]
+    center: np.ndarray, object_id: str | None, layout: SceneLayout, library: dict,
+    posed: dict[int, np.ndarray],
 ) -> SceneInstance:
     """Pick the scene instance a prediction refers to.
 
     With an object_id the nearest instance of that id wins; without one the
     nearest instance overall (by posed mesh-vertex distance to the grasp
-    center) wins; ties go to the earlier instance. ``posed`` caches each
+    ``center``) wins; ties go to the earlier instance. ``posed`` caches each
     instance's world-frame vertices by instance index across calls.
     """
-    if pred.object_id is not None:
-        candidates = [(k, i) for k, i in enumerate(layout.instances) if i.object_id == pred.object_id]
+    if object_id is not None:
+        candidates = [(k, i) for k, i in enumerate(layout.instances) if i.object_id == object_id]
         if not candidates:
-            raise UnknownObjectId(f"prediction references object {pred.object_id!r} not in scene")
-        if pred.object_id not in library:
-            raise UnknownObjectId(f"no mesh loaded for object {pred.object_id!r}")
+            raise UnknownObjectId(f"prediction references object {object_id!r} not in scene")
+        if object_id not in library:
+            raise UnknownObjectId(f"no mesh loaded for object {object_id!r}")
     else:
         candidates = list(enumerate(layout.instances))
         if not candidates:
             raise UnknownObjectId("prediction has no object_id and the scene is empty")
 
-    center = pred.pose.center
     best, best_d = None, np.inf
     for k, inst in candidates:
         if inst.object_id not in library:
@@ -527,12 +522,6 @@ def _associate_instance(
         if d < best_d:
             best, best_d = inst, d
     return best
-
-
-def _grasp_in_object_frame(pose: GraspPose, inst: SceneInstance) -> GraspPose:
-    r = inst.rotation.T @ pose.rotation
-    t = inst.rotation.T @ (pose.translation - inst.translation)
-    return GraspPose(rotation=r, translation=t, width=pose.width, depth=pose.depth)
 
 
 def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
@@ -589,32 +578,35 @@ def evaluate_ap(
     left out. Each instance's vertices are posed at most once per call,
     for association.
 
-    NMS reads the table's pose columns as arrays; a ``PredictedGrasp`` is
-    built only for the NMS survivors. ``PredictionTable.from_grasps`` packs
-    a list of ``PredictedGrasp`` into a table.
+    Predictions are validated once, when read (or packed from ``GraspPose``
+    by ``PredictionTable.from_grasps``). After NMS every stage works on the
+    survivors' rows of the table's columns and no pose is built or checked
+    again, so a rotation turned into an object's frame is used as it is.
     """
     n_in = len(predictions)
-
     kept = grasp_nms(predictions.rotations, predictions.translations, predictions.scores,
                      trans_thresh, rot_thresh)
     n_nms = n_in - len(kept)
 
-    kept_grasps = [predictions.grasp(i) for i in kept.tolist()]
+    # The NMS survivors' columns, in visit order.
+    rotations = predictions.values[kept, 0:9].reshape(-1, 3, 3)
+    translations = predictions.values[kept, 9:12]
+    widths, depths = predictions.values[kept, 12], predictions.values[kept, 13]
+    bodies = gripper.collision_body(widths, depths)
     cloud = layout.scene_cloud
-    shortlists = _collision_shortlists(cloud, [p.pose for p in kept_grasps], gripper, collision_margin)
-    survivors = []
-    for p, shortlist in zip(kept_grasps, shortlists):
+    clear = ~_below_table(rotations, translations, bodies, layout.table_height)
+    shortlists = _collision_shortlists(cloud, rotations, translations, bodies, collision_margin)
+    for g, shortlist in enumerate(shortlists):
         points = cloud if shortlist is None else cloud[shortlist]
-        if gripper_collides(points, p.pose, gripper, collision_margin):
-            continue
-        if _below_table(p.pose, gripper, layout.table_height):
-            continue
-        survivors.append(p)
+        if gripper_collides(points, rotations[g], translations[g], widths[g], depths[g], gripper,
+                            collision_margin):
+            clear[g] = False
+    survivors = np.flatnonzero(clear)
     n_coll = len(kept) - len(survivors)
 
     # NMS already visits by (score desc, index asc), so the first TOP_K
     # survivors are the top-scored ones under the stable tie rule.
-    survivors = survivors[:TOP_K]
+    survivors = survivors[:TOP_K].tolist()
 
     if not survivors:
         zeros = tuple(0.0 for _ in thresholds)
@@ -642,11 +634,12 @@ def evaluate_ap(
             prepared[object_id] = (mesh, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center)
         return prepared[object_id]
 
+    centers = translations + depths[:, None] * rotations[:, :, 2]
     groups: dict[int, list[int]] = {}
     instances: list[SceneInstance] = []
     posed: dict[int, np.ndarray] = {}
-    for si, pred in enumerate(survivors):
-        inst = _associate_instance(pred, layout, library, posed)
+    for si, g in enumerate(survivors):
+        inst = _associate_instance(centers[g], predictions.object_ids[kept[g]], layout, library, posed)
         try:
             gi = instances.index(inst)
         except ValueError:
@@ -658,12 +651,15 @@ def evaluate_ap(
     for gi, members in groups.items():
         inst = instances[gi]
         mesh, index, gravity_center = prepare(inst.object_id)
-        local = [_grasp_in_object_frame(survivors[si].pose, inst) for si in members]
+        # in the object frame: R' = R_inst^T R, t' = R_inst^T (t - t_inst)
+        rows = [survivors[si] for si in members]
+        local = [(inst.rotation.T @ rotations[g], inst.rotation.T @ (translations[g] - inst.translation))
+                 for g in rows]
         valid, contacts, _ = contacts_on_lines(
             mesh,
-            np.array([g.center for g in local]),
-            np.array([g.closing_axis for g in local]),
-            np.array([g.width for g in local]) / 2.0,
+            np.array([t + depths[g] * r[:, 2] for g, (r, t) in zip(rows, local)]),
+            np.array([r[:, 0] for r, _ in local]),
+            widths[rows] / 2.0,
         )
         s_t, _, _, s_f, s_g_raw, s_c_raw = score_contacts(contacts, index, gravity_center, bins, knn_k)
         true_scores[np.array(members)[valid]] = combine_scores(s_t, s_f, s_g_raw, s_c_raw, weights)[2]

@@ -122,6 +122,22 @@ def one_line_contacts(mesh, pose):
     return contacts
 
 
+def pose_fields(pose):
+    """A ``GraspPose``'s (rotation, translation, width, depth), the grasp
+    arguments of ``gripper_collides``."""
+    return pose.rotation, pose.translation, pose.width, pose.depth
+
+
+def collision_box_corners(grasp, gripper) -> np.ndarray:
+    """Corner oracle: world-space corners of a grasp's collision boxes,
+    (3 boxes, 8, 3), one box and one corner at a time."""
+    corners = []
+    for lo, hi in gripper.collision_body(grasp.width, grasp.depth):
+        pts = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+        corners.append(pts @ grasp.rotation.T + grasp.translation)
+    return np.asarray(corners)
+
+
 def run_python(*argv, cwd):
     """Run ``python *argv`` in a child process under ``cwd``.
 

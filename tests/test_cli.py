@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graspscore import (
+    GraspPose,
     PredictedGrasp,
     PredictionTable,
     SceneInstance,
@@ -279,3 +280,81 @@ def test_eval_rejects_bad_unit_scale(eval_setup, scale):
     assert "ParseError" in res.stderr and "unit scale" in res.stderr
     assert repr(float(scale)) in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_eval_grasp_turned_into_a_scaled_instance_frame(eval_setup):
+    """A scene rotation and a prediction rotation that each pass the
+    orthonormality rule compose to one that does not; eval checks neither
+    again and scores the grasp."""
+    path, _ = eval_setup
+    shrink = 1.0 - 4.9e-6
+    instance = {"object_id": "sph3", "rotation": (np.eye(3) * shrink).ravel().tolist(), "translation": [0.0] * 3}
+    scene = {"table_height": -0.2, "instances": [instance]}
+    (path / "shrunk_scene.json").write_text(json.dumps(scene))
+    pose = _scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    pose = GraspPose(pose.rotation * shrink, pose.translation, pose.width, pose.depth)
+    write_predictions(str(path / "shrunk_preds.csv"),
+                      PredictionTable.from_grasps([PredictedGrasp(pose, 0.9, "sph3")]))
+    turned = (np.eye(3) * shrink).T @ pose.rotation
+    assert not np.allclose(turned.T @ turned, np.eye(3), atol=1e-8)
+
+    res = _run("eval", "shrunk_preds.csv", "--scene", "shrunk_scene.json", "--meshes", "meshes",
+               "--out", "shrunk_report.json", cwd=path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((path / "shrunk_report.json").read_text())
+    assert report["n_evaluated"] == 1 and report["n_filtered_collision"] == 0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--table-height", "nan"], "--table-height"),
+    (["--table-height=-inf"], "--table-height"),
+    (["--instance", "sph3:0,0,0", "--instance", "a:nan,0,0"], "a:nan,0,0"),
+    (["--instance", "a:0,0,0:inf"], "a:0,0,0:inf"),
+    (["--instance", "a:0,0,0:north"], "a:0,0,0:north"),
+], ids=["nan-table", "inf-table", "nan-translation", "inf-yaw", "word-yaw"])
+def test_scene_rejects_non_finite_input(eval_setup, argv, named):
+    path, _ = eval_setup
+    res = _run("scene", "--out", "nonfinite_scene.json", *argv, cwd=path)
+    assert res.returncode == 2, res.stderr
+    assert "ValueError" in res.stderr and named in res.stderr
+    assert "finite" in res.stderr or "could not convert" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (path / "nonfinite_scene.json").exists()
+
+
+def _assert_not_ascii(res, error, where):
+    assert res.returncode == 2, res.stderr
+    assert error in res.stderr and where in res.stderr and "byte 0xc3" in res.stderr and "not ascii" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_rescore_names_a_non_ascii_byte_in_the_label_file(workdir):
+    res = _run("label", "cube.obj", "--out", "to_break.csv", "--config", "tiny.cfg", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    lines = (workdir / "to_break.csv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b"cube", b"cub\xc3\xa9", 1)
+    (workdir / "broken_labels.csv").write_bytes(b"\n".join(lines))
+    res = _run("rescore", "broken_labels.csv", "--out", "rescored_broken.csv", "--weights", "1,0,0,0",
+               cwd=workdir)
+    _assert_not_ascii(res, "SchemaError", "line 5")
+    assert "broken_labels.csv" in res.stderr
+    assert not (workdir / "rescored_broken.csv").exists()
+
+
+def test_eval_names_a_non_ascii_byte_in_the_prediction_file(eval_setup):
+    path, _ = eval_setup
+    res = _run("scene", "--out", "s_ascii.json", "--instance", "sph3:0,0,0", "--table-height", "-0.2", cwd=path)
+    assert res.returncode == 0, res.stderr
+    (path / "broken_preds.csv").write_bytes((path / "preds.csv").read_bytes() + b"caf\xc3\xa9\n")
+    res = _run("eval", "broken_preds.csv", "--scene", "s_ascii.json", "--meshes", "meshes",
+               "--out", "broken_preds_report.json", cwd=path)
+    _assert_not_ascii(res, "SchemaError", "line 4")
+    assert "broken_preds.csv" in res.stderr
+    assert not (path / "broken_preds_report.json").exists()
+
+
+def test_label_names_a_non_ascii_byte_in_the_config(workdir):
+    (workdir / "accent.cfg").write_bytes(b"n_seeds = 12\r\n# caf\xc3\xa9\nn_views = 10\n")
+    res = _run("label", "cube.obj", "--out", "accent.csv", "--config", "accent.cfg", cwd=workdir)
+    _assert_not_ascii(res, "ConfigError", "accent.cfg:2: byte 0xc3 is not ascii")
+    assert not (workdir / "accent.csv").exists()

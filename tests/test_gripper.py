@@ -10,11 +10,11 @@ from graspscore import (
     transform_mesh,
 )
 from graspscore.candidates import CandidateGrid
-from graspscore.gripper import collision_box_corners, contacts_on_lines
+from graspscore.gripper import contacts_on_lines
 from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
-from conftest import closest_on_triangle, one_line_contacts, random_rotation
+from conftest import closest_on_triangle, collision_box_corners, one_line_contacts, pose_fields, random_rotation
 
 
 def _pose_closing_x(center, width, depth):
@@ -185,7 +185,7 @@ def _collides_oracle(points, grasp, gripper, margin):
 
 def test_collision_empty_scene():
     pose = _pose_closing_x((0, 0, 0), 0.05, 0.02)
-    assert not gripper_collides(np.zeros((0, 3)), pose, GripperModel())
+    assert not gripper_collides(np.zeros((0, 3)), *pose_fields(pose), GripperModel())
 
 
 def test_collision_point_at_fingertip():
@@ -193,7 +193,7 @@ def test_collision_point_at_fingertip():
     pose = _pose_closing_x((0, 0, 0), 0.05, 0.02)
     tip_local = np.array([-(0.05 / 2 + gripper.finger_thickness / 2), 0.0, pose.depth])
     tip_world = pose.rotation @ tip_local + pose.translation
-    assert gripper_collides(tip_world[None, :], pose, gripper)
+    assert gripper_collides(tip_world[None, :], *pose_fields(pose), gripper)
 
 
 def test_collision_matches_oracle():
@@ -206,7 +206,7 @@ def test_collision_matches_oracle():
         rot = random_rotation(rng)
         pose = GraspPose(rotation=rot, translation=rng.uniform(-0.05, 0.05, 3),
                          width=rng.uniform(0.02, 0.085), depth=rng.choice([0.01, 0.02, 0.03, 0.04]))
-        got = gripper_collides(points, pose, gripper, margin)
+        got = gripper_collides(points, *pose_fields(pose), gripper, margin)
         want = _collides_oracle(points, pose, gripper, margin)
         disagreements += got != want
     assert disagreements == 0
@@ -220,7 +220,7 @@ def test_collision_monotone_in_margin():
         rot = random_rotation(rng)
         pose = GraspPose(rotation=rot, translation=rng.uniform(-0.08, 0.08, 3),
                          width=0.06, depth=0.02)
-        hits = [gripper_collides(points, pose, gripper, m) for m in (0.0, 0.002, 0.01)]
+        hits = [gripper_collides(points, *pose_fields(pose), gripper, m) for m in (0.0, 0.002, 0.01)]
         for tight, loose in zip(hits, hits[1:]):
             assert (not tight) or loose
 
@@ -258,3 +258,33 @@ def test_collision_body_layout():
     # fingertips end at the grasp-center plane
     assert boxes[0, 1, 2] == pytest.approx(0.03)
     assert boxes[1, 1, 2] == pytest.approx(0.03)
+
+
+def _scalar_body(gripper, width, depth):
+    """The collision boxes of one grasp, written out box by box."""
+    t, h = gripper.finger_thickness, gripper.finger_thickness / 2.0
+    half_w, heel = width / 2.0, depth - gripper.finger_length
+    return np.array([
+        [[-half_w - t, -h, heel], [-half_w, h, depth]],
+        [[half_w, -h, heel], [half_w + t, h, depth]],
+        [[-half_w - t, -h, heel - t], [half_w + t, h, heel]],
+    ])
+
+
+@pytest.mark.parametrize("gripper", [GripperModel(), GripperModel(0.2, 0.1, 0.013, (0.005,))])
+def test_collision_body_broadcasts_bit_for_bit(gripper):
+    rng = np.random.default_rng(23)
+    widths = rng.uniform(1e-4, gripper.max_width, (7, 5))
+    depths = rng.choice([0.01, 0.02, 0.03, 0.04, 1e-9, 0.1 / 3.0], (7, 5))
+    bodies = gripper.collision_body(widths, depths)
+    assert bodies.shape == (7, 5, 3, 2, 3) and bodies.dtype == np.float64
+    for (i, j), width in np.ndenumerate(widths):
+        depth = depths[i, j]
+        want = _scalar_body(gripper, float(width), float(depth))
+        assert np.array_equal(bodies[i, j].view(np.int64), want.view(np.int64))
+        assert np.array_equal(gripper.collision_body(float(width), float(depth)).view(np.int64), want.view(np.int64))
+    # one depth for a row of widths, and a scalar: the same bodies
+    row = gripper.collision_body(widths[0], depths[0, 0])
+    assert np.array_equal(row[1], _scalar_body(gripper, float(widths[0, 1]), float(depths[0, 0])))
+    assert gripper.collision_body(0.05, 0.02).shape == (3, 2, 3)
+    assert gripper.collision_body(np.zeros(0), np.zeros(0)).shape == (0, 3, 2, 3)

@@ -4,16 +4,24 @@ pyflakes and ruff are not dependencies, so the check walks the syntax tree
 itself. A name counts as used when it appears as a name anywhere in the
 module, including inside a quoted annotation; in ``__init__.py`` a name
 listed in ``__all__`` counts as used too.
+
+The benchmark's tracer (``perfbench/spans.py``) looks up package functions
+by name; every name it spans or counts must still be one.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
+import sys
 
 import pytest
 
 import graspscore
 
 MODULES = sorted(pathlib.Path(graspscore.__file__).parent.glob("*.py"))
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def _annotations(tree: ast.AST):
@@ -78,3 +86,34 @@ def test_checker_flags_unused_and_spares_used_names():
     exported = "from .mesh import build_mesh, sample_surface\n__all__ = ['build_mesh']\n"
     assert unused_imports(exported, is_init=True) == ["line 1: sample_surface"]
     assert unused_imports(exported) == ["line 1: build_mesh", "line 1: sample_surface"]
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_tracer_names_resolve_to_package_functions():
+    """Each ``TRACED_METHODS`` entry is a method the tracer can wrap, and
+    each ``COUNTER_HOOKS`` key names a span the tracer makes: a public
+    function defined in its module, or a traced method."""
+    spans = _load_spans()
+    modules = {p.stem: importlib.import_module(f"graspscore.{p.stem}") for p in MODULES if p.stem != "__init__"}
+    for module, cls, attr in spans.TRACED_METHODS:
+        raw = vars(getattr(modules[module], cls))[attr]
+        assert inspect.isfunction(raw.__func__ if isinstance(raw, classmethod) else raw), (module, cls, attr)
+    assert spans.COUNTER_HOOKS
+    for name in spans.COUNTER_HOOKS:
+        module, *path = name.split(".")
+        if len(path) == 1:
+            fn = getattr(modules[module], path[0], None)
+            assert inspect.isfunction(fn) and fn.__module__ == f"graspscore.{module}", name
+            assert not path[0].startswith("_"), name
+        else:
+            assert (module, *path) in spans.TRACED_METHODS, name

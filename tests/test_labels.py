@@ -157,12 +157,12 @@ def test_prediction_round_trip(tmp_path):
     loaded = read_predictions(path)
     assert len(loaded) == 200
     for i, a in enumerate(preds):
-        b = loaded.grasp(i)
-        assert np.array_equal(a.pose.rotation, b.pose.rotation)
-        assert np.array_equal(a.pose.translation, b.pose.translation)
-        assert a.pose.width == b.pose.width
-        assert a.predicted_score == b.predicted_score
-        assert a.object_id == b.object_id
+        assert np.array_equal(a.pose.rotation, loaded.rotations[i])
+        assert np.array_equal(a.pose.translation, loaded.translations[i])
+        assert a.pose.width == loaded.values[i, 12]
+        assert a.pose.depth == loaded.values[i, 13]
+        assert a.predicted_score == loaded.scores[i]
+        assert a.object_id == loaded.object_ids[i]
     again = str(tmp_path / "again.csv")
     write_predictions(again, loaded)
     assert open(again).read() == open(path).read()
@@ -504,7 +504,7 @@ def _read_any(path, kind):
     reader = read_labels if kind == "labels" else read_predictions
     try:
         table = reader(path)
-    except (SchemaError, UnicodeDecodeError) as exc:
+    except SchemaError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     ids = (table.object_id,) if kind == "labels" else table.object_ids
     return table.values.tobytes(), ids
@@ -562,8 +562,37 @@ def test_decoding_error_outranks_an_earlier_short_row(tmp_path, kind):
         fh.write(b"caf\xc3\xa9\n")
     for block, chunk in [(1 << 20, 4096), *_SIZES]:
         with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
-            with pytest.raises(UnicodeDecodeError):
+            with pytest.raises(SchemaError, match="byte 0xc3 in .* is not ascii") as err:
                 (read_labels if kind == "labels" else read_predictions)(path)
+            assert err.value.line == 62 and path in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+def test_non_ascii_byte_is_named_on_its_line_in_any_block_size(tmp_path, kind):
+    """A non-ascii byte in a field is reported on the line where the same
+    field holding an unparseable ascii value is, whatever the line breaks
+    and wherever the blocks cut the file (through a CR LF pair too)."""
+    path = _fault_file(tmp_path, kind, {}, n=9)
+    lines = open(path).read().splitlines()
+    breaks = ["\r\n", "\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\r\r\n", "\x1d"]
+    column = lines[0].split(",").index("ty")
+    for row in (1, 5, 9):
+        for value, byte in (("zap", None), ("z\u00e9p", "0xc3"), ("\u2019", "0xe2")):
+            parts = lines[row].split(",")
+            parts[column] = value
+            body = "".join(line + breaks[k % len(breaks)]
+                           for k, line in enumerate(lines[:row] + [",".join(parts)] + lines[row + 1:]))
+            with open(path, "wb") as fh:
+                fh.write(body.encode("utf-8"))
+            for block in (1 << 20, 1, 2, 3, 7, 64):
+                with mock.patch.object(labels, "_READ_BLOCK", block):
+                    error = _read_any(path, kind)
+                if byte is None:
+                    want = error[2]
+                    assert error[0] is SchemaError and "bad float" in error[1] and want > row
+                else:
+                    assert error[0] is SchemaError and error[2] == want, (row, block)
+                    assert f"byte {byte} in {path} is not ascii" in error[1]
 
 
 # A read that holds every row as split strings peaks near 176 MiB here.

@@ -29,7 +29,7 @@ from graspscore.candidates import generate_views
 from graspscore.errors import ParseError, UnknownObjectId
 
 import _scenes
-from conftest import one_line_contacts, random_rotation
+from conftest import collision_box_corners, one_line_contacts, pose_fields, random_rotation
 
 
 def _pose(translation, rotation=None, width=0.05, depth=0.02):
@@ -524,6 +524,50 @@ def test_eval_below_table_filters_everything(sphere_world):
     assert report.n_filtered_collision == 3
 
 
+def _below_table_mask(poses, table_height, gripper=GripperModel()):
+    """``scene._below_table`` on the columns of a list of ``GraspPose``."""
+    bodies = gripper.collision_body(np.array([p.width for p in poses]), np.array([p.depth for p in poses]))
+    return scene._below_table(*_pose_columns(poses), bodies, table_height).tolist()
+
+
+def _below_table_oracle(pose, table_height, gripper=GripperModel()):
+    """One grasp at a time: its lowest world box corner against the table."""
+    if not np.isfinite(table_height):
+        return False
+    return bool(collision_box_corners(pose, gripper)[..., 2].min() < table_height)
+
+
+def test_below_table_mask_matches_corner_oracle():
+    rng = np.random.default_rng(52)
+    poses = _grasps_near(rng, np.zeros((1, 3)), 300, spread=0.1)
+    poses += [GraspPose(_at_tolerance(p.rotation, "shrink"), p.translation, p.width, p.depth) for p in poses[:50]]
+    for table_height in (-0.12, -0.05, 0.0, 0.03, np.nan, np.inf, -np.inf):
+        want = [_below_table_oracle(p, table_height) for p in poses]
+        assert _below_table_mask(poses, table_height) == want
+        if np.isfinite(table_height) and table_height > -0.1:
+            assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_below_table_at_the_lowest_corner(k):
+    """A table exactly at a grasp's lowest corner does not filter it; one
+    float step higher does, one step lower does not."""
+    rng = np.random.default_rng(53 + k)
+    pose, = _grasps_near(rng, np.zeros((1, 3)), 1)
+    if k == 1:  # a signed permutation: every corner coordinate exact
+        pose = GraspPose(np.diag([1.0, -1.0, -1.0]), pose.translation, pose.width, pose.depth)
+    elif k == 2:
+        pose = GraspPose(_at_tolerance(pose.rotation, "shrink"), pose.translation, pose.width, pose.depth)
+    lowest = float(collision_box_corners(pose, GripperModel())[..., 2].min())
+    others = _grasps_near(rng, np.zeros((1, 3)), 20)
+    for table_height, below in ((lowest, False), (np.nextafter(lowest, np.inf), True),
+                                (np.nextafter(lowest, -np.inf), False)):
+        poses = others[:k] + [pose] + others[k:]
+        got = _below_table_mask(poses, table_height)
+        assert got == [_below_table_oracle(p, table_height) for p in poses]
+        assert got[k] == below
+
+
 def test_eval_unknown_object_id(sphere_world):
     library, layout = sphere_world
     stray = PredictedGrasp(_scenes.perfect_predictions()[0].pose, 0.9, "ghost")
@@ -595,10 +639,16 @@ def test_scene_json_rotation_within_tolerance(tmp_path):
 
 # --- collision broad phase ---
 
+def _shortlists(cloud, poses, gripper, margin):
+    """``scene._collision_shortlists`` on the columns of a list of ``GraspPose``."""
+    bodies = np.array([gripper.collision_body(p.width, p.depth) for p in poses]).reshape(-1, 3, 2, 3)
+    return scene._collision_shortlists(cloud, *_pose_columns(poses), bodies, margin)
+
+
 def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
     """Broad-phase verdicts next to the all-points ones, per pose."""
     got, want = [], []
-    shortlists = list(scene._collision_shortlists(cloud, poses, gripper, margin))
+    shortlists = list(_shortlists(cloud, poses, gripper, margin))
     assert len(shortlists) == len(poses)
     for pose, shortlist in zip(poses, shortlists):
         if shortlist is None:
@@ -607,8 +657,8 @@ def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
             assert shortlist.dtype == np.intp
             assert np.all(np.diff(shortlist) > 0)  # sorted, no repeats
             points = cloud[shortlist]
-        got.append(gripper_collides(points, pose, gripper, margin))
-        want.append(gripper_collides(cloud, pose, gripper, margin))
+        got.append(gripper_collides(points, *pose_fields(pose), gripper, margin))
+        want.append(gripper_collides(cloud, *pose_fields(pose), gripper, margin))
     return got, want
 
 
@@ -705,7 +755,7 @@ def test_collision_empty_cloud():
     cloud = np.zeros((0, 3))
     got, want = _collision_verdicts(cloud, poses)
     assert got == want == [False] * 5
-    assert all(len(s) == 0 for s in scene._collision_shortlists(cloud, poses, GripperModel(), 0.001))
+    assert all(len(s) == 0 for s in _shortlists(cloud, poses, GripperModel(), 0.001))
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 5, scene._NEAREST - 1, scene._NEAREST, scene._NEAREST + 1])
@@ -729,7 +779,7 @@ def test_collision_unusable_body_tests_whole_cloud(width, margin):
     cloud = rng.uniform(-0.05, 0.05, (300, 3))
     poses = [GraspPose(rotation=p.rotation, translation=p.translation, width=width, depth=p.depth)
              for p in _grasps_near(rng, np.zeros((1, 3)), 20, spread=0.05)]
-    shortlists = list(scene._collision_shortlists(cloud, poses, GripperModel(), margin))
+    shortlists = list(_shortlists(cloud, poses, GripperModel(), margin))
     assert shortlists == [None] * len(poses)
     got, want = _collision_verdicts(cloud, poses, margin=margin)
     assert got == want
@@ -770,7 +820,7 @@ def test_collision_far_corner_of_a_shrinking_rotation():
     corner = np.array([hi[1, 0], hi[1, 1], lo[2, 2]]) - 2e-8 * np.array([1, 1, -1])
     local = np.vstack([gap, corner])
     cloud = np.linalg.solve(rotation.T, local.T).T + pose.translation
-    assert not gripper_collides(cloud[:-1], pose, gripper, 0.001)
+    assert not gripper_collides(cloud[:-1], *pose_fields(pose), gripper, 0.001)
     got, want = _collision_verdicts(cloud, [pose], gripper)
     assert want == [True]
     assert got == want
@@ -828,7 +878,7 @@ def _assert_cover_cases(pose, gripper, margin, exact=False):
         return np.linalg.solve(pose.rotation.T, local.T).T + pose.translation
 
     clear = to_world(decoys)
-    assert not gripper_collides(clear, pose, gripper, margin)
+    assert not gripper_collides(clear, *pose_fields(pose), gripper, margin)
     verdicts = []
     for probe in _cover_probes(lo, hi):
         got, want = _collision_verdicts(np.vstack([clear, to_world(probe[None])]), [pose], gripper, margin)
@@ -886,9 +936,9 @@ def test_collision_clear_grasp_gets_an_empty_shortlist():
     lo, hi = boxes[:, 0] - 0.001, boxes[:, 1] + 0.001
     decoys = _decoys(np.random.default_rng(51), lo, hi)
     cloud = np.vstack([decoys @ pose.rotation.T + pose.translation, [[5.0, 5.0, 5.0]]])
-    shortlist, = scene._collision_shortlists(cloud, [pose], gripper, 0.001)
+    shortlist, = _shortlists(cloud, [pose], gripper, 0.001)
     assert shortlist is not None and shortlist.dtype == np.intp and len(shortlist) == 0
-    assert not gripper_collides(cloud, pose, gripper, 0.001)
+    assert not gripper_collides(cloud, *pose_fields(pose), gripper, 0.001)
 
 
 # Gathering a rotation and the boxes for every (grasp, point) pair of one
@@ -904,7 +954,7 @@ def test_collision_shortlists_memory_is_bounded(clutter):
     tracemalloc.start()
     try:
         lengths = [-1 if s is None else len(s)
-                   for s in scene._collision_shortlists(layout.scene_cloud, poses, GripperModel(), 0.001)]
+                   for s in _shortlists(layout.scene_cloud, poses, GripperModel(), 0.001)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -995,8 +1045,8 @@ def _clutter_predictions(layout, n=700, seed=44):
     return PredictionTable.from_grasps(preds)
 
 
-def _all_points(cloud, poses, gripper, margin):
-    for _ in poses:
+def _all_points(cloud, rotations, translations, bodies, margin):
+    for _ in rotations:
         yield None
 
 
@@ -1018,22 +1068,27 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
     preds = _clutter_predictions(layout, n=300, seed=45)
     calls = []
 
-    def counting(points, grasp, gripper, margin):
-        calls.append(grasp)
-        return gripper_collides(points, grasp, gripper, margin)
+    def counting(points, rotation, translation, width, depth, gripper, margin):
+        calls.append((rotation, translation, width, depth))
+        return gripper_collides(points, rotation, translation, width, depth, gripper, margin)
 
     monkeypatch.setattr(scene, "gripper_collides", counting)
-    evaluate_ap(preds, layout, library)
+    report = evaluate_ap(preds, layout, library)
     kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
+    assert 0 < report.n_filtered_nms and len(calls) == len(kept)
 
-    def pose_key(g):
-        return g.rotation.tobytes(), g.translation.tobytes(), g.width, g.depth
+    # the arguments are the table's rows of the kept grasps, in visit order, bit for bit
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64)
 
-    # evaluate_ap builds its own GraspPose per survivor, so poses compare by value
-    assert [pose_key(g) for g in calls] == [pose_key(preds.grasp(i).pose) for i in kept]
+    assert all(np.shape(c[0]) == (3, 3) and np.shape(c[1]) == (3,) for c in calls)
+    assert np.array_equal(bits([c[0] for c in calls]), bits(preds.rotations[kept]))
+    assert np.array_equal(bits([c[1] for c in calls]), bits(preds.translations[kept]))
+    assert np.array_equal(bits([c[2] for c in calls]), bits(preds.values[kept, 12]))
+    assert np.array_equal(bits([c[3] for c in calls]), bits(preds.values[kept, 13]))
 
 
-def test_evaluate_ap_builds_poses_only_for_nms_survivors(clutter, monkeypatch):
+def test_evaluate_ap_builds_no_grasp_pose(clutter, monkeypatch):
     library, layout = clutter
     table = _clutter_predictions(layout, n=300, seed=47)
     built = []
@@ -1045,9 +1100,8 @@ def test_evaluate_ap_builds_poses_only_for_nms_survivors(clutter, monkeypatch):
 
     monkeypatch.setattr(GraspPose, "__post_init__", counting)
     report = evaluate_ap(table, layout, library)
-    # one per NMS survivor, plus one object-frame pose per evaluated grasp
-    assert len(built) == len(table) - report.n_filtered_nms + report.n_evaluated
-    assert report.n_filtered_nms > 0
+    assert built == []
+    assert report.n_filtered_nms > 0 and report.n_filtered_collision > 0 and report.n_evaluated > 0
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
