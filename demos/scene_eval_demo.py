@@ -10,7 +10,7 @@ import numpy as np
 
 from graspscore import (
     GraspPose,
-    MetricWeights,
+    PipelineConfig,
     PredictedGrasp,
     PredictionTable,
     SceneInstance,
@@ -52,7 +52,8 @@ if __name__ == "__main__":
         PredictedGrasp(diametral(centers[0], np.array([1.0, 0, 0])), 0.70, "sphere"),
     ])
 
-    report = evaluate_ap(predictions, layout, library, MetricWeights(1, 0, 0, 0))
+    closure_only = PipelineConfig(lambda_t=1.0, lambda_f=0.0, lambda_g=0.0, lambda_c=0.0)
+    report = evaluate_ap(predictions, layout, library, closure_only)
     print(f"{report.n_predictions} predictions -> {report.n_filtered_nms} suppressed,"
           f" {report.n_filtered_collision} colliding, {report.n_evaluated} evaluated")
     print(f"true scores {list(report.true_scores)}")

@@ -34,11 +34,10 @@ from .errors import (
 )
 from .geometry import rotation_about_axis
 from .labels import check_object_id, read_labels, read_predictions, write_labels
-from .mesh import with_surface_samples
 from .meshio import load_mesh, save_point_cloud_ply
 from .metrics import MetricWeights
 from .pipeline import label_mesh
-from .scene import SceneInstance, build_scene, evaluate_ap, load_scene_instances, save_scene
+from .scene import SceneInstance, SceneLayout, build_scene, evaluate_ap, load_scene_instances, save_scene
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +54,7 @@ _INPUT_ERRORS = (
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
+    """The config, mesh-scale and sampling-seed flags of the subcommands that load meshes."""
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--unit-scale", type=float, default=1.0,
                         help="multiply mesh coordinates on load (default 1.0)")
@@ -63,7 +63,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "weights", None):
+    if args.weights:
         cfg = cfg.with_weights(MetricWeights.parse(args.weights))
     return cfg
 
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels", help="existing label file")
     p.add_argument("--out", required=True)
     p.add_argument("--weights", required=True, help="lambda_t,lambda_f,lambda_g,lambda_c")
-    _common_flags(p)
 
     p = sub.add_parser("scene", help="compose a scene layout JSON")
     p.add_argument("--out", required=True)
@@ -95,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="posed instance; repeatable; yaw spins about world z")
     p.add_argument("--meshes", default=None,
                    help="mesh directory; when given, instance ids are validated against it")
-    _common_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a prediction file against a scene")
     p.add_argument("predictions", help="prediction or label file")
@@ -108,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("views", help="print approach-view unit vectors")
     p.add_argument("--count", type=int, default=300)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    _common_flags(p)
 
     return parser
 
@@ -185,8 +182,7 @@ def _score_colors(scores: np.ndarray) -> np.ndarray:
 
 
 def cmd_rescore(args) -> int:
-    cfg = _load_config(args)
-    table = read_labels(args.labels).rescored(cfg.weights())
+    table = read_labels(args.labels).rescored(MetricWeights.parse(args.weights))
     write_labels(args.out, table)
     print(f"rescored {len(table)} records to {args.out}")
     return 0
@@ -195,27 +191,13 @@ def cmd_rescore(args) -> int:
 def cmd_scene(args) -> int:
     if not np.isfinite(args.table_height):
         raise ValueError(f"--table-height must be finite, got {args.table_height!r}")
-    instances = []
-    for spec_text in args.instance:
-        instances.append(_parse_instance(spec_text))
+    instances = [_parse_instance(spec_text) for spec_text in args.instance]
     if args.meshes:
         for inst in instances:
             if _find_mesh_file(args.meshes, inst.object_id) is None:
                 raise UnknownObjectId(f"no mesh file for {inst.object_id!r} in {args.meshes}")
-    library = {}
-    if args.meshes:
-        cfg = _load_config(args)
-        for inst in instances:
-            if inst.object_id not in library:
-                path = _find_mesh_file(args.meshes, inst.object_id)
-                library[inst.object_id] = with_surface_samples(
-                    load_mesh(path, unit_scale=args.unit_scale), cfg.surface_density, args.seed
-                )
-        layout = build_scene(instances, library, args.table_height)
-    else:
-        from .scene import SceneLayout
-        layout = SceneLayout(tuple(instances), float(args.table_height), np.zeros((0, 3)))
-    save_scene(args.out, layout)
+    # A scene file holds no cloud; eval loads and samples the meshes.
+    save_scene(args.out, SceneLayout(tuple(instances), float(args.table_height), np.zeros((0, 3))))
     print(f"wrote scene with {len(instances)} instance(s) to {args.out}")
     return 0
 
@@ -258,24 +240,9 @@ def cmd_eval(args) -> int:
         path = _find_mesh_file(args.meshes, inst.object_id)
         if path is None:
             raise UnknownObjectId(f"no mesh file for {inst.object_id!r} in {args.meshes}")
-        library[inst.object_id] = with_surface_samples(
-            load_mesh(path, unit_scale=args.unit_scale), cfg.surface_density, args.seed
-        )
+        library[inst.object_id] = load_mesh(path, unit_scale=args.unit_scale)
     layout = build_scene(instances, library, table_height, cfg.surface_density, args.seed)
-
-    report = evaluate_ap(
-        predictions, layout, library,
-        weights=cfg.weights(),
-        thresholds=cfg.score_thresholds,
-        gripper=cfg.gripper(),
-        bins=cfg.bins(),
-        knn_k=cfg.knn_k,
-        trans_thresh=cfg.nms_trans_thresh,
-        rot_thresh=cfg.nms_rot_thresh,
-        collision_margin=cfg.collision_margin,
-        surface_density=cfg.surface_density,
-        sample_seed=args.seed,
-    )
+    report = evaluate_ap(predictions, layout, library, cfg)
 
     print(f"{'threshold':>10} {'AP':>14}")
     for tau, ap in zip(report.thresholds, report.ap_values):

@@ -76,13 +76,22 @@ class GripperModel:
 _ROTATION_TOL = 1e-8 + 1e-5 * np.eye(3)
 
 
-def _is_proper_rotation(r: np.ndarray) -> bool:
-    """True for a finite 3x3 ``r`` with R^T R allclose (atol=1e-8) to I and det R > 0."""
-    return bool(
-        np.isfinite(r).all()
-        and (np.abs(r.T @ r - np.eye(3)) <= _ROTATION_TOL).all()
-        and np.linalg.det(r) > 0
-    )
+def proper_rotations(r: np.ndarray) -> np.ndarray:
+    """Mask over an (..., 3, 3) stack: finite, R^T R allclose (atol=1e-8) to I, det R > 0.
+
+    The Gram matrix and the cofactor determinant are summed elementwise in
+    a fixed order, so a matrix gets the same verdict alone or in any batch.
+    """
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = r[..., :, :, None] * r[..., :, None, :]
+        gram = p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]
+        det = (r[..., 0, 0] * (r[..., 1, 1] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 1])
+               - r[..., 0, 1] * (r[..., 1, 0] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 0])
+               + r[..., 0, 2] * (r[..., 1, 0] * r[..., 2, 1] - r[..., 1, 1] * r[..., 2, 0]))
+        return (np.isfinite(r).all(axis=(-2, -1))
+                & (np.abs(gram - np.eye(3)) <= _ROTATION_TOL).all(axis=(-2, -1))
+                & (det > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +114,7 @@ class GraspPose:
         object.__setattr__(self, "translation", t)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if not _is_proper_rotation(r):
+        if not proper_rotations(r):
             raise ValueError("rotation must be a proper orthonormal matrix")
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")

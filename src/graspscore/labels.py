@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .gripper import _ROTATION_TOL, GraspPose
+from .gripper import GraspPose, proper_rotations
 from .metrics import SCORE_COLUMNS, MetricWeights, combine_scores
 from .scene import PredictionTable
 
@@ -58,9 +58,6 @@ _NOT_ASCII = re.compile(rb"[\x80-\xff]")
 # Characters an object id may not hold: the field separator and the line
 # breaks.
 _ID_FORBIDDEN = _LINE_BREAKS | {","}
-# A rotation whose R^T R is this close to the tolerance edge is decided by
-# the per-row check; batched and per-row products differ by far less.
-_EDGE_MARGIN = 1e-12
 
 
 def check_object_id(object_id: str) -> None:
@@ -311,7 +308,7 @@ def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) 
     The first 14 of ``columns`` are the pose columns. Every value is parsed
     by one numpy call, which follows ``float()``. If that fails, or the
     batched checks flag rows, those rows go through ``_check_row`` in file
-    order, so the error is the one the per-row path raises first.
+    order, which raises the error the per-row path raises first.
     """
     fields = list(map(itemgetter(*columns), rows))
     try:
@@ -326,20 +323,14 @@ def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) 
 
 
 def _flagged_rows(values: np.ndarray) -> np.ndarray:
-    """Mask of the rows ``_check_row`` might reject.
+    """Mask of the rows ``_check_row`` rejects.
 
-    A row passes unflagged only when every value is finite, width and
-    depth are positive, det R > 0, and every entry of R^T R lies inside
-    the orthonormality tolerance by more than ``_EDGE_MARGIN``.
+    A row passes only when every value is finite, width and depth are
+    positive and ``proper_rotations`` accepts its rotation, the rule
+    ``GraspPose`` applies to one row.
     """
-    finite = np.isfinite(values).all(axis=1)
-    # A non-finite row is flagged already; its rotation is swapped for I.
-    r = np.where(finite[:, None, None], values[:, 0:9].reshape(-1, 3, 3), np.eye(3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(r.transpose(0, 2, 1), r)
-        inside = (np.abs(gram - np.eye(3)) <= _ROTATION_TOL - _EDGE_MARGIN).all(axis=(1, 2))
-        proper = np.linalg.det(r) > 0
-    ok = finite & inside & proper & (values[:, 12] > 0) & (values[:, 13] > 0)
+    ok = (np.isfinite(values).all(axis=1) & proper_rotations(values[:, 0:9].reshape(-1, 3, 3))
+          & (values[:, 12] > 0) & (values[:, 13] > 0))
     return ~ok
 
 

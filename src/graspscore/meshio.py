@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
+from .mesh import build_mesh
 
 logger = logging.getLogger(__name__)
 
@@ -29,12 +30,12 @@ _NUMPY_CODES = {
 }
 
 
-def load_mesh(path: str, unit_scale: float = 1.0, format: str | None = None):
+def load_mesh(path: str, unit_scale: float = 1.0):
     """Load a triangle mesh from an OBJ or PLY file.
 
-    The format is picked by file extension unless ``format`` ("obj" or
-    "ply") forces it. Vertex coordinates are multiplied by ``unit_scale``,
-    which is how meshes authored in millimeters are brought into meters.
+    The format is picked by file extension. Vertex coordinates are
+    multiplied by ``unit_scale``, which is how meshes authored in
+    millimeters are brought into meters.
 
     Returns:
         A TriangleMesh with recomputed, outward-oriented vertex normals.
@@ -44,13 +45,11 @@ def load_mesh(path: str, unit_scale: float = 1.0, format: str | None = None):
             file, unknown format, or malformed content.
         EmptyMesh: no non-degenerate triangle survives parsing.
     """
-    from .mesh import build_mesh
-
     if not (np.isfinite(unit_scale) and unit_scale > 0):
         raise ParseError(f"unit scale must be finite and positive, got {unit_scale!r}: {path}")
     if not os.path.isfile(path):
         raise ParseError(f"mesh file not found: {path}")
-    kind = format.lower() if format else os.path.splitext(path)[1].lower().lstrip(".")
+    kind = os.path.splitext(path)[1].lower().lstrip(".")
     if kind == "obj":
         vertices, faces = _parse_obj(path)
     elif kind == "ply":

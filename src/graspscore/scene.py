@@ -18,19 +18,18 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .closure import FrictionBins
+from .config import PipelineConfig
 from .errors import ParseError, UnknownObjectId
-from .gripper import GraspPose, GripperModel, _is_proper_rotation, contacts_on_lines, gripper_collides
+from .gripper import GraspPose, contacts_on_lines, gripper_collides, proper_rotations
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
-from .metrics import MetricWeights, combine_scores, score_contacts
+from .metrics import combine_scores, score_contacts
 from .spatial import SpatialIndex
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THRESHOLDS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 TOP_K = 50
-DEFAULT_TRANS_THRESH = 0.03
-DEFAULT_ROT_THRESH = np.deg2rad(30.0)
+# The source of grasp_nms's default thresholds.
+_DEFAULTS = PipelineConfig()
 
 # NMS broad phase (see grasp_nms). The embedding scales tau and rho carry a
 # relative pad far wider than the rounding of an embedded coordinate, which
@@ -176,8 +175,9 @@ def build_scene(
 ) -> SceneLayout:
     """Merge posed instance surface clouds into a scene layout.
 
-    Library meshes without surface samples get them attached here with a
-    deterministic seed.
+    Library meshes without surface samples get them attached here, in the
+    library itself, with ``density`` and the deterministic ``seed``; this is
+    where ``evaluate_ap``'s meshes get theirs.
     """
     clouds = []
     for inst in instances:
@@ -215,9 +215,10 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
     Raises:
         ParseError: the file is not ascii or not JSON (the message gives
             the line and column), or the document lacks a required key, has
-            the wrong shape, or holds a NaN table height, a non-finite
-            translation or a rotation that GraspPose would reject; the
-            message names the file and the instance index.
+            the wrong shape, or holds a non-finite table height (NaN, or
+            json's ``Infinity`` / ``-Infinity``), a non-finite translation
+            or a rotation that ``proper_rotations`` rejects; the message
+            names the file and, for an instance, its index.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -236,8 +237,8 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
         raise ParseError(f"{path}: scene lacks key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed scene: {exc}") from exc
-    if np.isnan(table_height):
-        raise ParseError(f"{path}: table_height is NaN")
+    if not np.isfinite(table_height):
+        raise ParseError(f"{path}: table_height must be finite, got {table_height!r}")
 
     instances = []
     for k, item in enumerate(items):
@@ -252,7 +253,7 @@ def load_scene_instances(path: str) -> tuple[list[SceneInstance], float]:
             raise ParseError(f"{where} is malformed: {exc}") from exc
         if translation.shape != (3,) or not np.isfinite(translation).all():
             raise ParseError(f"{where}: translation must be 3 finite values")
-        if not _is_proper_rotation(rotation):
+        if not proper_rotations(rotation):
             raise ParseError(f"{where}: rotation must be a proper orthonormal matrix")
         instances.append(SceneInstance(object_id=object_id, rotation=rotation, translation=translation))
     return instances, table_height
@@ -262,8 +263,8 @@ def grasp_nms(
     rotations: np.ndarray,
     translations: np.ndarray,
     scores: np.ndarray,
-    trans_thresh: float = DEFAULT_TRANS_THRESH,
-    rot_thresh: float = DEFAULT_ROT_THRESH,
+    trans_thresh: float = _DEFAULTS.nms_trans_thresh,
+    rot_thresh: float = _DEFAULTS.nms_rot_thresh,
 ) -> np.ndarray:
     """Greedy pose non-maximum suppression.
 
@@ -540,17 +541,7 @@ def evaluate_ap(
     predictions: PredictionTable,
     layout: SceneLayout,
     library: dict[str, TriangleMesh],
-    weights: MetricWeights = MetricWeights(),
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    *,
-    gripper: GripperModel = GripperModel(),
-    bins: FrictionBins = FrictionBins(),
-    knn_k: int = 10,
-    trans_thresh: float = DEFAULT_TRANS_THRESH,
-    rot_thresh: float = DEFAULT_ROT_THRESH,
-    collision_margin: float = 0.001,
-    surface_density: float = DEFAULT_SURFACE_DENSITY,
-    sample_seed: int = 0,
+    config: PipelineConfig = PipelineConfig(),
 ) -> EvalReport:
     """Score a prediction set against a scene.
 
@@ -562,6 +553,13 @@ def evaluate_ap(
     scene instance. Grasps whose contacts cannot be resolved score 0.
     Fewer than 50 survivors are padded with zero true scores; no survivors
     at all yields a zeroed, flagged report.
+
+    ``config`` supplies what ``label_mesh`` scores with (the weights,
+    friction bins, gripper and ``knn_k``) and the evaluation settings: the
+    NMS thresholds, the collision margin and the score thresholds. The
+    library's meshes must carry the surface samples that ``build_scene``
+    attached to them; ``SpatialIndex.from_mesh`` raises ``ValueError`` for
+    a mesh without them.
 
     Both filters test in bulk, and both give what the exhaustive scans
     give. NMS (see ``grasp_nms``) takes the predictions a block at a time
@@ -583,9 +581,11 @@ def evaluate_ap(
     survivors' rows of the table's columns and no pose is built or checked
     again, so a rotation turned into an object's frame is used as it is.
     """
+    gripper, bins, weights = config.gripper(), config.bins(), config.weights()
+    margin, thresholds = config.collision_margin, config.score_thresholds
     n_in = len(predictions)
     kept = grasp_nms(predictions.rotations, predictions.translations, predictions.scores,
-                     trans_thresh, rot_thresh)
+                     config.nms_trans_thresh, config.nms_rot_thresh)
     n_nms = n_in - len(kept)
 
     # The NMS survivors' columns, in visit order.
@@ -595,11 +595,10 @@ def evaluate_ap(
     bodies = gripper.collision_body(widths, depths)
     cloud = layout.scene_cloud
     clear = ~_below_table(rotations, translations, bodies, layout.table_height)
-    shortlists = _collision_shortlists(cloud, rotations, translations, bodies, collision_margin)
+    shortlists = _collision_shortlists(cloud, rotations, translations, bodies, margin)
     for g, shortlist in enumerate(shortlists):
         points = cloud if shortlist is None else cloud[shortlist]
-        if gripper_collides(points, rotations[g], translations[g], widths[g], depths[g], gripper,
-                            collision_margin):
+        if gripper_collides(points, rotations[g], translations[g], widths[g], depths[g], gripper, margin):
             clear[g] = False
     survivors = np.flatnonzero(clear)
     n_coll = len(kept) - len(survivors)
@@ -628,9 +627,6 @@ def evaluate_ap(
     def prepare(object_id: str):
         if object_id not in prepared:
             mesh = library[object_id]
-            if mesh.surface_points is None:
-                mesh = with_surface_samples(mesh, surface_density, sample_seed)
-                library[object_id] = mesh
             prepared[object_id] = (mesh, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center)
         return prepared[object_id]
 
@@ -661,7 +657,7 @@ def evaluate_ap(
             np.array([r[:, 0] for r, _ in local]),
             widths[rows] / 2.0,
         )
-        s_t, _, _, s_f, s_g_raw, s_c_raw = score_contacts(contacts, index, gravity_center, bins, knn_k)
+        s_t, _, _, s_f, s_g_raw, s_c_raw = score_contacts(contacts, index, gravity_center, bins, config.knn_k)
         true_scores[np.array(members)[valid]] = combine_scores(s_t, s_f, s_g_raw, s_c_raw, weights)[2]
 
     aps = _ap_per_threshold(true_scores, thresholds)

@@ -16,7 +16,7 @@ import numpy as np
 
 from graspscore import (
     GraspPose,
-    MetricWeights,
+    PipelineConfig,
     PredictedGrasp,
     SceneInstance,
     build_scene,
@@ -27,7 +27,7 @@ from graspscore.primitives import make_icosphere
 
 from conftest import perpendicular_basis
 
-CLOSURE_ONLY = MetricWeights(1.0, 0.0, 0.0, 0.0)
+CLOSURE_ONLY = PipelineConfig(lambda_t=1.0, lambda_f=0.0, lambda_g=0.0, lambda_c=0.0)
 SPHERE_ID = "sph3"
 SPHERE_RADIUS = 0.03
 TABLE_HEIGHT = -0.2

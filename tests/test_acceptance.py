@@ -45,7 +45,6 @@ from graspscore import (
 )
 from graspscore.candidates import candidate_arrays, generate_views
 from graspscore.gripper import ContactArrays, contacts_on_lines
-from graspscore.scene import DEFAULT_ROT_THRESH, DEFAULT_TRANS_THRESH
 
 import _scenes
 from conftest import random_rotation, run_cli
@@ -387,6 +386,7 @@ def test_criterion_7_ap_protocol():
     # Survivors of greedy NMS on clustered random poses must differ by the
     # translation threshold or the rotation threshold, pairwise.
     rng = np.random.default_rng(3)
+    defaults = PipelineConfig()
     scan_bad = 0
     dropped_best = 0
     for _ in range(5):
@@ -404,7 +404,7 @@ def test_criterion_7_ap_protocol():
         for a, b in itertools.combinations(kept.tolist(), 2):
             d_t = float(np.linalg.norm(grasps[a].translation - grasps[b].translation))
             rel = Rotation.from_matrix(grasps[a].rotation).inv() * Rotation.from_matrix(grasps[b].rotation)
-            if d_t < DEFAULT_TRANS_THRESH and float(rel.magnitude()) < DEFAULT_ROT_THRESH:
+            if d_t < defaults.nms_trans_thresh and float(rel.magnitude()) < defaults.nms_rot_thresh:
                 scan_bad += 1
     if scan_bad:
         failures.append(f"{scan_bad} surviving NMS pairs are mutually close")

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -15,6 +18,7 @@ from graspscore import (
     with_surface_samples,
     write_predictions,
 )
+from graspscore import cli, mesh, scene
 from graspscore.labels import LABEL_COLUMNS
 from graspscore.primitives import make_box, make_icosphere
 
@@ -223,6 +227,8 @@ def test_no_arguments_is_usage_error(workdir):
     ("rotation", [2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
     ("rotation", [1.0, 0, 0, 0, -1, 0, 0, 0, 1]),
     ("table_height", float("nan")),
+    ("table_height", float("inf")),
+    ("table_height", float("-inf")),
 ])
 def test_eval_rejects_bad_scene(eval_setup, field, value):
     path, _ = eval_setup
@@ -358,3 +364,52 @@ def test_label_names_a_non_ascii_byte_in_the_config(workdir):
     res = _run("label", "cube.obj", "--out", "accent.csv", "--config", "accent.cfg", cwd=workdir)
     _assert_not_ascii(res, "ConfigError", "accent.cfg:2: byte 0xc3 is not ascii")
     assert not (workdir / "accent.csv").exists()
+
+
+def _args_read_by_command():
+    """Subcommand name -> the ``args.<name>`` attributes that its ``cmd_``
+    function, or a ``cli.py`` function it calls, reads."""
+    functions = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        if name in seen:
+            return set()
+        seen.add(name)
+        out = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                out.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+                out |= reads(node.func.id, seen)
+        return out
+
+    return {name[4:]: reads(name, set()) for name in functions if name.startswith("cmd_")}
+
+
+def test_every_declared_flag_is_read():
+    read = _args_read_by_command()
+    subparsers, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(read)
+    for command, parser in subparsers.choices.items():
+        declared = {action.dest for action in parser._actions} - {"help"}
+        assert declared <= read[command], (command, sorted(declared - read[command]))
+
+
+def test_scene_with_meshes_loads_and_samples_nothing(eval_setup, monkeypatch, capsys):
+    path, _ = eval_setup
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scene must not load or sample a mesh")
+
+    monkeypatch.setattr(cli, "load_mesh", forbidden)
+    monkeypatch.setattr(scene, "with_surface_samples", forbidden)
+    monkeypatch.setattr(mesh, "with_surface_samples", forbidden)
+    out = path / "unloaded_scene.json"
+    rc = cli.main(["scene", "--out", str(out), "--table-height", "-0.2", "--instance", "sph3:0,0,0",
+                   "--instance", "sph3:0.3,0,0:90", "--meshes", str(path / "meshes")])
+    assert rc == 0, capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["table_height"] == -0.2
+    assert [inst["object_id"] for inst in doc["instances"]] == ["sph3", "sph3"]
+    assert doc["instances"][1]["translation"] == [0.3, 0.0, 0.0]

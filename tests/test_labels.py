@@ -19,7 +19,7 @@ from graspscore import (
 )
 from graspscore import labels
 from graspscore.errors import SchemaError
-from graspscore.gripper import _is_proper_rotation
+from graspscore.gripper import proper_rotations
 from graspscore.labels import LABEL_COLUMNS, PREDICTION_COLUMNS
 
 from conftest import random_rotation
@@ -450,15 +450,15 @@ def test_rotation_inside_rtol_edge_is_accepted(tmp_path, kind):
     _per_row_read(path, kind)
 
 
-def _old_is_proper_rotation(r):
+def _allclose_rotation_oracle(r):
     return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
 
 
 def test_batched_rotation_check_matches_per_row_near_rtol_edge(tmp_path):
-    """Rotations scaled across the rtol edge: the rows the batched check
-    lets through unflagged all pass the per-row rule, the rows that rule
-    rejects are all flagged, and a file of them fails at its first rejected
-    row."""
+    """Rotations scaled across the rtol edge: ``proper_rotations`` gives each
+    the np.allclose rule's verdict, alone and in a batch, the batched read
+    flags exactly the rows that rule rejects, and a file of them fails at
+    its first rejected row."""
     rng = np.random.default_rng(54)
     n = 4000
     rotations = np.array([random_rotation(rng) for _ in range(n)])
@@ -469,11 +469,11 @@ def test_batched_rotation_check_matches_per_row_near_rtol_edge(tmp_path):
     values[:, :9] = rotations.reshape(n, 9)
     values[:, 12:14] = 0.05
     flagged = labels._flagged_rows(values)
-    per_row = np.array([_is_proper_rotation(r) for r in rotations])
-    assert np.array_equal(per_row, [_old_is_proper_rotation(r) for r in rotations])
+    per_row = np.array([bool(proper_rotations(r)) for r in rotations])
+    assert np.array_equal(per_row, [_allclose_rotation_oracle(r) for r in rotations])
+    assert np.array_equal(proper_rotations(rotations), per_row)
     assert 100 < per_row.sum() < n - 100
-    assert not (~flagged & ~per_row).any()
-    assert np.mean(flagged == ~per_row) > 0.99
+    assert np.array_equal(flagged, ~per_row)
 
     order = np.argsort(~per_row, kind="stable")  # accepted rows first
     path = str(tmp_path / "edge.csv")

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from graspscore import (
 from graspscore import geometry, metrics, scene
 from graspscore.candidates import generate_views
 from graspscore.errors import ParseError, UnknownObjectId
+from graspscore.primitives import make_icosphere
 
 import _scenes
 from conftest import collision_box_corners, one_line_contacts, pose_fields, random_rotation
@@ -583,6 +585,52 @@ def test_eval_empty_predictions(sphere_world):
     assert report.map_value == 0.0
 
 
+# --- the config's evaluation settings reach evaluate_ap ---
+
+def test_eval_config_nms_threshold_zero_suppresses_nothing(sphere_world):
+    library, layout = sphere_world
+    preds = _scenes.perfect_predictions()
+    preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
+    table = PredictionTable.from_grasps(preds)
+    assert evaluate_ap(table, layout, library, _scenes.CLOSURE_ONLY).n_filtered_nms == 1
+    config = replace(_scenes.CLOSURE_ONLY, nms_trans_thresh=0.0)
+    report = evaluate_ap(table, layout, library, config)
+    assert report.n_filtered_nms == 0
+    assert report.n_evaluated == 50
+
+
+def test_eval_config_collision_margin_inflates_the_fingers(sphere_world):
+    """The finger inner faces of a diametral pinch sit 0.035 m from the
+    centre of the 0.03 m sphere; a 0.01 m margin puts the sphere inside
+    the inflated fingers, so every grasp collides."""
+    library, layout = sphere_world
+    table = PredictionTable.from_grasps(_scenes.perfect_predictions())
+    assert evaluate_ap(table, layout, library, _scenes.CLOSURE_ONLY).n_filtered_collision == 0
+    report = evaluate_ap(table, layout, library, replace(_scenes.CLOSURE_ONLY, collision_margin=0.01))
+    assert report.n_filtered_collision == 50
+    assert report.empty_after_filtering and report.n_evaluated == 0
+
+
+def test_eval_config_score_thresholds_make_the_report(sphere_world):
+    library, layout = sphere_world
+    table = PredictionTable.from_grasps(_scenes.good25_predictions())
+    report = evaluate_ap(table, layout, library, replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.25, 1.0)))
+    assert report.thresholds == (0.25, 1.0)
+    mid = sum(min(k, 25) / k for k in range(1, 51)) / 50
+    assert report.ap_values == pytest.approx((mid, mid), abs=1e-12)
+    empty = evaluate_ap(PredictionTable.from_grasps([]), layout, library,
+                        replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.5,)))
+    assert empty.thresholds == (0.5,) and empty.ap_values == (0.0,)
+
+
+def test_eval_needs_the_samples_build_scene_attaches(sphere_world):
+    _, layout = sphere_world
+    unsampled = {_scenes.SPHERE_ID: make_icosphere(_scenes.SPHERE_RADIUS, 3)}
+    table = PredictionTable.from_grasps(_scenes.perfect_predictions()[:1])
+    with pytest.raises(ValueError, match="no surface samples"):
+        evaluate_ap(table, layout, unsampled, _scenes.CLOSURE_ONLY)
+
+
 # --- scene file validation ---
 
 def _scene_doc():
@@ -621,6 +669,17 @@ def test_scene_json_nan_table_height(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="table_height") as err:
+        load_scene_instances(str(path))
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("height", [float("inf"), float("-inf")])
+def test_scene_json_infinite_table_height(tmp_path, height):
+    doc = _scene_doc()
+    doc["table_height"] = height
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="table_height must be finite") as err:
         load_scene_instances(str(path))
     assert str(path) in str(err.value)
 
