@@ -16,7 +16,6 @@ from graspscore import (
     SceneInstance,
     build_scene,
     evaluate_ap,
-    with_surface_samples,
 )
 from graspscore.primitives import make_icosphere
 
@@ -37,10 +36,12 @@ def high_chord(center):
 
 
 if __name__ == "__main__":
-    library = {"sphere": with_surface_samples(make_icosphere(RADIUS, 3), seed=0)}
+    # build_scene samples the sphere's surface once; the layout keeps the
+    # sampled mesh, and evaluate_ap scores on it.
+    library = {"sphere": make_icosphere(RADIUS, 3)}
     centers = [np.array([0.25 * i, 0.0, 0.0]) for i in range(3)]
     instances = [SceneInstance("sphere", np.eye(3), c) for c in centers]
-    layout = build_scene(instances, library, table_height=-0.2)
+    layout = build_scene(instances, library, table_height=-0.2, seed=0)
     print(f"scene: {len(instances)} spheres, {len(layout.scene_cloud)} cloud points")
 
     # The table holds one row per prediction: the pose and predicted score
@@ -53,7 +54,7 @@ if __name__ == "__main__":
     ])
 
     closure_only = PipelineConfig(lambda_t=1.0, lambda_f=0.0, lambda_g=0.0, lambda_c=0.0)
-    report = evaluate_ap(predictions, layout, library, closure_only)
+    report = evaluate_ap(predictions, layout, closure_only)
     print(f"{report.n_predictions} predictions -> {report.n_filtered_nms} suppressed,"
           f" {report.n_filtered_collision} colliding, {report.n_evaluated} evaluated")
     print(f"true scores {list(report.true_scores)}")

@@ -37,7 +37,7 @@ from .labels import check_object_id, read_labels, read_predictions, write_labels
 from .meshio import load_mesh, save_point_cloud_ply
 from .metrics import MetricWeights
 from .pipeline import label_mesh
-from .scene import SceneInstance, SceneLayout, build_scene, evaluate_ap, load_scene_instances, save_scene
+from .scene import SceneInstance, build_scene, evaluate_ap, load_scene_instances, save_scene
 
 logger = logging.getLogger(__name__)
 
@@ -196,8 +196,7 @@ def cmd_scene(args) -> int:
         for inst in instances:
             if _find_mesh_file(args.meshes, inst.object_id) is None:
                 raise UnknownObjectId(f"no mesh file for {inst.object_id!r} in {args.meshes}")
-    # A scene file holds no cloud; eval loads and samples the meshes.
-    save_scene(args.out, SceneLayout(tuple(instances), float(args.table_height), np.zeros((0, 3))))
+    save_scene(args.out, instances, float(args.table_height))
     print(f"wrote scene with {len(instances)} instance(s) to {args.out}")
     return 0
 
@@ -242,7 +241,7 @@ def cmd_eval(args) -> int:
             raise UnknownObjectId(f"no mesh file for {inst.object_id!r} in {args.meshes}")
         library[inst.object_id] = load_mesh(path, unit_scale=args.unit_scale)
     layout = build_scene(instances, library, table_height, cfg.surface_density, args.seed)
-    report = evaluate_ap(predictions, layout, library, cfg)
+    report = evaluate_ap(predictions, layout, cfg)
 
     print(f"{'threshold':>10} {'AP':>14}")
     for tau, ap in zip(report.thresholds, report.ap_values):

@@ -43,10 +43,11 @@ class GripperModel:
     depth_levels: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04)
 
     def __post_init__(self):
-        if self.max_width <= 0 or self.finger_length <= 0 or self.finger_thickness <= 0:
-            raise ValueError("gripper dimensions must be positive")
-        if not self.depth_levels or any(d <= 0 for d in self.depth_levels):
-            raise ValueError("depth levels must be positive")
+        # NaN fails these too
+        if not all(0.0 < x < np.inf for x in (self.max_width, self.finger_length, self.finger_thickness)):
+            raise ValueError("gripper dimensions must be positive and finite")
+        if not self.depth_levels or not all(0.0 < d < np.inf for d in self.depth_levels):
+            raise ValueError("depth levels must be positive and finite")
 
     def collision_body(self, width, depth) -> np.ndarray:
         """Axis-aligned collision boxes in the gripper frame.

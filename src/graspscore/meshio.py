@@ -3,9 +3,9 @@
 Supports Wavefront OBJ (``v``/``f`` lines, 1-based indices) and PLY in both
 ascii and binary little-endian form. Only triangle faces are accepted; any
 vertex normals stored in the file are ignored because normals are recomputed
-from the geometry on load. Binary PLY faces are read as fixed-size records, so
-a face list property other than the vertex indices must hold the same number
-of values in every face.
+from the geometry on load. PLY faces are read as fixed-size records laid out
+by the header, so a face list property other than the vertex indices must
+hold the same number of values in every face.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def _ply_elements_ascii(tokens, elements, path):
     try:
         for name, count, props in elements:
             if name == "vertex":
+                if any(p[2] is not None for p in props):
+                    raise ParseError(f"{path}: list-typed vertex properties are unsupported")
                 width = len(props)
                 cols = {p[0]: i for i, p in enumerate(props)}
                 for key in ("x", "y", "z"):
@@ -149,12 +151,16 @@ def _ply_elements_ascii(tokens, elements, path):
                 pos += count * width
                 vertices = block[:, [cols["x"], cols["y"], cols["z"]]]
             elif name == "face":
-                block = np.array(tokens[pos:pos + 4 * count], dtype=np.int64).reshape(count, 4)
-                pos += 4 * count
-                if (block[:, 0] != 3).any():
-                    n = block[np.argmax(block[:, 0] != 3), 0]
-                    raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
-                faces = block[:, 1:]
+                if count == 0:
+                    continue
+                # One 8-byte field per token lays the record out in tokens.
+                dt = _face_record_dtype(props, lambda first, key: tokens[pos + first.fields[key][1] // 8], "<i8")
+                width = dt.itemsize // 8
+                if len(tokens) < pos + count * width:
+                    raise ValueError(f"{count} face records need {count * width} tokens")
+                records = tokens[pos:pos + count * width]
+                pos += count * width
+                faces = _face_indices(props, lambda key: _token_field(records, dt, key), path)
             else:
                 # skip unknown fixed-width elements; lists are not skippable
                 for pname, ptype, list_type in props:
@@ -187,22 +193,11 @@ def _ply_elements_binary(body: bytes, elements, path):
             elif name == "face":
                 if count == 0:
                     continue
-                dt = _face_record_dtype(body, off, props)
+                dt = _face_record_dtype(
+                    props, lambda first, key: np.frombuffer(body, dtype=first, count=1, offset=off)[key][0])
                 arr = np.frombuffer(body, dtype=dt, count=count, offset=off)
                 off += dt.itemsize * count
-                for i, (pname, _, ltype) in enumerate(props):
-                    if ltype is None:
-                        continue
-                    lengths = arr[f"n{i}"]
-                    if pname in _FACE_INDEX_NAMES:
-                        if (lengths != 3).any():
-                            n = lengths[np.argmax(lengths != 3)]
-                            raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
-                        faces = arr[f"p{i}"]
-                    elif (lengths != lengths[0]).any():
-                        raise ParseError(f"{path}: face list property {pname!r} changes length")
-                if faces is None:
-                    raise ParseError(f"{path}: face element lacks vertex_indices")
+                faces = _face_indices(props, arr.__getitem__, path)
             else:
                 if not fixed:
                     raise ParseError(f"{path}: cannot skip list element {name!r}")
@@ -212,25 +207,53 @@ def _ply_elements_binary(body: bytes, elements, path):
     return _as_arrays(vertices, faces, path)
 
 
-def _face_record_dtype(body: bytes, off: int, props) -> np.dtype:
-    """Structured dtype of one binary face record.
+def _face_record_dtype(props, first_length, code: str | None = None) -> np.dtype:
+    """Structured dtype of one face record.
 
     A list property becomes a length field ``n<i>`` and a values field
     ``p<i>``: three values for the vertex indices, and for any other list
-    as many as the first record holds. Callers check the length fields.
+    as many as the first record holds, which ``first_length(dtype so far,
+    "n<i>")`` reads. Fields take the header's types, or ``code`` when
+    given. Callers check the length fields.
     """
     fields = []
     for i, (pname, ptype, ltype) in enumerate(props):
         if ltype is None:
-            fields.append((f"p{i}", "<" + _NUMPY_CODES[ptype]))
+            fields.append((f"p{i}", code or "<" + _NUMPY_CODES[ptype]))
             continue
-        fields.append((f"n{i}", "<" + _NUMPY_CODES[ltype]))
-        if pname in _FACE_INDEX_NAMES:
-            n = 3
-        else:
-            n = int(np.frombuffer(body, dtype=np.dtype(fields), count=1, offset=off)[f"n{i}"][0])
-        fields.append((f"p{i}", "<" + _NUMPY_CODES[ptype], (n,)))
+        fields.append((f"n{i}", code or "<" + _NUMPY_CODES[ltype]))
+        n = 3 if pname in _FACE_INDEX_NAMES else int(first_length(np.dtype(fields), f"n{i}"))
+        fields.append((f"p{i}", code or "<" + _NUMPY_CODES[ptype], (n,)))
     return np.dtype(fields)
+
+
+def _token_field(records: list[str], dt: np.dtype, key: str) -> np.ndarray:
+    """Field ``key`` of each ascii record in ``records``, a run of tokens
+    laid out by ``dt`` at one 8-byte field per token, parsed as integers."""
+    field, offset = dt.fields[key][:2]
+    width, first = dt.itemsize // 8, offset // 8
+    columns = [records[first + j::width] for j in range(field.itemsize // 8)]
+    return np.array(columns, dtype=np.int64).T.reshape(len(records) // width, *field.shape)
+
+
+def _face_indices(props, column, path) -> np.ndarray:
+    """The (n, 3) vertex indices of a face block whose field ``key`` is ``column(key)``,
+    once the indices prove to be triangles and any other list keeps the first record's length."""
+    faces = None
+    for i, (pname, _, ltype) in enumerate(props):
+        if ltype is None:
+            continue
+        lengths = column(f"n{i}")
+        if pname in _FACE_INDEX_NAMES:
+            if (lengths != 3).any():
+                n = lengths[np.argmax(lengths != 3)]
+                raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
+            faces = column(f"p{i}")
+        elif (lengths != lengths[0]).any():
+            raise ParseError(f"{path}: face list property {pname!r} changes length")
+    if faces is None:
+        raise ParseError(f"{path}: face element lacks vertex_indices")
+    return faces
 
 
 def _as_arrays(vertices, faces, path):

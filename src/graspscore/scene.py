@@ -72,11 +72,13 @@ class SceneInstance:
 
 @dataclass(frozen=True, eq=False)
 class SceneLayout:
-    """Posed instances plus the merged world-frame surface cloud."""
+    """Posed instances, the merged world-frame surface cloud, and the mesh
+    of each object id that the cloud was sampled from."""
 
     instances: tuple[SceneInstance, ...]
     table_height: float
     scene_cloud: np.ndarray
+    meshes: dict[str, TriangleMesh]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,33 +177,33 @@ def build_scene(
 ) -> SceneLayout:
     """Merge posed instance surface clouds into a scene layout.
 
-    Library meshes without surface samples get them attached here, in the
-    library itself, with ``density`` and the deterministic ``seed``; this is
-    where ``evaluate_ap``'s meshes get theirs.
+    The layout's ``meshes`` maps each instance's object id to its library
+    mesh; one without surface samples is sampled once, with ``density`` and
+    the deterministic ``seed``. ``library`` is left as it is.
     """
-    clouds = []
-    for inst in instances:
-        if inst.object_id not in library:
-            raise UnknownObjectId(f"scene references unknown object {inst.object_id!r}")
-        mesh = library[inst.object_id]
-        if mesh.surface_points is None:
-            mesh = with_surface_samples(mesh, density, seed)
-            library[inst.object_id] = mesh
-        clouds.append(geometry.transform_points(mesh.surface_points, inst.rotation, inst.translation))
+    meshes = {}
+    for object_id in dict.fromkeys(inst.object_id for inst in instances):
+        if object_id not in library:
+            raise UnknownObjectId(f"scene references unknown object {object_id!r}")
+        mesh = library[object_id]
+        meshes[object_id] = mesh if mesh.surface_points is not None else with_surface_samples(mesh, density, seed)
+    clouds = [geometry.transform_points(meshes[inst.object_id].surface_points, inst.rotation, inst.translation)
+              for inst in instances]
     cloud = np.concatenate(clouds) if clouds else np.zeros((0, 3))
-    return SceneLayout(tuple(instances), float(table_height), cloud)
+    return SceneLayout(tuple(instances), float(table_height), cloud, meshes)
 
 
-def save_scene(path: str, layout: SceneLayout) -> None:
+def save_scene(path: str, instances: list[SceneInstance], table_height: float) -> None:
+    """Write instances and table height as the JSON that ``load_scene_instances`` reads."""
     doc = {
-        "table_height": layout.table_height,
+        "table_height": table_height,
         "instances": [
             {
                 "object_id": inst.object_id,
                 "rotation": [float(x) for x in np.asarray(inst.rotation).ravel()],
                 "translation": [float(x) for x in np.asarray(inst.translation)],
             }
-            for inst in layout.instances
+            for inst in instances
         ],
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -491,38 +493,29 @@ def _below_table(rotations: np.ndarray, translations: np.ndarray, bodies: np.nda
     return world[..., 2].min(axis=1) < table_height
 
 
-def _associate_instance(
-    center: np.ndarray, object_id: str | None, layout: SceneLayout, library: dict,
-    posed: dict[int, np.ndarray],
-) -> SceneInstance:
-    """Pick the scene instance a prediction refers to.
-
-    With an object_id the nearest instance of that id wins; without one the
-    nearest instance overall (by posed mesh-vertex distance to the grasp
-    ``center``) wins; ties go to the earlier instance. ``posed`` caches each
-    instance's world-frame vertices by instance index across calls.
-    """
-    if object_id is not None:
-        candidates = [(k, i) for k, i in enumerate(layout.instances) if i.object_id == object_id]
-        if not candidates:
-            raise UnknownObjectId(f"prediction references object {object_id!r} not in scene")
-        if object_id not in library:
-            raise UnknownObjectId(f"no mesh loaded for object {object_id!r}")
-    else:
-        candidates = list(enumerate(layout.instances))
-        if not candidates:
+def _associate(centers: np.ndarray, object_ids: list[str | None], layout: SceneLayout) -> np.ndarray:
+    """Each grasp's scene instance index: the nearest instance of its object
+    id, or of any id when unbound (None), by posed mesh-vertex distance to
+    its ``center``; ties go to the earlier instance. ``UnknownObjectId``
+    names the first grasp whose id is not in the scene or that is unbound
+    in an empty scene. Each instance is posed at most once."""
+    scene_ids = [inst.object_id for inst in layout.instances]
+    for object_id in object_ids:
+        if object_id is None and not scene_ids:
             raise UnknownObjectId("prediction has no object_id and the scene is empty")
+        if object_id is not None and object_id not in scene_ids:
+            raise UnknownObjectId(f"prediction references object {object_id!r} not in scene")
 
-    best, best_d = None, np.inf
-    for k, inst in candidates:
-        if inst.object_id not in library:
-            raise UnknownObjectId(f"no mesh loaded for object {inst.object_id!r}")
-        if k not in posed:
-            posed[k] = geometry.transform_points(library[inst.object_id].vertices, inst.rotation, inst.translation)
-        d = float(np.min(np.linalg.norm(posed[k] - center, axis=1)))
-        if d < best_d:
-            best, best_d = inst, d
-    return best
+    # (grasps, instances): inf where the grasp is bound to another id.
+    distance = np.full((len(centers), len(scene_ids)), np.inf)
+    for k, inst in enumerate(layout.instances):
+        rows = [i for i, object_id in enumerate(object_ids) if object_id in (None, inst.object_id)]
+        if not rows:
+            continue
+        posed = geometry.transform_points(layout.meshes[inst.object_id].vertices, inst.rotation, inst.translation)
+        for i in rows:
+            distance[i, k] = np.min(np.linalg.norm(posed - centers[i], axis=1))
+    return distance.argmin(axis=1)
 
 
 def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
@@ -540,7 +533,6 @@ def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
 def evaluate_ap(
     predictions: PredictionTable,
     layout: SceneLayout,
-    library: dict[str, TriangleMesh],
     config: PipelineConfig = PipelineConfig(),
 ) -> EvalReport:
     """Score a prediction set against a scene.
@@ -549,17 +541,15 @@ def evaluate_ap(
     by predicted score -> recompute the true hybrid score of each survivor
     on its associated object -> precision@k -> AP per threshold -> mAP.
     True scores come from the labeling code (``score_contacts``, then
-    ``combine_scores``), normalized over the resolvable survivors of one
-    scene instance. Grasps whose contacts cannot be resolved score 0.
+    ``combine_scores``) on the layout's meshes, normalized over the
+    resolvable survivors of one scene instance. Grasps whose contacts
+    cannot be resolved score 0.
     Fewer than 50 survivors are padded with zero true scores; no survivors
     at all yields a zeroed, flagged report.
 
     ``config`` supplies what ``label_mesh`` scores with (the weights,
     friction bins, gripper and ``knn_k``) and the evaluation settings: the
-    NMS thresholds, the collision margin and the score thresholds. The
-    library's meshes must carry the surface samples that ``build_scene``
-    attached to them; ``SpatialIndex.from_mesh`` raises ``ValueError`` for
-    a mesh without them.
+    NMS thresholds, the collision margin and the score thresholds.
 
     Both filters test in bulk, and both give what the exhaustive scans
     give. NMS (see ``grasp_nms``) takes the predictions a block at a time
@@ -573,8 +563,9 @@ def evaluate_ap(
     empty shortlist when no point comes within ``_BAND`` of a box, or the
     whole cloud when one lies on a face within rounding. The cover's balls
     hold every point within ``_BAND`` of a box, so no colliding point is
-    left out. Each instance's vertices are posed at most once per call,
-    for association.
+    left out. One distance matrix associates the top survivors with
+    instances (see ``_associate``); each instance's survivors move into its
+    frame with one matmul and are scored as one batch.
 
     Predictions are validated once, when read (or packed from ``GraspPose``
     by ``PredictionTable.from_grasps``). After NMS every stage works on the
@@ -605,9 +596,9 @@ def evaluate_ap(
 
     # NMS already visits by (score desc, index asc), so the first TOP_K
     # survivors are the top-scored ones under the stable tie rule.
-    survivors = survivors[:TOP_K].tolist()
+    survivors = survivors[:TOP_K]
 
-    if not survivors:
+    if len(survivors) == 0:
         zeros = tuple(0.0 for _ in thresholds)
         return EvalReport(
             thresholds=tuple(thresholds),
@@ -620,45 +611,27 @@ def evaluate_ap(
             empty_after_filtering=True,
         )
 
-    # Recompute true scores, grouped per object so normalization has the
-    # right context.
-    prepared: dict[str, tuple[TriangleMesh, SpatialIndex, np.ndarray]] = {}
-
-    def prepare(object_id: str):
-        if object_id not in prepared:
-            mesh = library[object_id]
-            prepared[object_id] = (mesh, SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center)
-        return prepared[object_id]
-
+    # Recompute true scores, normalized per scene instance.
+    rotations, translations = rotations[survivors], translations[survivors]
+    widths, depths = widths[survivors], depths[survivors]
     centers = translations + depths[:, None] * rotations[:, :, 2]
-    groups: dict[int, list[int]] = {}
-    instances: list[SceneInstance] = []
-    posed: dict[int, np.ndarray] = {}
-    for si, g in enumerate(survivors):
-        inst = _associate_instance(centers[g], predictions.object_ids[kept[g]], layout, library, posed)
-        try:
-            gi = instances.index(inst)
-        except ValueError:
-            gi = len(instances)
-            instances.append(inst)
-        groups.setdefault(gi, []).append(si)
-
+    owner = _associate(centers, [predictions.object_ids[i] for i in kept[survivors]], layout)
     true_scores = np.zeros(len(survivors))
-    for gi, members in groups.items():
-        inst = instances[gi]
-        mesh, index, gravity_center = prepare(inst.object_id)
+    scorers: dict[str, tuple[SpatialIndex, np.ndarray]] = {}
+    for k in np.unique(owner):
+        inst = layout.instances[k]
+        mesh = layout.meshes[inst.object_id]
+        if inst.object_id not in scorers:
+            scorers[inst.object_id] = (SpatialIndex.from_mesh(mesh), mass_properties(mesh).gravity_center)
+        index, gravity_center = scorers[inst.object_id]
+        members = np.flatnonzero(owner == k)
         # in the object frame: R' = R_inst^T R, t' = R_inst^T (t - t_inst)
-        rows = [survivors[si] for si in members]
-        local = [(inst.rotation.T @ rotations[g], inst.rotation.T @ (translations[g] - inst.translation))
-                 for g in rows]
+        local_r = np.matmul(inst.rotation.T, rotations[members])
+        local_t = np.matmul(inst.rotation.T, (translations[members] - inst.translation)[..., None])[..., 0]
         valid, contacts, _ = contacts_on_lines(
-            mesh,
-            np.array([t + depths[g] * r[:, 2] for g, (r, t) in zip(rows, local)]),
-            np.array([r[:, 0] for r, _ in local]),
-            widths[rows] / 2.0,
-        )
+            mesh, local_t + depths[members, None] * local_r[:, :, 2], local_r[:, :, 0], widths[members] / 2.0)
         s_t, _, _, s_f, s_g_raw, s_c_raw = score_contacts(contacts, index, gravity_center, bins, config.knn_k)
-        true_scores[np.array(members)[valid]] = combine_scores(s_t, s_f, s_g_raw, s_c_raw, weights)[2]
+        true_scores[members[valid]] = combine_scores(s_t, s_f, s_g_raw, s_c_raw, weights)[2]
 
     aps = _ap_per_threshold(true_scores, thresholds)
     return EvalReport(

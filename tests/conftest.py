@@ -7,7 +7,8 @@ import pytest
 
 import graspscore
 from graspscore import with_surface_samples
-from graspscore.geometry import unit
+from graspscore.errors import UnknownObjectId
+from graspscore.geometry import transform_points, unit
 from graspscore.gripper import contacts_on_lines
 from graspscore.primitives import (
     make_box,
@@ -136,6 +137,32 @@ def collision_box_corners(grasp, gripper) -> np.ndarray:
         pts = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
         corners.append(pts @ grasp.rotation.T + grasp.translation)
     return np.asarray(corners)
+
+
+def associate_oracle(center, object_id, layout) -> int:
+    """Scalar oracle of ``scene._associate``: one grasp's instance index.
+
+    With an object_id the nearest instance of that id wins; without one the
+    nearest instance overall, by posed mesh-vertex distance to ``center``;
+    ties go to the earlier instance.
+    """
+    if object_id is not None:
+        candidates = [k for k, inst in enumerate(layout.instances) if inst.object_id == object_id]
+        if not candidates:
+            raise UnknownObjectId(f"prediction references object {object_id!r} not in scene")
+    else:
+        candidates = list(range(len(layout.instances)))
+        if not candidates:
+            raise UnknownObjectId("prediction has no object_id and the scene is empty")
+
+    best, best_d = None, np.inf
+    for k in candidates:
+        inst = layout.instances[k]
+        posed = transform_points(layout.meshes[inst.object_id].vertices, inst.rotation, inst.translation)
+        d = float(np.min(np.linalg.norm(posed - center, axis=1)))
+        if d < best_d:
+            best, best_d = k, d
+    return best
 
 
 def run_python(*argv, cwd):

@@ -366,11 +366,10 @@ def test_criterion_6_closure_monotonicity(desk_breakdowns):
 
 
 def test_criterion_7_ap_protocol():
-    library = _scenes.sphere_library()
-    layout = _scenes.sphere_scene(library)
+    layout = _scenes.sphere_scene(_scenes.sphere_library())
 
     perfect, zero, good25 = (
-        evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
+        evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
         for preds in (_scenes.perfect_predictions(), _scenes.zero_predictions(), _scenes.good25_predictions()))
     zero_dev = abs(zero.map_value - 1.0 / 6.0)
     good_dev = abs(good25.map_value - _scenes.good25_oracle_map())

@@ -159,7 +159,7 @@ def test_scene_and_eval_end_to_end(eval_setup):
         SceneInstance("sph3", np.eye(3), np.array([0.3, 0.0, 0.0])),
     ]
     layout = build_scene(instances, library, table_height=-0.2)
-    want = evaluate_ap(preds, layout, library, _scenes.CLOSURE_ONLY)
+    want = evaluate_ap(preds, layout, _scenes.CLOSURE_ONLY)
 
     assert report["map"] == want.map_value
     assert report["ap_values"] == list(want.ap_values)

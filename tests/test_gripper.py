@@ -243,6 +243,15 @@ def test_grasp_pose_rejects_non_finite_translation(value):
         GraspPose(rotation=np.eye(3), translation=np.array([0.0, value, 0.0]), width=0.05, depth=0.02)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+@pytest.mark.parametrize("field", ["max_width", "finger_length", "finger_thickness", "depth_levels"])
+def test_gripper_model_rejects_non_finite_and_non_positive_sizes(field, value):
+    kwargs = {field: (0.02, value) if field == "depth_levels" else value}
+    match = "depth levels" if field == "depth_levels" else "dimensions"
+    with pytest.raises(ValueError, match=f"{match} must be positive and finite"):
+        GripperModel(**kwargs)
+
+
 def test_contact_frame_unit_check():
     z = np.zeros(3)
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level function, class or constant goes unreferenced.
 
 pyflakes and ruff are not dependencies, so the check walks the syntax tree
 itself. A name counts as used when it appears as a name anywhere in the
 module, including inside a quoted annotation; in ``__init__.py`` a name
-listed in ``__all__`` counts as used too.
+listed in ``__all__`` counts as used too. A private ``_name`` defined at
+module level counts as referenced when some module of the package loads it
+as a name, reads it as an attribute or imports it.
 
 The benchmark's tracer (``perfbench/spans.py``) looks up package functions
 by name; every name it spans or counts must still be one.
@@ -86,6 +89,49 @@ def test_checker_flags_unused_and_spares_used_names():
     exported = "from .mesh import build_mesh, sample_surface\n__all__ = ['build_mesh']\n"
     assert unused_imports(exported, is_init=True) == ["line 1: sample_surface"]
     assert unused_imports(exported) == ["line 1: build_mesh", "line 1: sample_surface"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each module-level ``_name`` function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (module name -> source)
+    that no module references besides their definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return [f"{module} line {line}: {name}" for module, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in referenced]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_private_name_checker_flags_dead_and_spares_referenced_names():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD: int = 2\ndef _helper():\n    return _USED\ndef _orphan():\n    pass\n",
+        "b.py": "from . import a\nfrom .a import _helper\n_LIMIT = a._OTHER\ndef f():\n    return _LIMIT\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 5: _orphan"]
 
 
 def _load_spans():

@@ -210,6 +210,91 @@ def test_ascii_ply_faces(tmp_path, faces, message):
             load_mesh(path)
 
 
+def _indices(k, face):
+    return tuple(face)
+
+
+# Face properties around the vertex indices: (name, type, list count type or
+# None, value or value(face number, face)).
+_INDICES = ("vertex_indices", "int", "uchar", _indices)
+_FACE_EXTRAS = {
+    "scalar_before": [("red", "uchar", None, 255), _INDICES],
+    "scalar_after": [_INDICES, ("quality", "float", None, 0.5)],
+    "lists_and_scalars": [("flags", "uchar", None, 7), _INDICES,
+                          ("texcoord", "float", "uchar", (0.25, 0.5, 0.75, 1.0, 0.0, 0.125)),
+                          ("blue", "uchar", None, 9)],
+}
+_STRUCT_CODES = {"uchar": "B", "int": "i", "float": "f"}
+
+
+def _ply_with_face_extras(path, mesh, props, binary):
+    """Write ``mesh`` as PLY whose face element carries ``props``."""
+    header = ["ply", "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+              f"element vertex {len(mesh.vertices)}", "property double x", "property double y",
+              "property double z", f"element face {len(mesh.faces)}"]
+    header += [f"property {ptype} {name}" if ltype is None else f"property list {ltype} {ptype} {name}"
+               for name, ptype, ltype, _ in props]
+    body = mesh.vertices.astype("<f8").tobytes()
+    text = [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+    for k, face in enumerate(mesh.faces.tolist()):
+        values, codes = [], "<"
+        for _, ptype, ltype, value in props:
+            value = value(k, face) if callable(value) else value
+            if ltype is None:
+                values, codes = values + [value], codes + _STRUCT_CODES[ptype]
+            else:
+                values += [len(value), *value]
+                codes += _STRUCT_CODES[ltype] + f"{len(value)}" + _STRUCT_CODES[ptype]
+        body += struct.pack(codes, *values)
+        text.append(" ".join(str(v) for v in values))
+    data = body if binary else ("\n".join(text) + "\n").encode("ascii")
+    path.write_bytes(("\n".join(header) + "\nend_header\n").encode("ascii") + data)
+    return str(path)
+
+
+@pytest.mark.parametrize("layout", sorted(_FACE_EXTRAS))
+def test_ascii_and_binary_ply_read_extra_face_properties_alike(tmp_path, layout):
+    src = make_icosphere(0.03, 1)
+    for binary in (False, True):
+        mesh = load_mesh(_ply_with_face_extras(tmp_path / f"m{binary}.ply", src, _FACE_EXTRAS[layout], binary))
+        assert np.array_equal(mesh.faces, src.faces)
+        assert np.array_equal(mesh.vertices, src.vertices)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("case, message", [
+    ("ragged", "'texcoord' changes length"),
+    ("quad", r"only triangle faces are supported \(got 4-gon\)"),
+])
+def test_ply_face_list_checks_with_extra_properties(tmp_path, binary, case, message):
+    src = make_icosphere(0.03, 1)
+    props = [("flags", "uchar", None, 7), _INDICES, ("texcoord", "float", "uchar", lambda k, f: (0.5,) * 6)]
+    if case == "ragged":
+        # the last record: a ragged one earlier misaligns those after it, as in binary
+        props[2] = ("texcoord", "float", "uchar", lambda k, f: (0.5,) * (8 if k == len(src.faces) - 1 else 6))
+    else:
+        props[1] = ("vertex_indices", "int", "uchar", lambda k, f: (*f, f[0]) if k == 3 else tuple(f))
+    with pytest.raises(ParseError, match=message):
+        load_mesh(_ply_with_face_extras(tmp_path / "m.ply", src, props, binary))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_ply_list_typed_vertex_property_rejected(tmp_path, binary):
+    header = ("ply\nformat binary_little_endian 1.0\n" if binary else "ply\nformat ascii 1.0\n")
+    header += ("element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+               "property list uchar float weights\n"
+               "element face 1\nproperty list uchar int vertex_indices\nend_header\n")
+    if binary:
+        body = b"".join(struct.pack("<3fBf", *v, 1, 0.5) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+        body += struct.pack("<B3i", 3, 0, 1, 2)
+    else:
+        body = b"0 0 0 1 0.5\n1 0 0 1 0.5\n0 1 0 1 0.5\n3 0 1 2\n"
+    path = tmp_path / "weights.ply"
+    path.write_bytes(header.encode("ascii") + body)
+    with pytest.raises(ParseError, match="list-typed vertex properties are unsupported"):
+        load_mesh(str(path))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fmt", ["obj", "ascii_ply", "binary_ply"])
 def test_non_finite_vertex_rejected(tmp_path, fmt, value):

@@ -24,6 +24,7 @@ from graspscore import (
     mass_properties,
     save_scene,
     score_contacts,
+    with_surface_samples,
 )
 from graspscore import geometry, metrics, scene
 from graspscore.candidates import generate_views
@@ -31,7 +32,7 @@ from graspscore.errors import ParseError, UnknownObjectId
 from graspscore.primitives import make_icosphere
 
 import _scenes
-from conftest import collision_box_corners, one_line_contacts, pose_fields, random_rotation
+from conftest import associate_oracle, collision_box_corners, one_line_contacts, pose_fields, random_rotation
 
 
 def _pose(translation, rotation=None, width=0.05, depth=0.02):
@@ -398,15 +399,40 @@ def test_build_scene_unknown_object(icosphere):
                     {"ball": icosphere}, table_height=0.0)
 
 
-def test_scene_json_round_trip(tmp_path, icosphere):
+def test_build_scene_samples_each_mesh_once_and_leaves_the_library(monkeypatch, cube):
+    bare = make_icosphere(0.03, 2)
+    library = {"ball": bare, "cube": cube}
+    sampled = []
+
+    def counting(mesh, density, seed):
+        sampled.append((mesh, density, seed))
+        return with_surface_samples(mesh, density, seed)
+
+    monkeypatch.setattr(scene, "with_surface_samples", counting)
+    instances = [SceneInstance("ball", np.eye(3), np.zeros(3)),
+                 SceneInstance("cube", np.eye(3), np.array([0.2, 0.0, 0.0])),
+                 SceneInstance("ball", np.eye(3), np.array([0.4, 0.0, 0.0]))]
+    layout = build_scene(instances, library, table_height=0.0, density=800.0, seed=5)
+
+    assert set(library) == {"ball", "cube"} and library["ball"] is bare and library["cube"] is cube
+    assert bare.surface_points is None
+    assert len(sampled) == 1 and sampled[0][0] is bare and sampled[0][1:] == (800.0, 5)
+    assert set(layout.meshes) == {"ball", "cube"} and layout.meshes["cube"] is cube
+    ball = layout.meshes["ball"]
+    assert np.array_equal(ball.surface_points, with_surface_samples(bare, 800.0, 5).surface_points)
+    n, m = len(ball.surface_points), len(cube.surface_points)
+    assert np.array_equal(layout.scene_cloud[:n], ball.surface_points)
+    assert np.array_equal(layout.scene_cloud[n + m:], ball.surface_points + [0.4, 0.0, 0.0])
+
+
+def test_scene_json_round_trip(tmp_path):
     rot = random_rotation(np.random.default_rng(33))
     instances = [
         SceneInstance("ball", np.eye(3), np.array([0.1, 0.2, 0.3])),
         SceneInstance("ball", rot, np.array([-0.4, 0.0, 0.05])),
     ]
-    layout = build_scene(instances, {"ball": icosphere}, table_height=-0.12)
     path = tmp_path / "scene.json"
-    save_scene(str(path), layout)
+    save_scene(str(path), instances, -0.12)
     doc = json.loads(path.read_text())
     assert set(doc) == {"table_height", "instances"}
 
@@ -431,18 +457,92 @@ def test_scene_json_missing_key(tmp_path, missing):
     assert repr(missing) in str(err.value)
 
 
+# --- instance association ---
+
+def _association_cases(layout, rng, n=120):
+    """Grasp centres near the instances, each bound to the nearest
+    instance's id, to another id of the scene, or to none."""
+    centers = np.array([inst.translation for inst in layout.instances])
+    ids = sorted({inst.object_id for inst in layout.instances})
+    points = centers[rng.integers(0, len(centers), n)] + rng.uniform(-0.06, 0.06, (n, 3))
+    object_ids = []
+    for p in points:
+        kind = rng.integers(3)
+        if kind == 0:
+            object_ids.append(None)
+        elif kind == 1:
+            object_ids.append(layout.instances[associate_oracle(p, None, layout)].object_id)
+        else:
+            object_ids.append(ids[rng.integers(len(ids))])
+    return points, object_ids
+
+
+def test_associate_matches_per_grasp_oracle(clutter):
+    layout = clutter
+    points, object_ids = _association_cases(layout, np.random.default_rng(60))
+    got = scene._associate(points, object_ids, layout)
+    want = [associate_oracle(p, oid, layout) for p, oid in zip(points, object_ids)]
+    assert got.tolist() == want
+    nearest = [associate_oracle(p, None, layout) for p in points]
+    # bound grasps whose nearest instance has another id, and unbound ones
+    assert any(oid is not None and w != k for oid, w, k in zip(object_ids, want, nearest))
+    assert any(oid is None for oid in object_ids)
+    # both cube instances are picked by some grasp
+    cubes = [k for k, inst in enumerate(layout.instances) if inst.object_id == "cube"]
+    assert set(cubes) <= set(want)
+
+
+def test_associate_exact_tie_goes_to_the_earlier_instance(icosphere, cube):
+    """Two balls mirrored through the origin: every grasp at the origin is
+    exactly as far from both, and goes to the one listed first."""
+    shift = np.array([0.1, 0.0, 0.0])
+    for first, second in (("ball", "other"), ("other", "ball")):
+        library = {"ball": icosphere, "other": icosphere, "cube": cube}
+        layout = build_scene([SceneInstance("cube", np.eye(3), np.array([0.0, 0.5, 0.0])),
+                              SceneInstance(first, np.eye(3), shift),
+                              SceneInstance(second, np.eye(3), -shift),
+                              SceneInstance(first, np.eye(3), -shift)], library, table_height=0.0)
+        d = [np.min(np.linalg.norm(icosphere.vertices + t, axis=1)) for t in (shift, -shift)]
+        assert d[0] == d[1]
+        object_ids = [None, first, second]
+        got = scene._associate(np.zeros((3, 3)), object_ids, layout)
+        assert got.tolist() == [associate_oracle(np.zeros(3), oid, layout) for oid in object_ids] == [1, 1, 2]
+
+
+def _oracle_error(centers, object_ids, layout):
+    try:
+        for center, object_id in zip(centers, object_ids):
+            associate_oracle(center, object_id, layout)
+    except UnknownObjectId as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("scene_ids, object_ids, message", [
+    (["cube"], ["cube", "ghost", "phantom"], "prediction references object 'ghost' not in scene"),
+    (["cube"], [None, "phantom", "ghost"], "prediction references object 'phantom' not in scene"),
+    ([], [None, "ghost"], "prediction has no object_id and the scene is empty"),
+    ([], ["ghost", None], "prediction references object 'ghost' not in scene"),
+])
+def test_associate_names_the_first_failing_grasp(cube, scene_ids, object_ids, message):
+    layout = build_scene([SceneInstance(oid, np.eye(3), np.zeros(3)) for oid in scene_ids],
+                         {"cube": cube}, table_height=0.0)
+    centers = np.zeros((len(object_ids), 3))
+    with pytest.raises(UnknownObjectId) as err:
+        scene._associate(centers, object_ids, layout)
+    assert str(err.value) == message == _oracle_error(centers, object_ids, layout)
+
+
 # --- the AP protocol fixtures ---
 
 @pytest.fixture(scope="module")
 def sphere_world():
-    library = _scenes.sphere_library()
-    return library, _scenes.sphere_scene(library)
+    return _scenes.sphere_scene(_scenes.sphere_library())
 
 
 def test_perfect_predictor_maps_to_one(sphere_world):
-    library, layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.perfect_predictions()), layout, library,
-                         _scenes.CLOSURE_ONLY)
+    layout = sphere_world
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.perfect_predictions()), layout, _scenes.CLOSURE_ONLY)
     assert report.map_value == 1.0
     assert report.ap_values == (1.0,) * 6
     assert report.n_evaluated == 50
@@ -453,9 +553,8 @@ def test_perfect_predictor_maps_to_one(sphere_world):
 
 
 def test_zero_predictor_maps_to_one_sixth(sphere_world):
-    library, layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.zero_predictions()), layout, library,
-                         _scenes.CLOSURE_ONLY)
+    layout = sphere_world
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.zero_predictions()), layout, _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - 1.0 / 6.0) <= 1e-9
     assert report.ap_values[0] == 1.0
     assert report.ap_values[1:] == (0.0,) * 5
@@ -464,9 +563,8 @@ def test_zero_predictor_maps_to_one_sixth(sphere_world):
 
 
 def test_good25_matches_summation_oracle(sphere_world):
-    library, layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, library,
-                         _scenes.CLOSURE_ONLY)
+    layout = sphere_world
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - _scenes.good25_oracle_map()) <= 1e-9
     assert report.true_scores[:25] == (1.0,) * 25
     assert report.true_scores[25:] == (0.0,) * 25
@@ -476,9 +574,8 @@ def test_good25_matches_summation_oracle(sphere_world):
 
 
 def test_eval_report_invariants(sphere_world):
-    library, layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, library,
-                         _scenes.CLOSURE_ONLY)
+    layout = sphere_world
+    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, _scenes.CLOSURE_ONLY)
     assert report.map_value == pytest.approx(np.mean(report.ap_values), abs=1e-15)
     assert all(0.0 <= ap <= 1.0 for ap in report.ap_values)
     assert list(report.ap_values) == sorted(report.ap_values, reverse=True)
@@ -490,35 +587,34 @@ def test_eval_report_invariants(sphere_world):
 
 
 def test_eval_counts_nms_suppression(sphere_world):
-    library, layout = sphere_world
+    layout = sphere_world
     preds = _scenes.perfect_predictions()
     preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_nms == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
 
 
 def test_eval_counts_collision_filter(sphere_world):
-    library, layout = sphere_world
+    layout = sphere_world
     preds = _scenes.perfect_predictions()
     # width below the sphere diameter puts the fingers inside the cloud
     squeeze = _scenes.diametral_grasp(_scenes.grid_position(0), np.array([1.0, 0.0, 0.0]))
     bad = GraspPose(rotation=squeeze.rotation, translation=squeeze.translation,
                     width=0.05, depth=squeeze.depth)
     preds.append(PredictedGrasp(bad, 2.0, _scenes.SPHERE_ID))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_collision == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
 
 
 def test_eval_below_table_filters_everything(sphere_world):
-    library, _ = sphere_world
     instances = [SceneInstance(_scenes.SPHERE_ID, np.eye(3), np.zeros(3))]
-    layout = build_scene(instances, library, table_height=10.0)
+    layout = build_scene(instances, sphere_world.meshes, table_height=10.0)
     preds = _scenes.perfect_predictions()[:3]
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.map_value == 0.0
     assert report.ap_values == (0.0,) * 6
@@ -571,15 +667,15 @@ def test_below_table_at_the_lowest_corner(k):
 
 
 def test_eval_unknown_object_id(sphere_world):
-    library, layout = sphere_world
+    layout = sphere_world
     stray = PredictedGrasp(_scenes.perfect_predictions()[0].pose, 0.9, "ghost")
     with pytest.raises(UnknownObjectId):
-        evaluate_ap(PredictionTable.from_grasps([stray]), layout, library, _scenes.CLOSURE_ONLY)
+        evaluate_ap(PredictionTable.from_grasps([stray]), layout, _scenes.CLOSURE_ONLY)
 
 
 def test_eval_empty_predictions(sphere_world):
-    library, layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps([]), layout, library, _scenes.CLOSURE_ONLY)
+    layout = sphere_world
+    report = evaluate_ap(PredictionTable.from_grasps([]), layout, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.n_predictions == 0
     assert report.map_value == 0.0
@@ -588,13 +684,13 @@ def test_eval_empty_predictions(sphere_world):
 # --- the config's evaluation settings reach evaluate_ap ---
 
 def test_eval_config_nms_threshold_zero_suppresses_nothing(sphere_world):
-    library, layout = sphere_world
+    layout = sphere_world
     preds = _scenes.perfect_predictions()
     preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
     table = PredictionTable.from_grasps(preds)
-    assert evaluate_ap(table, layout, library, _scenes.CLOSURE_ONLY).n_filtered_nms == 1
+    assert evaluate_ap(table, layout, _scenes.CLOSURE_ONLY).n_filtered_nms == 1
     config = replace(_scenes.CLOSURE_ONLY, nms_trans_thresh=0.0)
-    report = evaluate_ap(table, layout, library, config)
+    report = evaluate_ap(table, layout, config)
     assert report.n_filtered_nms == 0
     assert report.n_evaluated == 50
 
@@ -603,32 +699,24 @@ def test_eval_config_collision_margin_inflates_the_fingers(sphere_world):
     """The finger inner faces of a diametral pinch sit 0.035 m from the
     centre of the 0.03 m sphere; a 0.01 m margin puts the sphere inside
     the inflated fingers, so every grasp collides."""
-    library, layout = sphere_world
+    layout = sphere_world
     table = PredictionTable.from_grasps(_scenes.perfect_predictions())
-    assert evaluate_ap(table, layout, library, _scenes.CLOSURE_ONLY).n_filtered_collision == 0
-    report = evaluate_ap(table, layout, library, replace(_scenes.CLOSURE_ONLY, collision_margin=0.01))
+    assert evaluate_ap(table, layout, _scenes.CLOSURE_ONLY).n_filtered_collision == 0
+    report = evaluate_ap(table, layout, replace(_scenes.CLOSURE_ONLY, collision_margin=0.01))
     assert report.n_filtered_collision == 50
     assert report.empty_after_filtering and report.n_evaluated == 0
 
 
 def test_eval_config_score_thresholds_make_the_report(sphere_world):
-    library, layout = sphere_world
+    layout = sphere_world
     table = PredictionTable.from_grasps(_scenes.good25_predictions())
-    report = evaluate_ap(table, layout, library, replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.25, 1.0)))
+    report = evaluate_ap(table, layout, replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.25, 1.0)))
     assert report.thresholds == (0.25, 1.0)
     mid = sum(min(k, 25) / k for k in range(1, 51)) / 50
     assert report.ap_values == pytest.approx((mid, mid), abs=1e-12)
-    empty = evaluate_ap(PredictionTable.from_grasps([]), layout, library,
+    empty = evaluate_ap(PredictionTable.from_grasps([]), layout,
                         replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.5,)))
     assert empty.thresholds == (0.5,) and empty.ap_values == (0.0,)
-
-
-def test_eval_needs_the_samples_build_scene_attaches(sphere_world):
-    _, layout = sphere_world
-    unsampled = {_scenes.SPHERE_ID: make_icosphere(_scenes.SPHERE_RADIUS, 3)}
-    table = PredictionTable.from_grasps(_scenes.perfect_predictions()[:1])
-    with pytest.raises(ValueError, match="no surface samples"):
-        evaluate_ap(table, layout, unsampled, _scenes.CLOSURE_ONLY)
 
 
 # --- scene file validation ---
@@ -738,13 +826,12 @@ def clutter(desk_meshes):
         yaw = Rotation.from_euler("z", rng.uniform(0, 360), degrees=True).as_matrix()
         lift = -float(library[name].vertices[:, 2].min())
         instances.append(SceneInstance(name, yaw, np.array([0.09 * (slot % 3), 0.09 * (slot // 3), lift])))
-    layout = build_scene(instances, library, table_height=0.0)
-    return library, layout
+    return build_scene(instances, library, table_height=0.0)
 
 
 @pytest.mark.parametrize("margin", [0.001, 0.0])
 def test_collision_shortlists_match_all_points(clutter, margin):
-    _, layout = clutter
+    layout = clutter
     rng = np.random.default_rng(39)
     centers = np.array([inst.translation for inst in layout.instances])
     poses = _grasps_near(rng, centers, 2 * scene._COLLISION_CHUNK + 45)
@@ -855,7 +942,7 @@ def _at_tolerance(rotation, kind):
 
 @pytest.mark.parametrize("kind", ["shear", "shrink"])
 def test_collision_rotations_at_tolerance(clutter, kind):
-    _, layout = clutter
+    layout = clutter
     rng = np.random.default_rng(43)
     centers = np.array([inst.translation for inst in layout.instances])
     poses = [GraspPose(rotation=_at_tolerance(p.rotation, kind), translation=p.translation,
@@ -1006,7 +1093,7 @@ _COLLISION_PEAK_BOUND = 8 * 2**20
 
 
 def test_collision_shortlists_memory_is_bounded(clutter):
-    _, layout = clutter
+    layout = clutter
     rng = np.random.default_rng(48)
     centers = np.array([inst.translation for inst in layout.instances])
     poses = _grasps_near(rng, centers, 1650)  # the NMS survivors of an eval-clutter op
@@ -1027,27 +1114,26 @@ def one_sphere_group():
     pinches, two chord pinches and, ranked third, a diametral pinch moved
     5 cm along its finger axis so that its closing line misses the sphere.
     All six survive NMS and the collision filter."""
-    library = _scenes.sphere_library()
     center = np.array([0.1, -0.05, 0.02])
     inst = SceneInstance(_scenes.SPHERE_ID, random_rotation(np.random.default_rng(3)), center)
-    layout = build_scene([inst], library, table_height=_scenes.TABLE_HEIGHT)
+    layout = build_scene([inst], _scenes.sphere_library(), table_height=_scenes.TABLE_HEIGHT)
     poses = [_scenes.diametral_grasp(center, view) for view in generate_views(4)]
     miss = poses[2]
     poses[2] = GraspPose(miss.rotation, miss.translation + 0.05 * miss.rotation[:, 1], miss.width, miss.depth)
     poses += [_scenes.chord_grasp(center, phi) for phi in (0.3, 1.5)]
     preds = [PredictedGrasp(p, 0.9 - 0.1 * i, _scenes.SPHERE_ID) for i, p in enumerate(poses)]
-    return library, layout, inst, preds
+    return layout, inst, preds
 
 
 def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_group):
-    library, layout, inst, preds = one_sphere_group
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library)
+    layout, inst, preds = one_sphere_group
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
     assert (report.n_evaluated, report.n_filtered_nms, report.n_filtered_collision) == (len(preds), 0, 0)
 
     # Per grasp: the pose in the object frame, a one-line contacts_on_lines
     # and a one-row score_contacts; then combine_scores over the resolvable
     # ones.
-    mesh = library[_scenes.SPHERE_ID]
+    mesh = layout.meshes[_scenes.SPHERE_ID]
     index = SpatialIndex.from_mesh(mesh)
     gravity_center = mass_properties(mesh).gravity_center
     resolved, rows = [], []
@@ -1072,7 +1158,7 @@ def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_gro
 
 
 def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch):
-    library, layout, _, preds = one_sphere_group
+    layout, _, preds = one_sphere_group
     calls = []
 
     def spy(original, rows):
@@ -1083,10 +1169,49 @@ def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch
 
     monkeypatch.setattr(scene, "score_contacts", spy(metrics.score_contacts, lambda c: len(c.p_cl)))
     monkeypatch.setattr(scene, "combine_scores", spy(metrics.combine_scores, len))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, library)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
     # one group: its five resolvable grasps are scored and combined together
     assert calls == [("score_contacts", 5), ("combine_scores", 5)]
     assert report.n_evaluated == len(preds)
+
+
+def test_evaluate_ap_normalizes_per_instance_and_indexes_each_object_once(icosphere, monkeypatch):
+    """Two instances of one sphere and one of another id, two grasps on
+    each, ranked so the groups interleave: three normalization groups, one
+    ``SpatialIndex`` per object id, and each group scores as it would alone."""
+    centers = [_scenes.grid_position(i) for i in range(3)]
+    ids = [_scenes.SPHERE_ID, "ball", _scenes.SPHERE_ID]
+    library = {**_scenes.sphere_library(), "ball": icosphere}
+    instances = [SceneInstance(oid, np.eye(3), c) for oid, c in zip(ids, centers)]
+    layout = build_scene(instances, library, table_height=_scenes.TABLE_HEIGHT)
+    views = generate_views(6)
+    preds = [PredictedGrasp(_scenes.diametral_grasp(centers[i % 3], views[i]), 0.9 - 0.1 * i, ids[i % 3])
+             for i in range(6)]
+    preds[4] = PredictedGrasp(_scenes.chord_grasp(centers[1], 0.7), preds[4].predicted_score, ids[1])
+
+    indexed, groups = [], []
+    from_mesh = SpatialIndex.from_mesh
+
+    def counting_index(cls, mesh):
+        indexed.append(mesh)
+        return from_mesh(mesh)
+
+    def counting_combine(*args, **kwargs):
+        groups.append(len(args[0]))
+        return metrics.combine_scores(*args, **kwargs)
+
+    monkeypatch.setattr(SpatialIndex, "from_mesh", classmethod(counting_index))
+    monkeypatch.setattr(scene, "combine_scores", counting_combine)
+    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
+    assert report.n_evaluated == 6 and groups == [2, 2, 2]
+    assert len(indexed) == 2 and {id(m) for m in indexed} == {id(layout.meshes[oid]) for oid in set(ids)}
+
+    for k, inst in enumerate(instances):
+        alone = build_scene([inst], library, table_height=_scenes.TABLE_HEIGHT)
+        rows = [i for i in range(6) if i % 3 == k]
+        want = evaluate_ap(PredictionTable.from_grasps([preds[i] for i in rows]), alone).true_scores
+        assert tuple(report.true_scores[i] for i in rows) == want
+    assert len(set(report.true_scores)) > 2
 
 
 # --- evaluate_ap against the exhaustive filters ---
@@ -1110,20 +1235,20 @@ def _all_points(cloud, rotations, translations, bodies, margin):
 
 
 def test_evaluate_ap_matches_exhaustive_filters(clutter, monkeypatch):
-    library, layout = clutter
+    layout = clutter
     preds = _clutter_predictions(layout)
-    got = evaluate_ap(preds, layout, library).as_dict()
+    got = evaluate_ap(preds, layout).as_dict()
 
     monkeypatch.setattr(scene, "_collision_shortlists", _all_points)
     monkeypatch.setattr(scene, "grasp_nms",
                         lambda *args: np.asarray(_nms_exhaustive(*args), dtype=np.int64))
-    want = evaluate_ap(preds, layout, library).as_dict()
+    want = evaluate_ap(preds, layout).as_dict()
     assert got == want
     assert want["n_filtered_nms"] > 50 and want["n_filtered_collision"] > 0 and want["n_evaluated"] > 0
 
 
 def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
-    library, layout = clutter
+    layout = clutter
     preds = _clutter_predictions(layout, n=300, seed=45)
     calls = []
 
@@ -1132,7 +1257,7 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
         return gripper_collides(points, rotation, translation, width, depth, gripper, margin)
 
     monkeypatch.setattr(scene, "gripper_collides", counting)
-    report = evaluate_ap(preds, layout, library)
+    report = evaluate_ap(preds, layout)
     kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
     assert 0 < report.n_filtered_nms and len(calls) == len(kept)
 
@@ -1148,7 +1273,7 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
 
 
 def test_evaluate_ap_builds_no_grasp_pose(clutter, monkeypatch):
-    library, layout = clutter
+    layout = clutter
     table = _clutter_predictions(layout, n=300, seed=47)
     built = []
     original = GraspPose.__post_init__
@@ -1158,13 +1283,13 @@ def test_evaluate_ap_builds_no_grasp_pose(clutter, monkeypatch):
         original(self)
 
     monkeypatch.setattr(GraspPose, "__post_init__", counting)
-    report = evaluate_ap(table, layout, library)
+    report = evaluate_ap(table, layout)
     assert built == []
     assert report.n_filtered_nms > 0 and report.n_filtered_collision > 0 and report.n_evaluated > 0
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
-    library, layout = clutter
+    layout = clutter
     preds = _clutter_predictions(layout, n=300, seed=46)
     posed = []
     original = geometry.transform_points
@@ -1174,6 +1299,6 @@ def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
         return original(points, rotation, translation)
 
     monkeypatch.setattr(geometry, "transform_points", counting)
-    report = evaluate_ap(preds, layout, library)
+    report = evaluate_ap(preds, layout)
     assert report.n_evaluated > 1
     assert len(posed) == len(set(posed)) <= len(layout.instances)
