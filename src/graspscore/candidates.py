@@ -19,8 +19,9 @@ from .mesh import TriangleMesh
 
 _GOLDEN_INCREMENT = np.pi * (3.0 - np.sqrt(5.0))
 
-# Grasp lines per contact ray cast in candidate_arrays on a mesh of more
-# than one block; a grid with more lines per seed casts one seed at a time.
+# Grasp lines per contact ray cast in candidate_arrays: whole seeds share
+# one cast, so each closing direction's broad phase is set up once per cast.
+# A grid with more lines per seed casts one seed at a time.
 _LINES_PER_CALL = 1 << 13
 
 
@@ -147,12 +148,8 @@ def candidate_arrays(
     closing = rotations[:, :, 0]
     offsets = depths[:, None] * rotations[:, :, 2]
 
-    # Several whole seeds per ray cast share each closing direction's
-    # projected broad phase; rows stay seed-major. A mesh of one block has
-    # nothing to share, and a cast per seed keeps its arrays small.
-    per_call = 1
-    if len(mesh.faces) > geometry._BLOCK_FACES:
-        per_call = max(1, _LINES_PER_CALL // len(rotations))
+    # Several whole seeds per ray cast; rows stay seed-major.
+    per_call = max(1, _LINES_PER_CALL // len(rotations))
     per_chunk = []
     for start in range(0, len(grid.seed_points), per_call):
         seeds = grid.seed_points[start:start + per_call]

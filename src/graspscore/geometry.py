@@ -6,23 +6,21 @@ the callers need batching; none of them mutate their inputs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-# Pair budget per chunk for the ray/triangle sweep over all faces of a
-# one-block mesh. Keeps peak temporaries around a few tens of MB.
-_PAIR_CHUNK = 1 << 19
-
-# Candidate pairs per step of the projected broad phase: (line, block),
-# (line, face) and narrow-phase (ray, face) pairs. Keeps its temporaries
-# at a few MB.
+# Box tests and candidate pairs per step of the ray cast: (line, node) box
+# tests and narrow-phase (ray, face) pairs. Keeps its temporaries at a few MB.
 _PROJECTED_CHUNK = 1 << 15
 
 # Inclusive barycentric and ray-parameter tolerance of the narrow phase.
 _BARY_EPS = 1e-12
 
-# Faces per broad-phase block of the ray cast, and the block-box padding
-# relative to the mesh extent.
-_BLOCK_FACES = 64
+# Children per node of the ray cast's box tree, the most nodes its top
+# level holds, and the box padding relative to the mesh extent.
+_TREE_FANOUT = 8
+_TREE_TOP = 80
 _BOX_PAD = 1e-6
 
 
@@ -120,31 +118,38 @@ def ray_mesh_first_hit(
     edges.
 
     Moller-Trumbore runs only on (ray, face) pairs a broad phase keeps, and
-    the results equal those of testing every face, bit for bit. Faces are
-    cut into blocks of ``_BLOCK_FACES`` spatially close faces (runs of the
-    Morton order of their centroids), and the broad phase depends on how
-    many blocks there are:
+    the results equal those of testing every face, bit for bit. The broad
+    phase is the same for every mesh:
 
-    * One block (at most ``_BLOCK_FACES`` faces): rays whose segment
-      [0, t_max] meets the block's padded bounding box are tested against
-      every face.
-    * More blocks: rays are grouped into lines. Rays share a line when their
-      directions are equal up to sign and their origins, projected onto the
-      plane normal to that direction, fall in one cell of side ``pad``
+    * Rays are grouped into lines. Rays share a line when their directions
+      are equal up to sign and their origins, projected onto the plane
+      normal to that direction, fall in one cell of side ``pad``
       (``_BOX_PAD`` times the mesh extent plus 1e-9); the two inward rays
-      of a grasp are one line. Block, then face bounding boxes are
-      projected onto the line's plane, and a line keeps a block, then a
-      face, only when its point lies in the 2D box padded by three ``pad``.
-      Every ray of a kept (line, face) pair then goes to Moller-Trumbore.
-      A ray can only hit a face its line passes through, so the test is
-      conservative: the padding covers the kernel's 1e-12 barycentric
-      tolerance, the spread of a line's rays within its cell and, for
-      origins within about 1e9 mesh extents of the mesh, the rounding of
-      the kernel and of the projection.
+      of a grasp are one line.
+    * Faces are the leaves of a box tree (:func:`_box_tree`): in the Morton
+      order of their centroids, each level puts ``_TREE_FANOUT``
+      consecutive nodes under one box, padded by ``pad`` beyond their
+      boxes, up to a top level of at most ``_TREE_TOP`` nodes.
+    * Every line tests the top level's boxes, projected onto its plane.
+      Each kept (line, node) pair then tests the node's children, whose
+      boxes are projected once per (direction group, node), down to the
+      faces. A line keeps a node when its point lies in the node's 2D box
+      padded by three ``pad``. Every ray of a kept (line, face) pair goes
+      to Moller-Trumbore.
 
-    Besides per-ray and per-face arrays, each step holds at most
-    ``_PAIR_CHUNK`` (one block) or ``_PROJECTED_CHUNK`` candidate pairs.
-    Vertices must be finite.
+    A ray can only hit a face its line passes through, so the face test is
+    conservative: the padding covers the kernel's 1e-12 barycentric
+    tolerance, the spread of a line's rays within its cell and, for
+    origins within about 1e9 mesh extents of the mesh, the rounding of the
+    kernel and of the projection. So is every level above it: a node's 3D
+    box holds its children's boxes with ``pad`` to spare, far more than the
+    rounding of a projection, and parent and child get the same 2D padding
+    and the same monotone rounding to float32. A line that keeps a face
+    keeps every node above it.
+
+    Besides per-ray, per-line and per-face arrays, each step holds at most
+    about ``_PROJECTED_CHUNK`` box tests or candidate pairs. Vertices must
+    be finite.
 
     Args:
         origins: (r, 3) ray start points.
@@ -165,72 +170,84 @@ def ray_mesh_first_hit(
         return out
 
     v0, v1, v2 = triangle_corners(vertices, faces)
-    members, box_lo, box_hi = _face_blocks(v0, v1, v2)
-    if len(members) > 1:
-        _projected_hits(out, origins, directions, t_lim, v0, v1, v2, members, box_lo, box_hi)
-        return out
-    rays = np.flatnonzero(_segments_meet_boxes(origins, directions, t_lim, box_lo, box_hi)[:, 0])
-    for dest, value in zip(out, _first_hits(origins[rays], directions[rays], v0, v1, v2, t_lim[rays])):
-        dest[rays] = value
-    return out
-
-
-def _face_boxes(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Per-face bounding boxes (lo, hi) and the broad-phase padding of the mesh."""
     lo = np.minimum(np.minimum(v0, v1), v2)
     hi = np.maximum(np.maximum(v0, v1), v2)
     pad = _BOX_PAD * (hi.max(axis=0) - lo.min(axis=0)).max() + 1e-9
-    return lo, hi, pad
+    # Project relative to the mesh centre, so rounding follows the distance
+    # from the mesh, not from the world origin.
+    centre = 0.5 * (lo.min(axis=0) + hi.max(axis=0))
+    leaf_faces, tree = _box_tree((v0 + v1 + v2) / 3.0 - centre, lo - centre, hi - centre, pad)
+    e1 = v1 - v0
+    e2 = v2 - v0
+    det_floor = 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+
+    rays, starts, line_group, line_point, basis = _lines(origins, directions, centre, pad)
+    axes = np.ascontiguousarray(basis.transpose(0, 2, 1))
+    # A line's rays project up to two pads from its first ray's point.
+    planes = _Planes(axes, np.abs(axes), line_group, line_point.astype(np.float32), 3.0 * pad)
+    # The top level's boxes as (3, n) columns, node j in column j.
+    top_mid, top_half = (b.transpose(1, 0, 2).reshape(3, -1) for b in tree[-1])
+    rows = max(1, _PROJECTED_CHUNK // top_mid.shape[1])
+    for start in range(0, len(line_group), rows):
+        lines = np.arange(start, min(start + rows, len(line_group)))
+        # Lines are sorted by group, so a chunk's groups are one range.
+        first = line_group[start]
+        boxes = _projected_boxes(top_mid, top_half, planes, slice(first, line_group[lines[-1]] + 1))
+        node, i = _points_in_boxes(planes, lines, boxes, line_group[lines] - first)
+        for line, leaf in _descend(tree, len(tree) - 1, lines[i], node, planes):
+            # Every ray of a kept (line, face) pair goes to the narrow phase.
+            n = starts[line + 1] - starts[line]
+            ray = rays[np.repeat(starts[line] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+            face = np.repeat(leaf_faces[leaf], n)
+            for c in range(0, len(ray), _PROJECTED_CHUNK):
+                r, f = ray[c:c + _PROJECTED_CHUNK], face[c:c + _PROJECTED_CHUNK]
+                # np.take gathers rows several times faster than indexing.
+                ray_rows = (np.take(a, r, axis=0) for a in (origins, directions))
+                face_rows = (np.take(a, f, axis=0) for a in (v0, e1, e2, det_floor))
+                t, u, v = _pair_hits(*ray_rows, *face_rows, np.take(t_lim, r))
+                _merge_hits(out, r, f, t, u, v)
+    return out
 
 
-def _face_blocks(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Cut faces into blocks of ``_BLOCK_FACES`` by the Morton order of their centroids.
+def _box_tree(centroids: np.ndarray, lo: np.ndarray, hi: np.ndarray, pad: float):
+    """The broad-phase box tree of a triangle set.
 
-    Returns (members, box_lo, box_hi): one ascending face-index array per
-    block and the (b, 3) corners of each block's bounding box, padded by
-    ``_BOX_PAD`` times the mesh extent plus an absolute 1e-9.
+    ``centroids``, ``lo`` and ``hi`` are the (f, 3) face centroids and face
+    box corners, in one frame. The leaves are the faces in the Morton order
+    of their centroids (10 bits per axis over the mesh box). Each level
+    above puts ``_TREE_FANOUT`` consecutive nodes of the level below under
+    one box: their bounding box padded by ``pad`` on every side. The first
+    level of at most ``_TREE_TOP`` nodes is the top.
+
+    Returns (leaf_faces, tree): the face index of each leaf, and per level,
+    leaves first, the (mid, half) centres and half-extents of its boxes,
+    each (m, 3, ``_TREE_FANOUT``): node j's box is column j % fanout of
+    entry j // fanout, so the boxes of node j's children are entry j of the
+    level below. Columns past a level's last node hold NaN, which no point
+    lies inside.
     """
-    lo, hi, pad = _face_boxes(v0, v1, v2)
     mesh_lo = lo.min(axis=0)
     extent = hi.max(axis=0) - mesh_lo
     # Morton code of the centroid on a 1024^3 grid over the mesh box.
     scale = np.divide(1023.0, extent, out=np.zeros(3), where=extent > 0.0)
-    cells = np.clip(((v0 + v1 + v2) / 3.0 - mesh_lo) * scale, 0, 1023).astype(np.int64)
-    code = np.zeros(len(v0), dtype=np.int64)
+    cells = np.clip((centroids - mesh_lo) * scale, 0, 1023).astype(np.int64)
+    code = np.zeros(len(centroids), dtype=np.int64)
     for bit in range(10):
         for axis in range(3):
             code |= ((cells[:, axis] >> bit) & 1) << (3 * bit + axis)
-    order = np.argsort(code, kind="stable")
-    starts = np.arange(0, len(v0), _BLOCK_FACES)
-    members = [np.sort(block) for block in np.split(order, starts[1:])]
-    box_lo = np.minimum.reduceat(lo[order], starts, axis=0) - pad
-    box_hi = np.maximum.reduceat(hi[order], starts, axis=0) + pad
-    return members, box_lo, box_hi
-
-
-def _segments_meet_boxes(
-    origins: np.ndarray, directions: np.ndarray, t_lim: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray
-) -> np.ndarray:
-    """(r, b) mask: ray r's segment t in [-1e-9, t_lim + 1e-9] meets box b.
-
-    Slab test. An axis with a zero direction component constrains nothing
-    but the origin, which must lie inside that slab. Any NaN in a ray makes
-    it meet no box.
-    """
-    near = np.full((len(origins), len(box_lo)), -1e-9)
-    far = np.repeat((t_lim + 1e-9)[:, None], len(box_lo), axis=1)
-    inside = np.ones(near.shape, dtype=bool)
-    for axis in range(3):
-        o = origins[:, axis, None]
-        d = directions[:, axis, None]
-        moving = d != 0.0
-        step = np.where(moving, d, 1.0)
-        t0 = (box_lo[:, axis] - o) / step
-        t1 = (box_hi[:, axis] - o) / step
-        near = np.where(moving, np.maximum(near, np.minimum(t0, t1)), near)
-        far = np.where(moving, np.minimum(far, np.maximum(t0, t1)), far)
-        inside &= moving | ((box_lo[:, axis] <= o) & (o <= box_hi[:, axis]))
-    return inside & (near <= far)
+    leaf_faces = np.argsort(code, kind="stable")
+    lo, hi = lo[leaf_faces], hi[leaf_faces]
+    tree = []
+    while True:
+        filler = np.full((-len(lo) % _TREE_FANOUT, 3), np.nan)
+        mid, half = (np.vstack([b, filler]).reshape(-1, _TREE_FANOUT, 3).transpose(0, 2, 1).copy()
+                     for b in (0.5 * (lo + hi), 0.5 * (hi - lo)))
+        tree.append((mid, half))
+        if len(lo) <= _TREE_TOP:
+            return leaf_faces, tree
+        starts = np.arange(0, len(lo), _TREE_FANOUT)
+        lo = np.minimum.reduceat(lo, starts, axis=0) - pad
+        hi = np.maximum.reduceat(hi, starts, axis=0) + pad
 
 
 def _lines(origins: np.ndarray, directions: np.ndarray, centre: np.ndarray, pad: float):
@@ -287,96 +304,87 @@ def _sorted_runs(keys: np.ndarray):
     return order, new
 
 
-def _projected_hits(out, origins, directions, t_lim, v0, v1, v2, members, box_lo, box_hi):
-    """The projected broad phase of :func:`ray_mesh_first_hit`, merged into ``out``.
+class _Planes(NamedTuple):
+    """The lines of one ray cast, as :func:`_lines` gives them, ready for box tests.
 
-    Each line chunk tests at most ``_PROJECTED_CHUNK`` (line, block)
-    pairs, each face batch at most that many (line, face) pairs, and each
-    narrow-phase call at most that many (ray, face) pairs.
+    ``axes[g]`` is (2, 3): the two axes of group g's plane as rows, and
+    ``spans`` their absolute values, which project half-extents. ``group``
+    and ``point`` are each line's group and float32 (2, n) projected
+    point, and ``pad`` the 2D padding of every projected box.
     """
-    n_faces, n_blocks = len(v0), len(members)
-    lo, hi, pad = _face_boxes(v0, v1, v2)
-    # Project relative to the mesh centre, so rounding follows the distance
-    # from the mesh, not from the world origin.
-    centre = 0.5 * (lo.min(axis=0) + hi.max(axis=0))
-    block_mid = 0.5 * (box_lo + box_hi) - centre
-    block_half = 0.5 * (box_hi - box_lo)
-    # Face boxes with a NaN row at index n_faces, the filler of the last block.
-    face_mid = np.vstack([0.5 * (lo + hi) - centre, np.full(3, np.nan)])
-    face_half = np.vstack([0.5 * (hi - lo), np.full(3, np.nan)])
-    table = np.full(n_blocks * _BLOCK_FACES, n_faces)
-    flat = np.concatenate(members)
-    table[:len(flat)] = flat
-    table = table.reshape(n_blocks, _BLOCK_FACES)
-    e1 = v1 - v0
-    e2 = v2 - v0
-    det_floor = 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
 
-    rays, starts, line_group, line_point, basis = _lines(origins, directions, centre, pad)
-    line_point = line_point.astype(np.float32)
-    # A line's rays project up to two pads from its first ray's point.
-    pad_2d = 3.0 * pad
-    rows = max(1, _PROJECTED_CHUNK // n_blocks)
-    per_batch = max(1, _PROJECTED_CHUNK // _BLOCK_FACES)
-    for start in range(0, len(line_group), rows):
-        groups, local = np.unique(line_group[start:start + rows], return_inverse=True)
-        bases = basis[groups]
-        point = line_point[:, start:start + rows]
-        blocks = _projected_boxes(block_mid, block_half, bases, pad_2d)
-        pl, pb = _points_in_boxes(point, blocks[local])
-        # Sort the (line, block) pairs by (group, block), so that each batch
-        # projects a block's faces once per group.
-        key = local[pl] * n_blocks + pb
-        by_key = np.argsort(key, kind="stable")
-        pl, pb, key = pl[by_key], pb[by_key], key[by_key]
-        for s in range(0, len(key), per_batch):
-            k = key[s:s + per_batch]
-            first = np.ones(len(k), dtype=bool)
-            first[1:] = k[1:] != k[:-1]
-            combo = np.cumsum(first) - 1
-            cells = table[pb[s:s + per_batch][first]]
-            boxes = _projected_boxes(face_mid[cells], face_half[cells], bases[k[first] // n_blocks], pad_2d)
-            batch = pl[s:s + per_batch]
-            pj, slot = _points_in_boxes(point[:, batch], boxes[combo])
-            line = start + batch[pj]
-            # Every ray of a kept (line, face) pair goes to the narrow phase.
-            n = starts[line + 1] - starts[line]
-            ray = rays[np.repeat(starts[line] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            face = np.repeat(cells[combo[pj], slot], n)
-            for c in range(0, len(ray), _PROJECTED_CHUNK):
-                r, f = ray[c:c + _PROJECTED_CHUNK], face[c:c + _PROJECTED_CHUNK]
-                t, u, v = _pair_hits(origins[r], directions[r], v0[f], e1[f], e2[f], det_floor[f], t_lim[r])
-                _merge_hits(out, r, f, t, u, v)
+    axes: np.ndarray
+    spans: np.ndarray
+    group: np.ndarray
+    point: np.ndarray
+    pad: float
 
 
-def _projected_boxes(mid: np.ndarray, half: np.ndarray, bases: np.ndarray, pad: float) -> np.ndarray:
-    """Padded 2D boxes of 3D boxes projected onto planes.
+def _descend(tree, level, lines, nodes, planes: _Planes):
+    """Kept (line, leaf) pairs below the kept (line, node) pairs at ``level``.
 
-    ``mid`` and ``half`` are the centres and half-extents of n boxes, either
-    (n, 3) shared by all g planes or (g, n, 3); ``bases`` is (g, 3, 2).
-    Returns (g, 4, n) float32 rows lo_x, hi_x, lo_y, hi_y. Rounding to
-    float32 is monotone, so a point inside a box stays inside once both are
-    rounded.
+    The pairs of one node must be adjacent, with their lines ascending, as
+    :func:`_points_in_boxes` leaves them. They go down one level at a time,
+    ``_PROJECTED_CHUNK // _TREE_FANOUT`` of them per step, so each step tests
+    at most ``_PROJECTED_CHUNK`` children. Yields (lines, leaves) arrays,
+    usually once.
     """
-    c = np.matmul(mid, bases)
-    h = np.matmul(half, np.abs(bases)) + pad
-    boxes = np.stack([c - h, c + h], axis=-1).transpose(0, 2, 3, 1)
-    return boxes.reshape(len(boxes), 4, -1).astype(np.float32)
+    if level == 0:
+        yield lines, nodes
+        return
+    mid, half = tree[level - 1]
+    step = max(1, _PROJECTED_CHUNK // _TREE_FANOUT)
+    for s in range(0, len(lines), step):
+        line, node = lines[s:s + step], nodes[s:s + step]
+        group = planes.group[line]
+        # Lines are sorted by group, so the pairs of one (node, group) are
+        # adjacent too: project their children once.
+        new = np.ones(len(line), dtype=bool)
+        new[1:] = (node[1:] != node[:-1]) | (group[1:] != group[:-1])
+        combo = np.cumsum(new) - 1
+        parents = node[new]
+        children = (np.take(a, parents, axis=0) for a in (mid, half))
+        boxes = _projected_boxes(*children, planes, group[new])
+        slot, pair = _points_in_boxes(planes, line, boxes, combo)
+        yield from _descend(tree, level - 1, line[pair], node[pair] * _TREE_FANOUT + slot, planes)
 
 
-def _points_in_boxes(point: np.ndarray, boxes: np.ndarray):
-    """Index pairs (i, j) where 2D point ``point[:, i]`` lies in box ``boxes[i, :, j]``, bounds included."""
-    x, y = point[0][:, None], point[1][:, None]
+def _projected_boxes(mid: np.ndarray, half: np.ndarray, planes: _Planes, group) -> np.ndarray:
+    """Padded 2D boxes of 3D boxes projected onto the planes of ``group``.
+
+    ``mid`` and ``half`` hold the centres and half-extents of n boxes as
+    columns, either (3, n) shared by the k planes ``group`` picks or
+    (k, 3, n). Returns (k, 4, n) float32 rows lo_x, hi_x, lo_y, hi_y, grown
+    by the cast's 2D padding. Rounding to float32 is monotone, so a point
+    inside a box stays inside once both are rounded.
+    """
+    c = np.matmul(planes.axes[group], mid)
+    h = np.matmul(planes.spans[group], half)
+    h += planes.pad
+    boxes = np.empty((len(c), 2, 2, c.shape[-1]), dtype=np.float32)
+    np.subtract(c, h, out=boxes[:, :, 0])
+    np.add(c, h, out=boxes[:, :, 1])
+    return boxes.reshape(len(c), 4, -1)
+
+
+def _points_in_boxes(planes: _Planes, lines: np.ndarray, boxes: np.ndarray, which: np.ndarray):
+    """Index pairs (j, i) where the point of line ``lines[i]`` lies in box ``boxes[which[i], :, j]``.
+
+    Bounds are included. Pairs come sorted by j, then i.
+    """
+    x, y = np.take(planes.point, lines, axis=1)[:, :, None]
+    boxes = np.take(boxes, which, axis=0)
     inside = (boxes[:, 0] <= x) & (x <= boxes[:, 1]) & (boxes[:, 2] <= y) & (y <= boxes[:, 3])
-    return np.divmod(np.flatnonzero(inside), boxes.shape[2])
+    return np.divmod(np.flatnonzero(inside.T), len(lines))
 
 
 def _pair_hits(o, d, v0, e1, e2, det_floor, t_lim):
     """Moller-Trumbore on matched (ray, face) rows, one pair per row.
 
-    The arithmetic of :func:`_first_hits`, with ``np.einsum`` dot products
-    that equal its broadcast ones bit for bit. Returns (t, u, v); t is inf
-    where the pair does not hit.
+    The arithmetic of the all-faces scan (``all_faces_first_hits`` in
+    ``tests/conftest.py``), with ``np.einsum`` dot products that equal its
+    broadcast ones bit for bit. Returns (t, u, v); t is inf where the pair
+    does not hit.
     """
     h = np.cross(d, e2)
     a = np.einsum("pk,pk->p", h, e1)
@@ -413,53 +421,3 @@ def _merge_hits(out, ray, face, t, u, v):
     face_out[idx] = face[take]
     u_out[idx] = u[take]
     v_out[idx] = v[take]
-
-
-def _first_hits(
-    origins: np.ndarray, directions: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, t_lim: np.ndarray
-):
-    """Moller-Trumbore of every ray against every triangle, in chunks.
-
-    The narrow phase of :func:`ray_mesh_first_hit`, with the same
-    arguments and results; face indices index the given corner arrays.
-    """
-    n_rays = origins.shape[0]
-    e1 = v1 - v0
-    e2 = v2 - v0
-    # Parallel-ray rejection threshold, relative to the edge scale per face.
-    det_floor = 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-
-    t_out = np.full(n_rays, np.inf)
-    face_out = np.full(n_rays, -1, dtype=np.int64)
-    u_out = np.zeros(n_rays)
-    v_out = np.zeros(n_rays)
-    rows = max(1, _PAIR_CHUNK // len(v0))
-
-    for start in range(0, n_rays, rows):
-        sl = slice(start, min(start + rows, n_rays))
-        o = origins[sl][:, None, :]
-        d = directions[sl][:, None, :]
-        h = np.cross(d, e2[None, :, :])
-        a = np.einsum("rfk,fk->rf", h, e1)
-        ok = np.abs(a) > det_floor[None, :]
-        inv_a = np.where(ok, 1.0 / np.where(ok, a, 1.0), 0.0)
-        s = o - v0[None, :, :]
-        u = np.einsum("rfk,rfk->rf", s, h) * inv_a
-        ok &= (u >= -_BARY_EPS) & (u <= 1.0 + _BARY_EPS)
-        q = np.cross(s, e1[None, :, :])
-        v = np.einsum("rfk,rk->rf", q, directions[sl]) * inv_a
-        ok &= (v >= -_BARY_EPS) & (u + v <= 1.0 + _BARY_EPS)
-        t = np.einsum("rfk,fk->rf", q, e2) * inv_a
-        ok &= (t >= -_BARY_EPS) & (t <= t_lim[sl][:, None] + _BARY_EPS)
-        t = np.where(ok, t, np.inf)
-        best = np.argmin(t, axis=1)
-        rr = np.arange(t.shape[0])
-        best_t = t[rr, best]
-        hit = np.isfinite(best_t)
-        idx = np.flatnonzero(hit) + start
-        t_out[idx] = best_t[hit]
-        face_out[idx] = best[hit]
-        u_out[idx] = u[rr, best][hit]
-        v_out[idx] = v[rr, best][hit]
-    return t_out, face_out, u_out, v_out
-

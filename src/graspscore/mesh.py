@@ -106,7 +106,7 @@ def build_mesh(vertices: np.ndarray, faces: np.ndarray) -> TriangleMesh:
     if len(faces) == 0:
         raise EmptyMesh("all faces are degenerate")
 
-    watertight = _is_watertight(faces)
+    watertight = _is_watertight(faces, len(vertices))
     if watertight and _signed_volume(vertices, faces) < 0.0:
         faces = faces[:, ::-1].copy()
 
@@ -125,13 +125,17 @@ def build_mesh(vertices: np.ndarray, faces: np.ndarray) -> TriangleMesh:
     )
 
 
-def _is_watertight(faces: np.ndarray) -> bool:
+def _is_watertight(faces: np.ndarray, n_vertices: int) -> bool:
     """Every directed edge appears once and its reverse appears once."""
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    directed = set(map(tuple, edges.tolist()))
-    if len(directed) != len(edges):
+    a = faces.ravel()
+    b = np.roll(faces, -1, axis=1).ravel()
+    # Edge (a, b) as one sortable key.
+    keys = np.sort(a * n_vertices + b)
+    if (keys[1:] == keys[:-1]).any():
         return False
-    return all((b, a) in directed for a, b in directed)
+    reverse = b * n_vertices + a
+    at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+    return bool((keys[at] == reverse).all())
 
 
 def _signed_volume(vertices: np.ndarray, faces: np.ndarray) -> float:

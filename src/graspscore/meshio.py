@@ -156,11 +156,13 @@ def _ply_elements_ascii(tokens, elements, path):
                 # One 8-byte field per token lays the record out in tokens.
                 dt = _face_record_dtype(props, lambda first, key: tokens[pos + first.fields[key][1] // 8], "<i8")
                 width = dt.itemsize // 8
-                if len(tokens) < pos + count * width:
-                    raise ValueError(f"{count} face records need {count * width} tokens")
-                records = tokens[pos:pos + count * width]
+                whole = min(count, (len(tokens) - pos) // width)
+                records = tokens[pos:pos + whole * width]
                 pos += count * width
+                # A record of the wrong length is named before a short body.
                 faces = _face_indices(props, lambda key: _token_field(records, dt, key), path)
+                if whole < count:
+                    raise ValueError(f"{count} face records need {count * width} tokens")
             else:
                 # skip unknown fixed-width elements; lists are not skippable
                 for pname, ptype, list_type in props:
@@ -195,9 +197,13 @@ def _ply_elements_binary(body: bytes, elements, path):
                     continue
                 dt = _face_record_dtype(
                     props, lambda first, key: np.frombuffer(body, dtype=first, count=1, offset=off)[key][0])
-                arr = np.frombuffer(body, dtype=dt, count=count, offset=off)
+                whole = min(count, (len(body) - off) // dt.itemsize)
+                arr = np.frombuffer(body, dtype=dt, count=whole, offset=off)
                 off += dt.itemsize * count
+                # A record of the wrong length is named before a short body.
                 faces = _face_indices(props, arr.__getitem__, path)
+                if whole < count:
+                    raise ValueError(f"{count} face records need {count * dt.itemsize} bytes")
             else:
                 if not fixed:
                     raise ParseError(f"{path}: cannot skip list element {name!r}")
@@ -229,31 +235,59 @@ def _face_record_dtype(props, first_length, code: str | None = None) -> np.dtype
 
 def _token_field(records: list[str], dt: np.dtype, key: str) -> np.ndarray:
     """Field ``key`` of each ascii record in ``records``, a run of tokens
-    laid out by ``dt`` at one 8-byte field per token, parsed as integers."""
+    laid out by ``dt`` at one 8-byte field per token.
+
+    Fields are parsed as integers by ``int``. After a record of the wrong
+    length the fields are misaligned and may read any token, so a list
+    length field ``n<i>`` reads a token that ``int`` rejects as NaN, which
+    matches no length.
+    """
     field, offset = dt.fields[key][:2]
     width, first = dt.itemsize // 8, offset // 8
     columns = [records[first + j::width] for j in range(field.itemsize // 8)]
-    return np.array(columns, dtype=np.int64).T.reshape(len(records) // width, *field.shape)
+    try:
+        values = np.array(columns, dtype=np.int64)
+    except ValueError:
+        if not key.startswith("n"):
+            raise
+        values = np.array([[_int_or_nan(t) for t in c] for c in columns], dtype=np.float64)
+    return values.T.reshape(len(records) // width, *field.shape)
+
+
+def _int_or_nan(token: str) -> float:
+    try:
+        return int(token)
+    except ValueError:
+        return np.nan
 
 
 def _face_indices(props, column, path) -> np.ndarray:
-    """The (n, 3) vertex indices of a face block whose field ``key`` is ``column(key)``,
-    once the indices prove to be triangles and any other list keeps the first record's length."""
-    faces = None
-    for i, (pname, _, ltype) in enumerate(props):
-        if ltype is None:
-            continue
-        lengths = column(f"n{i}")
-        if pname in _FACE_INDEX_NAMES:
-            if (lengths != 3).any():
-                n = lengths[np.argmax(lengths != 3)]
-                raise ParseError(f"{path}: only triangle faces are supported (got {n}-gon)")
-            faces = column(f"p{i}")
-        elif (lengths != lengths[0]).any():
-            raise ParseError(f"{path}: face list property {pname!r} changes length")
-    if faces is None:
+    """The (n, 3) vertex indices of a face block whose field ``key`` is ``column(key)``.
+
+    The list lengths are checked record by record, in file order: each
+    record's vertex index list must hold 3 values and each other list as
+    many as the first record's. A record of another length misaligns every
+    record after it, so the first such record is the one reported, naming
+    its first list, in property order, of the wrong length.
+    """
+    lists = [(i, pname) for i, (pname, _, ltype) in enumerate(props) if ltype is not None]
+    indices = [i for i, pname in lists if pname in _FACE_INDEX_NAMES]
+    if not indices:
         raise ParseError(f"{path}: face element lacks vertex_indices")
-    return faces
+    lengths = np.column_stack([column(f"n{i}") for i, _ in lists])
+    wanted = np.where([pname in _FACE_INDEX_NAMES for _, pname in lists], 3, lengths[:1])
+    wrong = lengths != wanted
+    if wrong.any():
+        record = int(np.argmax(wrong.any(axis=1)))
+        k = int(np.argmax(wrong[record]))
+        pname, n = lists[k][1], lengths[record, k]
+        if np.isnan(n):
+            raise ParseError(f"{path}: malformed PLY body: face {record} (0-based) has a list length "
+                             f"that is not an integer")
+        if pname in _FACE_INDEX_NAMES:
+            raise ParseError(f"{path}: only triangle faces are supported (got {n:g}-gon)")
+        raise ParseError(f"{path}: face list property {pname!r} changes length")
+    return column(f"p{indices[-1]}")
 
 
 def _as_arrays(vertices, faces, path):

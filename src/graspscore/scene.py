@@ -38,13 +38,13 @@ _DEFAULTS = PipelineConfig()
 # tr(R_a^T R_b) sit up to 3e-5 from that of the nearest exact rotations, so
 # a pair whose computed angle is below theta can have closing axes up to
 # 2 sin(theta / 2) + 5.5e-3 apart. Grasps go through _NMS_BLOCK at a time,
-# and candidate pairs get the exact test _PAIR_CHUNK at a time.
+# and candidate pairs get the exact test _NMS_CHUNK at a time.
 _EMBED_PAD = 1e-3
 _MAX_EMBED = 2.0**36
 _AXIS_SLACK = 1e-2
 _EMBED_RADIUS = float(np.sqrt(2.0))
 _NMS_BLOCK = 512
-_PAIR_CHUNK = 16384
+_NMS_CHUNK = 16384
 
 # Collision broad phase: cloud points tried first per box centre, grasps per
 # batched pass, a band (m) far wider than the rounding of a gripper-frame
@@ -313,13 +313,13 @@ def grasp_nms(
     def suppressing(earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
         """Mask of the pairs where ``earlier`` suppresses ``later`` (visit positions)."""
         out = np.empty(len(earlier), dtype=bool)
-        for s in range(0, len(earlier), _PAIR_CHUNK):
-            e, l = earlier[s:s + _PAIR_CHUNK], later[s:s + _PAIR_CHUNK]
+        for s in range(0, len(earlier), _NMS_CHUNK):
+            e, l = earlier[s:s + _NMS_CHUNK], later[s:s + _NMS_CHUNK]
             d_t = np.linalg.norm(translations[e] - translations[l], axis=1)
             # trace(R_e^T R_l) is the elementwise dot of the two matrices
             tr = np.einsum("kab,kab->k", rotations[e], rotations[l])
             d_r = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-            out[s:s + _PAIR_CHUNK] = (d_t < trans_thresh) & (d_r < rot_thresh)
+            out[s:s + _NMS_CHUNK] = (d_t < trans_thresh) & (d_r < rot_thresh)
         return out
 
     kept: list[np.ndarray] = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graspscore
-from graspscore import with_surface_samples
+from graspscore import geometry, with_surface_samples
 from graspscore.errors import UnknownObjectId
 from graspscore.geometry import transform_points, unit
 from graspscore.gripper import contacts_on_lines
@@ -53,6 +53,74 @@ def desk_meshes(cube, icosphere, cylinder, l_prism, plate):
         "l_prism": l_prism,
         "plate": plate,
     }
+
+
+# Rays x faces per step of the all-faces scan.
+_SCAN_PAIRS = 1 << 19
+
+
+def all_faces_first_hits(origins, directions, vertices, faces, t_max=np.inf):
+    """Oracle of ``geometry.ray_mesh_first_hit``: Moller-Trumbore of every
+    ray against every triangle, with the same arguments and results.
+
+    This is the ray cast before it had a broad phase. Its arithmetic is
+    that of ``geometry._pair_hits``, and ``np.argmin`` over each ray's row
+    gives the tie rule: the lowest t, then the lowest face index.
+    """
+    origins = np.asarray(origins, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    n_rays = origins.shape[0]
+    t_lim = np.broadcast_to(np.asarray(t_max, dtype=float), (n_rays,))
+    v0, v1, v2 = geometry.triangle_corners(vertices, faces)
+    eps = geometry._BARY_EPS
+    e1 = v1 - v0
+    e2 = v2 - v0
+    # Parallel-ray rejection threshold, relative to the edge scale per face.
+    det_floor = 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+
+    t_out = np.full(n_rays, np.inf)
+    face_out = np.full(n_rays, -1, dtype=np.int64)
+    u_out = np.zeros(n_rays)
+    v_out = np.zeros(n_rays)
+    rows = max(1, _SCAN_PAIRS // len(v0))
+
+    for start in range(0, n_rays, rows):
+        sl = slice(start, min(start + rows, n_rays))
+        o = origins[sl][:, None, :]
+        d = directions[sl][:, None, :]
+        h = np.cross(d, e2[None, :, :])
+        a = np.einsum("rfk,fk->rf", h, e1)
+        ok = np.abs(a) > det_floor[None, :]
+        inv_a = np.where(ok, 1.0 / np.where(ok, a, 1.0), 0.0)
+        s = o - v0[None, :, :]
+        u = np.einsum("rfk,rfk->rf", s, h) * inv_a
+        ok &= (u >= -eps) & (u <= 1.0 + eps)
+        q = np.cross(s, e1[None, :, :])
+        v = np.einsum("rfk,rk->rf", q, directions[sl]) * inv_a
+        ok &= (v >= -eps) & (u + v <= 1.0 + eps)
+        t = np.einsum("rfk,fk->rf", q, e2) * inv_a
+        ok &= (t >= -eps) & (t <= t_lim[sl][:, None] + eps)
+        t = np.where(ok, t, np.inf)
+        best = np.argmin(t, axis=1)
+        rr = np.arange(t.shape[0])
+        best_t = t[rr, best]
+        hit = np.isfinite(best_t)
+        idx = np.flatnonzero(hit) + start
+        t_out[idx] = best_t[hit]
+        face_out[idx] = best[hit]
+        u_out[idx] = u[rr, best][hit]
+        v_out[idx] = v[rr, best][hit]
+    return t_out, face_out, u_out, v_out
+
+
+def watertight_oracle(faces) -> bool:
+    """Set oracle of ``mesh._is_watertight``: every directed edge appears
+    once and its reverse appears once."""
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    directed = set(map(tuple, edges.tolist()))
+    if len(directed) != len(edges):
+        return False
+    return all((b, a) in directed for a, b in directed)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

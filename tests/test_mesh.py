@@ -13,10 +13,11 @@ from graspscore import (
     transform_mesh,
     with_surface_samples,
 )
+from graspscore import mesh as mesh_module
 from graspscore.meshio import save_obj, save_ply
-from graspscore.primitives import make_box, make_icosphere, make_l_prism
+from graspscore.primitives import make_box, make_cylinder, make_icosphere, make_l_prism, make_plate
 
-from conftest import random_rotation, surface_distance
+from conftest import random_rotation, surface_distance, watertight_oracle
 
 UNIT_CUBE_OBJ = """\
 v -0.5 -0.5 -0.5
@@ -196,10 +197,14 @@ _ASCII_SQUARE = (
 
 @pytest.mark.parametrize("faces, message", [
     ("3 0 1 2\n3 0 2 3\n", None),
+    ("+3 0 1 2\n+3 0 2 3\n", None),
     ("3 0 1 2\n4 0 1 2 3\n", "only triangle faces"),
     ("4 0 1 2 3\n3 0 2 3\n", "only triangle faces"),
     ("3 0 1 2\n3 0 2\n", "truncated"),
+    ("3 0 1\n", "truncated"),
+    ("", "truncated"),
     ("3 0 1 2\n3 0 2 x\n", "malformed"),
+    ("3 0 1 2\n3.0 0 2 3\n", "malformed PLY body: face 1 .* not an integer"),
 ])
 def test_ascii_ply_faces(tmp_path, faces, message):
     path = _write(tmp_path, "square.ply", _ASCII_SQUARE + faces)
@@ -264,14 +269,19 @@ def test_ascii_and_binary_ply_read_extra_face_properties_alike(tmp_path, layout)
 @pytest.mark.parametrize("binary", [False, True])
 @pytest.mark.parametrize("case, message", [
     ("ragged", "'texcoord' changes length"),
+    ("ragged_fourth", "'texcoord' changes length"),
+    ("short_fourth", "'texcoord' changes length"),
     ("quad", r"only triangle faces are supported \(got 4-gon\)"),
 ])
 def test_ply_face_list_checks_with_extra_properties(tmp_path, binary, case, message):
     src = make_icosphere(0.03, 1)
     props = [("flags", "uchar", None, 7), _INDICES, ("texcoord", "float", "uchar", lambda k, f: (0.5,) * 6)]
-    if case == "ragged":
-        # the last record: a ragged one earlier misaligns those after it, as in binary
-        props[2] = ("texcoord", "float", "uchar", lambda k, f: (0.5,) * (8 if k == len(src.faces) - 1 else 6))
+    # The ragged record is the last one, or the fourth of 80, which
+    # misaligns every record after it.
+    ragged = {"ragged": (len(src.faces) - 1, 8), "ragged_fourth": (3, 8), "short_fourth": (3, 4)}
+    if case in ragged:
+        at, n = ragged[case]
+        props[2] = ("texcoord", "float", "uchar", lambda k, f: (0.5,) * (n if k == at else 6))
     else:
         props[1] = ("vertex_indices", "int", "uchar", lambda k, f: (*f, f[0]) if k == 3 else tuple(f))
     with pytest.raises(ParseError, match=message):
@@ -394,6 +404,34 @@ def test_mass_properties_rigid_equivariance():
         moved = mass_properties(transform_mesh(mesh, rot, trans))
         assert abs(moved.volume - base.volume) < 1e-12
         assert np.all(np.abs(moved.gravity_center - (rot @ base.gravity_center + trans)) < 1e-9)
+
+
+_BOX_FACES = make_box((1.0, 1.0, 1.0)).faces
+_TETRA = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+_WATERTIGHT_CASES = {
+    "box": (_BOX_FACES, True),
+    "plate": (make_plate().faces, True),
+    "l_prism": (make_l_prism(1.0).faces, True),
+    "cylinder": (make_cylinder().faces, True),
+    **{f"icosphere{k}": (make_icosphere(0.03, k).faces, True) for k in range(5)},
+    "tetrahedron": (_TETRA, True),
+    "open": (_BOX_FACES[:-1], False),
+    # A face turned over: its edges repeat its neighbours' directed edges.
+    "flipped_face": (np.vstack([_BOX_FACES[:-1], _BOX_FACES[-1, ::-1]]), False),
+    # Two faces on the same directed edge (0, 1), closed off by nothing else.
+    "repeated_directed_edge": (np.array([[0, 1, 2], [0, 1, 3]]), False),
+    # A fin on the tetrahedron's edge 0-1: that edge has three faces.
+    "edge_of_three_faces": (np.vstack([_TETRA, [1, 0, 4]]), False),
+    "fin_closed_by_its_twin": (np.vstack([_TETRA, [1, 0, 4], [0, 1, 4]]), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WATERTIGHT_CASES))
+def test_watertight_check_matches_set_oracle(case):
+    faces, verdict = _WATERTIGHT_CASES[case]
+    faces = np.asarray(faces, dtype=np.int64)
+    assert watertight_oracle(faces) == verdict
+    assert mesh_module._is_watertight(faces, int(faces.max()) + 1) == verdict
 
 
 def test_mass_properties_open_mesh_fallback():
