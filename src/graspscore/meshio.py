@@ -1,24 +1,28 @@
 """Reading and writing mesh files.
 
 Supports Wavefront OBJ (``v``/``f`` lines, 1-based indices) and PLY in both
-ascii and binary little-endian form. Only triangle faces are accepted; any
-vertex normals stored in the file are ignored because normals are recomputed
-from the geometry on load. PLY faces are read as fixed-size records laid out
-by the header, so a face list property other than the vertex indices must
-hold the same number of values in every face.
+ascii and binary little-endian form. Only triangle faces are accepted, and a
+face whose area is not finite at the unit scale is rejected. Vertex normals
+in the file are ignored: normals are recomputed from the geometry on load.
+
+A PLY header ends at the first line that is exactly ``end_header``. Its
+``format``, ``element`` and ``property`` lines need all their fields, an
+element count must be a non-negative integer, a property type must be known
+and every element needs a property; each fault is a ParseError naming the
+header line. One walker then reads either encoding as fixed-size records laid
+out by the header, parsing ascii tokens only for the fields it reads, so a
+face list other than the vertex indices must hold as many values in every face.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 
 import numpy as np
 
+from . import geometry
 from .errors import ParseError
 from .mesh import build_mesh
-
-logger = logging.getLogger(__name__)
 
 _FACE_INDEX_NAMES = ("vertex_indices", "vertex_index")
 
@@ -42,7 +46,8 @@ def load_mesh(path: str, unit_scale: float = 1.0):
 
     Raises:
         ParseError: a non-finite or non-positive ``unit_scale``, missing
-            file, unknown format, or malformed content.
+            file, unknown format, malformed content, or a face whose area
+            is not finite at ``unit_scale``.
         EmptyMesh: no non-degenerate triangle survives parsing.
     """
     if not (np.isfinite(unit_scale) and unit_scale > 0):
@@ -50,15 +55,11 @@ def load_mesh(path: str, unit_scale: float = 1.0):
     if not os.path.isfile(path):
         raise ParseError(f"mesh file not found: {path}")
     kind = os.path.splitext(path)[1].lower().lstrip(".")
-    if kind == "obj":
-        vertices, faces = _parse_obj(path)
-    elif kind == "ply":
-        vertices, faces = _parse_ply(path)
-    else:
+    parse = {"obj": _parse_obj, "ply": _parse_ply}.get(kind)
+    if parse is None:
         raise ParseError(f"unsupported mesh format {kind!r}: {path}")
-    if unit_scale != 1.0:
-        vertices = vertices * float(unit_scale)
-    return build_mesh(vertices, faces)
+    vertices, faces = parse(path)
+    return build_mesh(*_as_arrays(vertices, faces, path, float(unit_scale)))
 
 
 def _parse_obj(path: str):
@@ -93,134 +94,110 @@ def _parse_obj(path: str):
                     raise ParseError(f"{path}:{lineno}: only triangle faces are supported")
                 faces.append(idx)
             # everything else (vn, vt, o, g, s, usemtl, mtllib) is ignored
-    return _as_arrays(vertices, faces, path)
+    return vertices, faces
 
 
 def _parse_ply(path: str):
+    """Check the header once, line by line, and read the body by it.
+
+    Each element is ``(name, count, [(property name, type, list length
+    type or None)])``.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"ply"):
-        raise ParseError(f"{path}: not a PLY file")
-    try:
-        header_end = data.index(b"end_header")
-    except ValueError:
-        raise ParseError(f"{path}: PLY header has no end_header")
-    body_start = data.index(b"\n", header_end) + 1
-    header = data[:header_end].decode("ascii", errors="replace").splitlines()
-
-    fmt = None
-    elements = []  # (name, count, [(prop_name, type, list_count_type|None)])
-    for line in header[1:]:
-        parts = line.split()
-        if not parts or parts[0] == "comment":
-            continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
-            if not elements:
-                raise ParseError(f"{path}: property before any element")
-            if parts[1] == "list":
-                elements[-1][2].append((parts[4], parts[3], parts[2]))
+        if not fh.readline().startswith(b"ply"):
+            raise ParseError(f"{path}: not a PLY file")
+        fmt, elements, element_lines = None, [], []
+        for lineno, raw in enumerate(iter(fh.readline, b""), start=2):
+            parts = raw.decode("ascii", errors="replace").split()
+            if parts == ["end_header"]:
+                break
+            word = parts[0] if parts else None
+            need = {"format": 2, "element": 3, "property": 5 if parts[1:2] == ["list"] else 3}.get(word)
+            if need is None:
+                continue  # blank, comment or obj_info
+            where = f"{path}:{lineno}"
+            if len(parts) < need:
+                raise ParseError(f"{where}: PLY header line {' '.join(parts)!r} is missing fields")
+            if word == "format":
+                fmt = parts[1]
+                if fmt not in ("ascii", "binary_little_endian"):
+                    raise ParseError(f"{where}: unsupported PLY format {fmt!r}")
+            elif word == "element":
+                count = _int_or_nan(parts[2])
+                if not count >= 0:
+                    raise ParseError(f"{where}: PLY element count must be a non-negative integer, "
+                                     f"got {parts[2]!r}")
+                elements.append((parts[1], count, []))
+                element_lines.append(lineno)
+            elif not elements:
+                raise ParseError(f"{where}: property before any element")
             else:
-                elements[-1][2].append((parts[2], parts[1], None))
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise ParseError(f"{path}: unsupported PLY format {fmt!r}")
-
-    if fmt == "ascii":
-        tokens = data[body_start:].decode("ascii", errors="replace").split()
-        return _ply_elements_ascii(tokens, elements, path)
-    return _ply_elements_binary(data[body_start:], elements, path)
-
-
-def _ply_elements_ascii(tokens, elements, path):
-    vertices, faces = None, None
-    pos = 0
-    try:
-        for name, count, props in elements:
-            if name == "vertex":
-                if any(p[2] is not None for p in props):
-                    raise ParseError(f"{path}: list-typed vertex properties are unsupported")
-                width = len(props)
-                cols = {p[0]: i for i, p in enumerate(props)}
-                for key in ("x", "y", "z"):
-                    if key not in cols:
-                        raise ParseError(f"{path}: vertex element lacks property {key!r}")
-                block = np.array(tokens[pos:pos + count * width], dtype=float).reshape(count, width)
-                pos += count * width
-                vertices = block[:, [cols["x"], cols["y"], cols["z"]]]
-            elif name == "face":
-                if count == 0:
-                    continue
-                # One 8-byte field per token lays the record out in tokens.
-                dt = _face_record_dtype(props, lambda first, key: tokens[pos + first.fields[key][1] // 8], "<i8")
-                width = dt.itemsize // 8
-                whole = min(count, (len(tokens) - pos) // width)
-                records = tokens[pos:pos + whole * width]
-                pos += count * width
-                # A record of the wrong length is named before a short body.
-                faces = _face_indices(props, lambda key: _token_field(records, dt, key), path)
-                if whole < count:
-                    raise ValueError(f"{count} face records need {count * width} tokens")
-            else:
-                # skip unknown fixed-width elements; lists are not skippable
-                for pname, ptype, list_type in props:
-                    if list_type is not None:
-                        raise ParseError(f"{path}: cannot skip list element {name!r}")
-                pos += count * len(props)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: truncated or malformed PLY body: {exc}") from exc
-    return _as_arrays(vertices, faces, path)
+                prop = (parts[4], parts[3], parts[2]) if parts[1] == "list" else (parts[2], parts[1], None)
+                unknown = [t for t in prop[1:] if t not in (*_NUMPY_CODES, None)]
+                if unknown:
+                    raise ParseError(f"{where}: unknown PLY property type {unknown[0]!r}")
+                elements[-1][2].append(prop)
+        else:
+            raise ParseError(f"{path}: PLY header has no end_header")
+        body = fh.read()
+    if fmt is None:
+        raise ParseError(f"{path}: PLY header has no format line")
+    for (name, _, props), lineno in zip(elements, element_lines):
+        if not props:
+            raise ParseError(f"{path}:{lineno}: PLY element {name!r} has no properties")
+    return _ply_elements(body, fmt == "ascii", elements, path)
 
 
-def _ply_elements_binary(body: bytes, elements, path):
+def _ply_elements(body: bytes, ascii: bool, elements, path):
+    """The vertices and faces of a PLY body laid out by ``elements``.
+
+    Each element is ``count`` records of ``_record_dtype`` from ``off``,
+    which counts bytes into a binary body and tokens into an ascii one.
+    The whole records of an element are read before a short body is
+    reported, so a face record of the wrong length is named first.
+    """
+    if ascii:
+        body = body.decode("ascii", errors="replace").split()
     vertices, faces = None, None
     off = 0
     try:
         for name, count, props in elements:
-            fixed = all(p[2] is None for p in props)
+            if name != "face" and any(p[2] is not None for p in props):
+                raise ParseError(f"{path}: list-typed vertex properties are unsupported" if name == "vertex"
+                                 else f"{path}: cannot skip list element {name!r}")
+            if count == 0:
+                continue
+            # An ascii vertex token is parsed as a float, any other as an int.
+            code = ("<f8" if name == "vertex" else "<i8") if ascii else None
+            dt = _record_dtype(
+                props, lambda first, key: _records(body, ascii, off, 1, first)[1](key)[0], code)
+            whole, field = _records(body, ascii, off, count, dt)
+            size = dt.itemsize // 8 if ascii else dt.itemsize
+            off += count * size
             if name == "vertex":
-                if not fixed:
-                    raise ParseError(f"{path}: list-typed vertex properties are unsupported")
-                dt = np.dtype([(f"f{i}", "<" + _NUMPY_CODES[p[1]]) for i, p in enumerate(props)])
-                size = dt.itemsize
-                arr = np.frombuffer(body, dtype=dt, count=count, offset=off)
-                off += size * count
-                cols = {p[0]: f"f{i}" for i, p in enumerate(props)}
+                cols = {p[0]: f"p{i}" for i, p in enumerate(props)}
                 for key in ("x", "y", "z"):
                     if key not in cols:
                         raise ParseError(f"{path}: vertex element lacks property {key!r}")
-                vertices = np.column_stack([arr[cols["x"]], arr[cols["y"]], arr[cols["z"]]]).astype(float)
+                vertices = np.column_stack([field(cols[key]) for key in "xyz"]).astype(float)
             elif name == "face":
-                if count == 0:
-                    continue
-                dt = _face_record_dtype(
-                    props, lambda first, key: np.frombuffer(body, dtype=first, count=1, offset=off)[key][0])
-                whole = min(count, (len(body) - off) // dt.itemsize)
-                arr = np.frombuffer(body, dtype=dt, count=whole, offset=off)
-                off += dt.itemsize * count
-                # A record of the wrong length is named before a short body.
-                faces = _face_indices(props, arr.__getitem__, path)
-                if whole < count:
-                    raise ValueError(f"{count} face records need {count * dt.itemsize} bytes")
-            else:
-                if not fixed:
-                    raise ParseError(f"{path}: cannot skip list element {name!r}")
-                off += count * sum(np.dtype(_NUMPY_CODES[p[1]]).itemsize for p in props)
-    except (KeyError, ValueError) as exc:
+                faces = _face_indices(props, field, path)
+            if whole < count:
+                unit = "tokens" if ascii else "bytes"
+                raise ValueError(f"{count} {name} records need {count * size} {unit}")
+    except (ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: truncated or malformed PLY body: {exc}") from exc
-    return _as_arrays(vertices, faces, path)
+    return vertices, faces
 
 
-def _face_record_dtype(props, first_length, code: str | None = None) -> np.dtype:
-    """Structured dtype of one face record.
+def _record_dtype(props, first_length, code: str | None = None) -> np.dtype:
+    """Structured dtype of one record of an element.
 
-    A list property becomes a length field ``n<i>`` and a values field
-    ``p<i>``: three values for the vertex indices, and for any other list
-    as many as the first record holds, which ``first_length(dtype so far,
-    "n<i>")`` reads. Fields take the header's types, or ``code`` when
-    given. Callers check the length fields.
+    Property ``i`` is field ``p<i>``. A list property is a length field
+    ``n<i>`` and a values field ``p<i>``: three values for the vertex
+    indices, and for any other list as many as the first record holds,
+    which ``first_length(dtype so far, "n<i>")`` reads. Fields take the
+    header's types, or ``code`` when given. Callers check the length fields.
     """
     fields = []
     for i, (pname, ptype, ltype) in enumerate(props):
@@ -233,25 +210,34 @@ def _face_record_dtype(props, first_length, code: str | None = None) -> np.dtype
     return np.dtype(fields)
 
 
-def _token_field(records: list[str], dt: np.dtype, key: str) -> np.ndarray:
-    """Field ``key`` of each ascii record in ``records``, a run of tokens
-    laid out by ``dt`` at one 8-byte field per token.
+def _records(body, ascii: bool, off: int, count: int, dt: np.dtype):
+    """How many of ``count`` records of ``dt`` at ``off`` in ``body`` are
+    whole, and a function that reads field ``key`` of all of them.
 
-    Fields are parsed as integers by ``int``. After a record of the wrong
-    length the fields are misaligned and may read any token, so a list
-    length field ``n<i>`` reads a token that ``int`` rejects as NaN, which
-    matches no length.
+    An ascii body is a list of tokens, one per 8-byte field of ``dt``, and a
+    field's tokens are parsed by its type when it is read. Fields after a
+    record of the wrong length are misaligned and may read any token, so a
+    list length ``n<i>`` reads a token that ``int`` rejects as NaN.
     """
-    field, offset = dt.fields[key][:2]
-    width, first = dt.itemsize // 8, offset // 8
-    columns = [records[first + j::width] for j in range(field.itemsize // 8)]
-    try:
-        values = np.array(columns, dtype=np.int64)
-    except ValueError:
-        if not key.startswith("n"):
-            raise
-        values = np.array([[_int_or_nan(t) for t in c] for c in columns], dtype=np.float64)
-    return values.T.reshape(len(records) // width, *field.shape)
+    if not ascii:
+        whole = min(count, (len(body) - off) // dt.itemsize)
+        return whole, np.frombuffer(body, dt, whole, off).__getitem__
+    width = dt.itemsize // 8
+    whole = min(count, (len(body) - off) // width)
+    records = body[off:off + whole * width]
+
+    def field(key):
+        sub, at = dt.fields[key][:2]
+        columns = [records[at // 8 + j::width] for j in range(sub.itemsize // 8)]
+        try:
+            values = np.array(columns, dtype=sub.base)
+        except ValueError:
+            if not key.startswith("n"):
+                raise
+            values = np.array([[_int_or_nan(t) for t in c] for c in columns], dtype=np.float64)
+        return values.T.reshape(whole, *sub.shape)
+
+    return whole, field
 
 
 def _int_or_nan(token: str) -> float:
@@ -290,10 +276,13 @@ def _face_indices(props, column, path) -> np.ndarray:
     return column(f"p{indices[-1]}")
 
 
-def _as_arrays(vertices, faces, path):
+def _as_arrays(vertices, faces, path, unit_scale):
+    """The vertices scaled by ``unit_scale`` and the faces, once every
+    vertex is finite, every index in range and every face area finite."""
     if vertices is None or len(vertices) == 0:
         raise ParseError(f"{path}: no vertices found")
-    v = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        v = np.asarray(vertices, dtype=float).reshape(-1, 3) * unit_scale
     bad = ~np.isfinite(v).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -301,6 +290,12 @@ def _as_arrays(vertices, faces, path):
     f = np.asarray([] if faces is None else faces, dtype=np.int64).reshape(-1, 3)
     if len(f) and (f.min() < 0 or f.max() >= len(v)):
         raise ParseError(f"{path}: face index out of range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0, v1, v2 = geometry.triangle_corners(v, f)
+        finite = np.isfinite(np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1))
+    if not finite.all():
+        raise ParseError(f"{path}: face {int(np.argmin(finite))} (0-based) has an area that is not finite "
+                         f"at unit scale {unit_scale!r}")
     return v, f
 
 

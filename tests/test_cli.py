@@ -274,6 +274,21 @@ def test_label_rejects_bad_unit_scale(workdir, scale):
     assert not (workdir / "scaled.csv").exists()
 
 
+@pytest.mark.parametrize("mesh_file, scale", [("far_tetrahedron.obj", "1.0"), ("cube.obj", "1e160")])
+def test_label_rejects_mesh_whose_face_areas_overflow(workdir, capsys, mesh_file, scale):
+    """Finite coordinates whose face areas overflow exit 2, with no warning."""
+    far = 1e150 * np.eye(3)
+    save_obj(str(workdir / "far_tetrahedron.obj"), np.vstack([np.zeros(3), far]),
+             np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]))
+    out = workdir / "overflow.csv"
+    rc = cli.main(["label", str(workdir / mesh_file), "--out", str(out), "--config", str(workdir / "tiny.cfg"),
+                   "--unit-scale", scale])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "ParseError" in err and mesh_file in err and "area that is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "-1"])
 def test_eval_rejects_bad_unit_scale(eval_setup, scale):
     path, _ = eval_setup

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from graspscore import (
     EmptyMesh,
+    GraspScoreError,
     ParseError,
     build_mesh,
     load_mesh,
@@ -204,6 +206,7 @@ _ASCII_SQUARE = (
     ("3 0 1\n", "truncated"),
     ("", "truncated"),
     ("3 0 1 2\n3 0 2 x\n", "malformed"),
+    ("3 0 1 2\n3 0 2 99999999999999999999\n", "malformed"),
     ("3 0 1 2\n3.0 0 2 3\n", "malformed PLY body: face 1 .* not an integer"),
 ])
 def test_ascii_ply_faces(tmp_path, faces, message):
@@ -321,20 +324,114 @@ def test_non_finite_vertex_rejected(tmp_path, fmt, value):
     assert path in str(err.value)
 
 
-def test_ply_skips_unknown_element(tmp_path):
-    text = (
-        "ply\nformat ascii 1.0\n"
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "edge_cut_short"])
+def test_ply_skips_unknown_element(tmp_path, binary, cut):
+    header = (
+        f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
         "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
         "element edge 2\nproperty int v1\nproperty int v2\n"
         "element face 1\nproperty list uchar int vertex_indices\n"
         "end_header\n"
-        "0 0 0\n1 0 0\n0 1 0\n"
-        "0 1\n1 2\n"
-        "3 0 1 2\n"
     )
-    mesh = load_mesh(_write(tmp_path, "extra.ply", text))
+    if binary:
+        vertices = struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+        edges, face = struct.pack("<4i", 0, 1, 1, 2), struct.pack("<B3i", 3, 0, 1, 2)
+    else:
+        vertices, edges, face = b"0 0 0\n1 0 0\n0 1 0\n", b"0 1\n1 2\n", b"3 0 1 2\n"
+    # Cut short, the file ends after the first of the two edges.
+    body = vertices + (edges[:len(edges) // 2] if cut else edges + face)
+    path = tmp_path / "extra.ply"
+    path.write_bytes(header.encode("ascii") + body)
+    if cut:
+        with pytest.raises(ParseError, match="truncated"):
+            load_mesh(str(path))
+        return
+    mesh = load_mesh(str(path))
     assert len(mesh.vertices) == 3
     assert len(mesh.faces) == 1
+
+
+# A fault in the square's PLY header: (header line replaced, its
+# replacement, the ParseError message after the file name, or None for a
+# file that loads).
+_HEADER_FAULTS = {
+    "format_without_name": ("format", "format", ":2: PLY header line 'format' is missing fields"),
+    "element_without_count": ("element vertex", "element vertex", ":3: .*'element vertex' is missing fields"),
+    "property_without_name": ("property float z", "property float", ":6: .*'property float' is missing fields"),
+    "list_without_types": ("property list", "property list uchar", ":8: .*'property list uchar' is missing"),
+    "count_not_integer": ("element vertex", "element vertex abc", ":3: .*non-negative integer, got 'abc'"),
+    "count_negative": ("element vertex", "element vertex -1", ":3: .*non-negative integer, got '-1'"),
+    "unknown_type": ("property float z", "property floot z", ":6: unknown PLY property type 'floot'"),
+    "element_without_properties": ("property list", "comment none", ":7: PLY element 'face' has no properties"),
+    "comment_end_header": ("element vertex", "comment end_header is not the end\nelement vertex 4", None),
+    "header_ends_the_file": ("end_header", "end_header", ": truncated or malformed PLY body"),
+}
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+@pytest.mark.parametrize("case", sorted(_HEADER_FAULTS))
+def test_ply_header_faults_name_the_line(tmp_path, binary, case):
+    old, new, message = _HEADER_FAULTS[case]
+    header = _ASCII_SQUARE[:_ASCII_SQUARE.index("end_header") + len("end_header")].splitlines()
+    if binary:
+        header[1] = "format binary_little_endian 1.0"
+        body = (struct.pack("<12f", 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0)
+                + struct.pack("<B3iB3i", 3, 0, 1, 2, 3, 0, 2, 3))
+    else:
+        body = b"0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n"
+    header[next(i for i, line in enumerate(header) if line.startswith(old))] = new
+    text = "\n".join(header).encode("ascii")
+    path = tmp_path / "square.ply"
+    # The last case ends the file at end_header, with no newline.
+    path.write_bytes(text if case == "header_ends_the_file" else text + b"\n" + body)
+    if message is None:
+        assert np.array_equal(load_mesh(str(path)).faces, [[0, 1, 2], [0, 2, 3]])
+    else:
+        with pytest.raises(ParseError, match=re.escape(str(path)) + message):
+            load_mesh(str(path))
+
+
+_MUTANT_TOKENS = [b"x", b"-1", b"3.0", b"+3", b"nan", b"1e999", b"\xc3", b"element", b"list"]
+
+
+def _mutant(data: bytes, rng) -> bytes:
+    """``data`` cut short, with one byte flipped, one line dropped or
+    doubled, or one whitespace-separated token replaced."""
+    how = int(rng.integers(5))
+    if how == 0:
+        return data[:rng.integers(len(data))]
+    if how == 1:
+        i = int(rng.integers(len(data)))
+        return data[:i] + bytes([data[i] ^ int(rng.integers(1, 256))]) + data[i + 1:]
+    if how < 4:
+        lines = data.split(b"\n")
+        i = int(rng.integers(len(lines)))
+        lines[i:i + 1] = [] if how == 2 else [lines[i]] * 2
+        return b"\n".join(lines)
+    spans = [m.span() for m in re.finditer(rb"\S+", data)]
+    start, end = spans[rng.integers(len(spans))]
+    return data[:start] + _MUTANT_TOKENS[rng.integers(len(_MUTANT_TOKENS))] + data[end:]
+
+
+def test_mutated_mesh_files_load_or_raise_a_graspscore_error(tmp_path):
+    box = make_box((0.04, 0.03, 0.02))
+    seeds = {"obj": UNIT_CUBE_OBJ.encode("ascii")}
+    for binary in (False, True):
+        path = _ply_with_face_extras(tmp_path / "seed.ply", box, _FACE_EXTRAS["lists_and_scalars"], binary)
+        seeds["binary.ply" if binary else "ascii.ply"] = open(path, "rb").read()
+    rng = np.random.default_rng(0)
+    for k in range(2000):
+        kind = list(seeds)[k % 3]
+        data = _mutant(seeds[kind], rng)
+        path = tmp_path / f"mutant.{kind.split('.')[-1]}"
+        path.write_bytes(data)
+        try:
+            load_mesh(str(path))
+        except GraspScoreError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"mutant {k} of the {kind} file raised {exc!r}: {data!r}")
 
 
 def test_obj_round_trip(tmp_path):
