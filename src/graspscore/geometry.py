@@ -183,8 +183,9 @@ def ray_mesh_first_hit(
 
     rays, starts, line_group, line_point, basis = _lines(origins, directions, centre, pad)
     axes = np.ascontiguousarray(basis.transpose(0, 2, 1))
-    # A line's rays project up to two pads from its first ray's point.
-    planes = _Planes(axes, np.abs(axes), line_group, line_point.astype(np.float32), 3.0 * pad)
+    # A line's rays project up to two pads from its first ray's point (inf past float32: no box).
+    with np.errstate(over="ignore"):
+        planes = _Planes(axes, np.abs(axes), line_group, line_point.astype(np.float32), 3.0 * pad)
     # The top level's boxes as (3, n) columns, node j in column j.
     top_mid, top_half = (b.transpose(1, 0, 2).reshape(3, -1) for b in tree[-1])
     rows = max(1, _PROJECTED_CHUNK // top_mid.shape[1])
@@ -279,9 +280,10 @@ def _lines(origins: np.ndarray, directions: np.ndarray, centre: np.ndarray, pad:
     # underflowing to a zero norm.
     b1, b2 = perpendicular_bases(uniq / np.abs(uniq).max(axis=1)[:, None])
     basis = np.stack([b1, b2], axis=2)
-    point = np.einsum("rk,rkj->rj", origins[live] - centre, basis[group])
-    # Cells are exact below 2^52 pads; a ray farther out is a line of its own.
-    cell = np.floor(point / pad)
+    # Cells are exact below 2^52 pads; a ray farther out, even past overflow, is a line of its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = np.einsum("rk,rkj->rj", origins[live] - centre, basis[group])
+        cell = np.floor(point / pad)
     solo = ~(np.abs(cell) < 2.0**52).all(axis=1)
     cell[solo] = 0.0
     order, new = _sorted_runs(np.column_stack([group, np.where(solo, np.arange(len(live)) + 1, 0), cell]))

@@ -247,9 +247,19 @@ def gripper_collides(
     gripper frame and tested against the three collision boxes grown by
     ``margin`` on every side. Boundary points count as colliding.
     """
-    local = (np.atleast_2d(scene_points) - translation) @ rotation
+    local = _gripper_frame(np.atleast_2d(scene_points), rotation, translation)[:, None, :]
     boxes = gripper.collision_body(width, depth)
-    lo = boxes[:, 0, :] - margin
-    hi = boxes[:, 1, :] + margin
-    inside = (local[:, None, :] >= lo[None, :, :]) & (local[:, None, :] <= hi[None, :, :])
-    return bool(inside.all(axis=2).any())
+    return bool(((local >= boxes[:, 0, :] - margin) & (local <= boxes[:, 1, :] + margin)).all(axis=2).any())
+
+
+def _gripper_frame(points: np.ndarray, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """(p - t) @ R: points (..., 3) in the frames of poses (..., 3, 3), (..., 3).
+
+    Summed elementwise in a fixed order, as in ``proper_rotations``, so a
+    point maps to the same bits alone or in any batch. A coordinate that
+    overflows is infinite or NaN and fails every box test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = points - translations
+        return (d[..., 0, None] * rotations[..., 0, :] + d[..., 1, None] * rotations[..., 1, :]
+                + d[..., 2, None] * rotations[..., 2, :])

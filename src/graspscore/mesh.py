@@ -26,6 +26,9 @@ _AREA_FLOOR = 1e-14
 # Default surface sampling density: one point per 4 mm^2.
 DEFAULT_SURFACE_DENSITY = 250000.0
 
+# The most points one sampling draws: at about 200 bytes each, under 1 GB.
+_MAX_SAMPLES = 2**22
+
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
@@ -177,7 +180,8 @@ def sample_surface(mesh: TriangleMesh, density: float, rng: np.random.Generator)
 
     Args:
         density: target points per square meter; the count is
-            ceil(total_area * density), at least 1.
+            ceil(total_area * density), at least 1. A count over
+            ``_MAX_SAMPLES`` is a ValueError, before anything is drawn.
         rng: numpy Generator; pass a seeded one for reproducible sampling.
 
     Returns:
@@ -186,7 +190,11 @@ def sample_surface(mesh: TriangleMesh, density: float, rng: np.random.Generator)
     v0, v1, v2 = mesh.face_corners()
     areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
     total = areas.sum()
-    count = max(1, int(np.ceil(total * density)))
+    wanted = np.ceil(total * density)
+    if not wanted <= _MAX_SAMPLES:
+        raise ValueError(f"{float(total)!r} m^2 of surface at {density!r} points per m^2 needs {wanted:.0f} samples, "
+                         f"over the bound of {_MAX_SAMPLES}")
+    count = max(1, int(wanted))
     face_idx = rng.choice(len(areas), size=count, p=areas / total)
 
     r1 = rng.random(count)

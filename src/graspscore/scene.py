@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .config import PipelineConfig
 from .errors import ParseError, UnknownObjectId
-from .gripper import GraspPose, contacts_on_lines, gripper_collides, proper_rotations
+from .gripper import GraspPose, _gripper_frame, contacts_on_lines, gripper_collides, proper_rotations
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import combine_scores, score_contacts
 from .spatial import SpatialIndex
@@ -33,8 +33,8 @@ _DEFAULTS = PipelineConfig()
 
 # NMS broad phase (see grasp_nms). The embedding scales tau and rho carry a
 # relative pad far wider than the rounding of an embedded coordinate, which
-# _MAX_EMBED keeps below 2**36. rho also carries an absolute slack:
-# GraspPose's orthonormality rule (R^T R within about 1e-5 of I) lets
+# _MAX_EMBED keeps below 2**36. rho also carries an absolute slack: the
+# rule of gripper.proper_rotations (R^T R within about 1e-5 of I) lets
 # tr(R_a^T R_b) sit up to 3e-5 from that of the nearest exact rotations, so
 # a pair whose computed angle is below theta can have closing axes up to
 # 2 sin(theta / 2) + 5.5e-3 apart. Grasps go through _NMS_BLOCK at a time,
@@ -47,16 +47,16 @@ _NMS_BLOCK = 512
 _NMS_CHUNK = 16384
 
 # Collision broad phase: cloud points tried first per box centre, grasps per
-# batched pass, a band (m) far wider than the rounding of a gripper-frame
-# coordinate, the relative slack of each cover ball, and the most pieces one
-# box is cut into. GraspPose's orthonormality check is np.allclose(R^T R, I,
-# atol=1e-8), whose default rtol lets R scale lengths by up to about 5e-6;
-# the slack covers that.
+# batched pass, the absolute pad and relative slack of each cover ball, the
+# most pieces one box is cut into, and the farthest a ball centre may lie
+# from the cloud's bounding box on an axis: the KD-tree fails when squared
+# distances overflow (past 1.3e154), so such a body gets the whole cloud.
 _NEAREST = 32
 _COLLISION_CHUNK = 128
 _BAND = 1e-9
 _BALL_SLACK = 1e-4
 _MAX_PIECES = 64
+_MAX_REACH = 1e150
 # A box's 8 corners as lo (0) / hi (1) picks per axis.
 _CORNER_PICKS = np.array(list(itertools.product((0, 1), repeat=3)))
 
@@ -315,7 +315,8 @@ def grasp_nms(
         out = np.empty(len(earlier), dtype=bool)
         for s in range(0, len(earlier), _NMS_CHUNK):
             e, l = earlier[s:s + _NMS_CHUNK], later[s:s + _NMS_CHUNK]
-            d_t = np.linalg.norm(translations[e] - translations[l], axis=1)
+            with np.errstate(over="ignore"):  # an overflowing distance is too far to suppress
+                d_t = np.linalg.norm(translations[e] - translations[l], axis=1)
             # trace(R_e^T R_l) is the elementwise dot of the two matrices
             tr = np.einsum("kab,kab->k", rotations[e], rotations[l])
             d_r = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
@@ -362,41 +363,28 @@ def _in_boxes(local: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     One axis at a time, so each comparison runs along the p points.
     """
-    inside = None
+    inside = True
     for axis in range(3):
         x = local[..., None, :, axis]
-        within = (x >= lo[..., :, axis, None]) & (x <= hi[..., :, axis, None])
-        inside = within if inside is None else inside & within
+        inside = inside & (x >= lo[..., :, axis, None]) & (x <= hi[..., :, axis, None])
     return inside.any(axis=-2)
 
 
 def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
                           bodies: np.ndarray, margin: float):
-    """Yield, per grasp, the cloud indices ``gripper_collides`` must see.
+    """Yield, per grasp, cloud indices of points inside its boxes, or None.
 
     Grasp i has pose ``rotations[i]``, ``translations[i]`` and boxes
-    ``bodies[i]`` (from ``collision_body``). ``gripper_collides`` on
-    ``cloud[shortlist]`` returns what it returns on the whole cloud;
-    ``None`` stands for the whole cloud. Points are mapped into the
-    gripper frame as ``gripper_collides`` maps them. A point
-    inside a box shrunk by ``_BAND`` is inside by far more than rounding,
-    so ``gripper_collides`` finds it inside too, and one outside every box
-    grown by ``_BAND`` is outside for it too.
-
-    * The ``_NEAREST`` cloud points nearest each box centre are tested,
-      batched, against the inflated boxes shrunk by ``_BAND``. If any
-      passes, the points that pass are the shortlist: it collides.
-    * Otherwise the shortlist comes from a cover of the inflated boxes by
-      balls (see ``_ball_cover``), queried once per chunk of grasps. The
-      cover is conservative: every point within ``_BAND`` of a box lies in
-      one of its balls. The shortlist is the ball points inside a box
-      shrunk by ``_BAND``, sorted ascending, and is empty when no ball
-      point lies within ``_BAND`` of a box. If one does but none lies well
-      inside, the verdict could hang on rounding, and the whole cloud is
-      tested instead.
-    * A body whose box centres or cover balls are not finite (a NaN
-      margin, a width near the float limit) is tested against the whole
-      cloud.
+    ``bodies[i]`` (from ``collision_body``) grown by ``margin``. Points are
+    mapped by ``_gripper_frame`` and boxed as in ``gripper_collides``, so
+    each listed point is inside for it too, and a shortlist (sorted) is
+    empty exactly when no cloud point is inside. The points tried are the
+    ``_NEAREST`` nearest each box centre, then, for a grasp none of those
+    hits, those in a ball cover of its boxes (see ``_ball_cover``). ``None``
+    stands for the whole cloud, for a body whose cover is not finite (a NaN
+    margin, a width near the float limit) or lies beyond ``_MAX_REACH`` of
+    the cloud. Each chunk of grasps splits one sorted array of (grasp,
+    point) keys.
     """
     if len(cloud) == 0:
         for _ in range(len(rotations)):
@@ -408,42 +396,32 @@ def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations
         chunk = slice(start, start + _COLLISION_CHUNK)
         rot, trans = rotations[chunk], translations[chunk]
         n = len(rot)
-        lo = bodies[chunk, :, 0, :] - margin
-        hi = bodies[chunk, :, 1, :] + margin
-
+        lo, hi = bodies[chunk, :, 0, :] - margin, bodies[chunk, :, 1, :] + margin
         owner, world, radius = _ball_cover(rot, trans, lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.maximum(np.abs(world - tree.mins), np.abs(world - tree.maxes))
+            # a box's centre lies among its balls' centres: finite if they are
             centres = np.matmul(rot[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + trans[:, None, :]
-        finite = np.isfinite(world).all(axis=1) & np.isfinite(radius)
-        usable = np.isfinite(centres).all(axis=(1, 2)) & (np.bincount(owner[~finite], minlength=n) == 0)
+        far = ~((reach <= _MAX_REACH).all(axis=1) & np.isfinite(radius))
+        usable = np.bincount(owner[far], minlength=n) == 0
 
         _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
         near = near.reshape(n, 3 * k)
-        local = np.matmul(cloud[near] - trans[:, None, :], rot)
-        hit = _in_boxes(local, lo + _BAND, hi - _BAND)
-        decided = hit.any(axis=1)
+        hit = _in_boxes(_gripper_frame(cloud[near], rot[:, None], trans[:, None]), lo, hi)
 
-        # (grasp, point) pairs of the open grasps' balls, sorted, no repeats
-        ball = usable[owner] & ~decided[owner]
+        # (grasp, point) keys of the open grasps' balls, sorted, no repeats
+        ball = usable[owner] & ~hit.any(axis=1)[owner]
         found = tree.query_ball_point(world[ball], radius[ball])
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
-        grasp, points = np.divmod(np.unique(np.repeat(owner[ball], counts) * len(cloud) + points), len(cloud))
-        local = np.matmul((cloud[points] - trans[grasp])[:, None, :], rot[grasp])
-        inside = _in_boxes(local, lo[grasp] + _BAND, hi[grasp] - _BAND)[:, 0]
-        borderline = np.bincount(grasp[_in_boxes(local, lo[grasp] - _BAND, hi[grasp] + _BAND)[:, 0]],
-                                 minlength=n) > 0
-        per_grasp = np.split(points[inside], np.cumsum(np.bincount(grasp[inside], minlength=n))[:-1])
+        keys = np.unique(np.repeat(owner[ball], counts) * len(cloud) + points)
+        grasp, points = np.divmod(keys, len(cloud))
+        inside = _in_boxes(_gripper_frame(cloud[points], rot[grasp], trans[grasp])[:, None], lo[grasp], hi[grasp])
 
-        for g, inside_points in enumerate(per_grasp):
-            if not usable[g]:
-                yield None
-            elif decided[g]:
-                yield np.unique(near[g, hit[g]])
-            elif borderline[g] and not len(inside_points):
-                yield None
-            else:
-                yield inside_points
+        keys = np.unique(np.concatenate([(np.arange(n)[:, None] * len(cloud) + near)[hit], keys[inside[:, 0]]]))
+        grasp, points = np.divmod(keys, len(cloud))
+        for g, shortlist in enumerate(np.split(points, np.cumsum(np.bincount(grasp, minlength=n))[:-1])):
+            yield shortlist if usable[g] else None
 
 
 def _ball_cover(rotations: np.ndarray, translations: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -454,9 +432,12 @@ def _ball_cover(rotations: np.ndarray, translations: np.ndarray, lo: np.ndarray,
     bar becomes a row of near-cubic pieces, each held by the ball through
     its corners. Returns the grasp of each ball, its world centre and its
     radius: the piece's half-diagonal padded by ``_BALL_SLACK`` of itself
-    plus the centre's distance from the gripper origin (room for the
-    rotations ``GraspPose`` accepts, which may scale lengths by about
-    5e-6) and by ``_BAND``. Non-finite boxes give non-finite balls.
+    plus the centre's distance from the gripper origin (the rotations
+    ``gripper.proper_rotations`` accepts may scale lengths by about 5e-6),
+    and by ``_BAND`` for the rounding of the world centre and the KD-tree's
+    distances, which is absolute. So every point that ``_gripper_frame``
+    maps inside a box lies in one of its balls. Non-finite boxes give
+    non-finite balls.
     """
     n_boxes = lo.shape[1]
     lo, hi = lo.reshape(-1, 3), hi.reshape(-1, 3)
@@ -513,8 +494,9 @@ def _associate(centers: np.ndarray, object_ids: list[str | None], layout: SceneL
         if not rows:
             continue
         posed = geometry.transform_points(layout.meshes[inst.object_id].vertices, inst.rotation, inst.translation)
-        for i in rows:
-            distance[i, k] = np.min(np.linalg.norm(posed - centers[i], axis=1))
+        with np.errstate(over="ignore"):  # an overflowing distance is an infinite one
+            for i in rows:
+                distance[i, k] = np.min(np.linalg.norm(posed - centers[i], axis=1))
     return distance.argmin(axis=1)
 
 
@@ -557,13 +539,10 @@ def evaluate_ap(
     embedding; any pair that could suppress lies within the embedding's
     radius, so that broad phase drops no suppressor. The collision filter
     builds one KD-tree over the scene cloud and calls ``gripper_collides``
-    once per NMS survivor, on a shortlist that decides it as the whole
-    cloud would (see ``_collision_shortlists``): points near the box
-    centres or in a ball cover of the boxes that lie well inside a box, an
-    empty shortlist when no point comes within ``_BAND`` of a box, or the
-    whole cloud when one lies on a face within rounding. The cover's balls
-    hold every point within ``_BAND`` of a box, so no colliding point is
-    left out. One distance matrix associates the top survivors with
+    once per NMS survivor, on a shortlist of cloud points that its boxes
+    hold by ``gripper_collides``'s own arithmetic (see
+    ``_collision_shortlists``): the survivor collides iff its shortlist is
+    not empty. One distance matrix associates the top survivors with
     instances (see ``_associate``); each instance's survivors move into its
     frame with one matmul and are scored as one batch.
 
@@ -586,8 +565,7 @@ def evaluate_ap(
     bodies = gripper.collision_body(widths, depths)
     cloud = layout.scene_cloud
     clear = ~_below_table(rotations, translations, bodies, layout.table_height)
-    shortlists = _collision_shortlists(cloud, rotations, translations, bodies, margin)
-    for g, shortlist in enumerate(shortlists):
+    for g, shortlist in enumerate(_collision_shortlists(cloud, rotations, translations, bodies, margin)):
         points = cloud if shortlist is None else cloud[shortlist]
         if gripper_collides(points, rotations[g], translations[g], widths[g], depths[g], gripper, margin):
             clear[g] = False

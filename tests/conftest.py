@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -252,3 +253,28 @@ def run_python(*argv, cwd):
 def run_cli(*argv, cwd):
     """Run ``python -m graspscore.cli *argv`` in a child process under ``cwd``."""
     return run_python("-m", "graspscore.cli", *argv, cwd=cwd)
+
+
+# --- seeded input mutations, for the fuzz tests ---
+
+MUTANT_TOKENS = [b"x", b"-1", b"3.0", b"+3", b"nan", b"1e999", b"\xc3", b"element", b"list"]
+
+
+def mutant(data: bytes, rng, token: bytes = rb"\S+") -> bytes:
+    """``data`` cut short, with one byte flipped, one line dropped or
+    doubled, or one ``token`` match (by default a whitespace-separated
+    token) replaced by one of ``MUTANT_TOKENS``."""
+    how = int(rng.integers(5))
+    if how == 0:
+        return data[:rng.integers(len(data))]
+    if how == 1:
+        i = int(rng.integers(len(data)))
+        return data[:i] + bytes([data[i] ^ int(rng.integers(1, 256))]) + data[i + 1:]
+    if how < 4:
+        lines = data.split(b"\n")
+        i = int(rng.integers(len(lines)))
+        lines[i:i + 1] = [] if how == 2 else [lines[i]] * 2
+        return b"\n".join(lines)
+    spans = [m.span() for m in re.finditer(token, data)]
+    start, end = spans[rng.integers(len(spans))]
+    return data[:start] + MUTANT_TOKENS[rng.integers(len(MUTANT_TOKENS))] + data[end:]

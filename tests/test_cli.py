@@ -2,6 +2,7 @@ import argparse
 import ast
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from graspscore import (
     evaluate_ap,
     read_labels,
     save_obj,
+    save_scene,
     with_surface_samples,
     write_predictions,
 )
@@ -23,7 +25,7 @@ from graspscore.labels import LABEL_COLUMNS
 from graspscore.primitives import make_box, make_icosphere
 
 import _scenes
-from conftest import run_cli as _run
+from conftest import mutant, run_cli as _run
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,94 @@ def test_label_rejects_mesh_whose_face_areas_overflow(workdir, capsys, mesh_file
     assert rc == 2, err
     assert "ParseError" in err and mesh_file in err and "area that is not finite" in err
     assert not out.exists()
+
+
+def test_label_refuses_more_surface_samples_than_the_bound(workdir, capsys):
+    """The 4 cm cube at unit scale 100 would take 24M samples: exit 2
+    before any is drawn."""
+    out = workdir / "huge_cube.csv"
+    start = time.perf_counter()
+    rc = cli.main(["label", str(workdir / "cube.obj"), "--out", str(out), "--unit-scale", "100"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "ValueError" in err and "96.0" in err and "250000.0 points per m^2" in err
+    assert f"over the bound of {2**22}" in err
+    assert elapsed < 1.0 and not out.exists()
+
+
+@pytest.mark.parametrize("translation", [(0.0, 1e308, 0.0), (0.0, -1e308, 0.0), (1e308, 1e308, 1e308),
+                                         (0.0, 1e160, 0.0)])
+def test_eval_prediction_posed_near_the_float_limit(eval_setup, capsys, translation):
+    """A finite translation whose distances to the scene overflow: the
+    grasp clears the collision filter, scores 0, and eval exits 0 (a
+    RuntimeWarning fails the test)."""
+    path, preds = eval_setup
+    values = preds.values.copy()
+    values[0, 9:12] = translation
+    write_predictions(str(path / "far_preds.csv"), PredictionTable(values, preds.object_ids))
+    save_scene(str(path / "far_scene.json"), [SceneInstance("sph3", np.eye(3), np.zeros(3))], -0.2)
+    out = path / "far_report.json"
+    rc = cli.main(["eval", str(path / "far_preds.csv"), "--scene", str(path / "far_scene.json"),
+                   "--meshes", str(path / "meshes"), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["n_filtered_collision"] == 0 and report["n_evaluated"] == 2
+    assert report["true_scores"][0] == 0.0
+
+
+def _fuzz_corpus(path):
+    """Small, valid rescore and eval inputs under ``path``, as bytes by
+    kind: a label file, a prediction file whose first grasp is posed near
+    the float limit, a scene and an eval config."""
+    (path / "meshes").mkdir()
+    sphere = make_icosphere(_scenes.SPHERE_RADIUS, 1)
+    save_obj(str(path / "meshes" / "sph3.obj"), sphere.vertices, sphere.faces)
+    (path / "label.cfg").write_text("n_seeds = 2\nn_views = 2\nn_rotations = 2\nsurface_density = 20000\n")
+    rc = cli.main(["label", str(path / "meshes" / "sph3.obj"), "--out", str(path / "labels.csv"),
+                   "--config", str(path / "label.cfg")])
+    assert rc == 0
+    far = _scenes.diametral_grasp(np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    write_predictions(str(path / "preds.csv"), PredictionTable.from_grasps([
+        PredictedGrasp(GraspPose(far.rotation, np.array([0.0, 1e308, 0.0]), far.width, far.depth), 0.95, "sph3"),
+        PredictedGrasp(_scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])), 0.9, "sph3"),
+        PredictedGrasp(_scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2), 0.8, None),
+    ]))
+    save_scene(str(path / "scene.json"), [SceneInstance("sph3", np.eye(3), np.zeros(3)),
+                                          SceneInstance("sph3", np.eye(3), np.array([0.3, 0.0, 0.0]))], -0.2)
+    (path / "eval.cfg").write_text("surface_density = 20000\nknn_k = 4\nnms_trans_thresh = 0.03\n"
+                                   "collision_margin = 0.001\nscore_thresholds = 0.1, 0.5\n")
+    lines = (path / "labels.csv").read_bytes().split(b"\n")
+    return {"labels": b"\n".join(lines[:6]) + b"\n",
+            **{kind: (path / name).read_bytes()
+               for kind, name in (("preds", "preds.csv"), ("scene", "scene.json"), ("config", "eval.cfg"))}}
+
+
+def test_mutated_cli_inputs_exit_0_or_2(tmp_path, capsys):
+    """Seeded mutations of rescore's and eval's input files end in exit 0
+    or 2, never in an escaped exception or a RuntimeWarning."""
+    seeds = _fuzz_corpus(tmp_path)
+    names = {"labels": "labels.csv", "preds": "preds.csv", "scene": "scene.json", "config": "eval.cfg"}
+    rng = np.random.default_rng(0)
+    for k in range(-len(seeds), 240):  # each seed as it is, then its mutants
+        kind = list(seeds)[k % len(seeds)]
+        files = {name: tmp_path / f"fuzz_{name}" for name in names}
+        for other, path in files.items():
+            path.write_bytes(seeds[other])
+        data = seeds[kind] if k < 0 else mutant(seeds[kind], rng, token=rb"[^\s,]+")
+        files[kind].write_bytes(data)
+        if kind == "labels":
+            argv = ["rescore", str(files["labels"]), "--out", str(tmp_path / "rescored.csv"), "--weights", "1,0,0,0"]
+        else:
+            argv = ["eval", str(files["preds"]), "--scene", str(files["scene"]), "--meshes", str(tmp_path / "meshes"),
+                    "--config", str(files["config"]), "--out", str(tmp_path / "report.json")]
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:
+            pytest.fail(f"mutant {k} of the {kind} file raised {exc!r}: {data!r}")
+        err = capsys.readouterr().err
+        assert rc in (0, 2), f"mutant {k} of the {kind} file exited {rc}: {err} {data!r}"
+        assert k >= 0 or rc == 0, err
 
 
 @pytest.mark.parametrize("scale", ["nan", "-1"])

@@ -10,7 +10,7 @@ from graspscore import (
     transform_mesh,
 )
 from graspscore.candidates import CandidateGrid
-from graspscore.gripper import contacts_on_lines
+from graspscore.gripper import _gripper_frame, contacts_on_lines
 from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
@@ -210,6 +210,26 @@ def test_collision_matches_oracle():
         want = _collides_oracle(points, pose, gripper, margin)
         disagreements += got != want
     assert disagreements == 0
+
+
+def test_gripper_frame_maps_a_point_alike_alone_and_in_any_batch():
+    """The broad phase of eval's collision filter maps points in batches;
+    its verdicts stand only if each point gets the bits it gets alone."""
+    rng = np.random.default_rng(24)
+    n, k = 7, 50
+    # rotations that scale lengths, as the orthonormality rule allows
+    rotations = np.array([random_rotation(rng) for _ in range(n)]) * rng.uniform(1 - 4.9e-6, 1 + 4.9e-6, (n, 1, 1))
+    translations = rng.uniform(-3.0, 3.0, (n, 3))
+    points = translations[:, None, :] + rng.normal(0.0, 0.05, (n, k, 3))
+    batch = _gripper_frame(points, rotations[:, None], translations[:, None])
+    flat = _gripper_frame(points.reshape(-1, 3), np.repeat(rotations, k, axis=0), np.repeat(translations, k, axis=0))
+    assert batch.shape == (n, k, 3) and flat.shape == (n * k, 3)
+    assert np.allclose(batch, np.matmul(points - translations[:, None, :], rotations), rtol=0.0, atol=1e-15)
+    for i in range(n):
+        rows = _gripper_frame(points[i], rotations[i], translations[i])  # as gripper_collides maps them
+        for j in range(k):
+            alone = _gripper_frame(points[i, j], rotations[i], translations[i]).tobytes()
+            assert alone == batch[i, j].tobytes() == flat[i * k + j].tobytes() == rows[j].tobytes()
 
 
 def test_collision_monotone_in_margin():

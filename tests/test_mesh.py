@@ -19,7 +19,7 @@ from graspscore import mesh as mesh_module
 from graspscore.meshio import save_obj, save_ply
 from graspscore.primitives import make_box, make_cylinder, make_icosphere, make_l_prism, make_plate
 
-from conftest import random_rotation, surface_distance, watertight_oracle
+from conftest import mutant, random_rotation, surface_distance, watertight_oracle
 
 UNIT_CUBE_OBJ = """\
 v -0.5 -0.5 -0.5
@@ -392,28 +392,6 @@ def test_ply_header_faults_name_the_line(tmp_path, binary, case):
             load_mesh(str(path))
 
 
-_MUTANT_TOKENS = [b"x", b"-1", b"3.0", b"+3", b"nan", b"1e999", b"\xc3", b"element", b"list"]
-
-
-def _mutant(data: bytes, rng) -> bytes:
-    """``data`` cut short, with one byte flipped, one line dropped or
-    doubled, or one whitespace-separated token replaced."""
-    how = int(rng.integers(5))
-    if how == 0:
-        return data[:rng.integers(len(data))]
-    if how == 1:
-        i = int(rng.integers(len(data)))
-        return data[:i] + bytes([data[i] ^ int(rng.integers(1, 256))]) + data[i + 1:]
-    if how < 4:
-        lines = data.split(b"\n")
-        i = int(rng.integers(len(lines)))
-        lines[i:i + 1] = [] if how == 2 else [lines[i]] * 2
-        return b"\n".join(lines)
-    spans = [m.span() for m in re.finditer(rb"\S+", data)]
-    start, end = spans[rng.integers(len(spans))]
-    return data[:start] + _MUTANT_TOKENS[rng.integers(len(_MUTANT_TOKENS))] + data[end:]
-
-
 def test_mutated_mesh_files_load_or_raise_a_graspscore_error(tmp_path):
     box = make_box((0.04, 0.03, 0.02))
     seeds = {"obj": UNIT_CUBE_OBJ.encode("ascii")}
@@ -423,7 +401,7 @@ def test_mutated_mesh_files_load_or_raise_a_graspscore_error(tmp_path):
     rng = np.random.default_rng(0)
     for k in range(2000):
         kind = list(seeds)[k % 3]
-        data = _mutant(seeds[kind], rng)
+        data = mutant(seeds[kind], rng)
         path = tmp_path / f"mutant.{kind.split('.')[-1]}"
         path.write_bytes(data)
         try:

@@ -792,20 +792,39 @@ def _shortlists(cloud, poses, gripper, margin):
     return scene._collision_shortlists(cloud, *_pose_columns(poses), bodies, margin)
 
 
+def _within_range(cloud, pose, gripper, margin, bound=1e100):
+    """Whether the cloud, the pose's translation and its inflated boxes all
+    lie within ``bound`` of the origin (NaN does not)."""
+    boxes = gripper.collision_body(pose.width, pose.depth)
+    values = np.concatenate([np.ravel(cloud), pose.translation, np.ravel(boxes - margin), np.ravel(boxes + margin)])
+    return bool((np.abs(values) < bound).all())
+
+
 def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
-    """Broad-phase verdicts next to the all-points ones, per pose."""
+    """Broad-phase verdicts next to the all-points ones, per pose.
+
+    Each shortlist is checked as the evidence for its verdict: its points,
+    sorted and without repeats, are each inside by ``gripper_collides`` on
+    that one point, and it is empty exactly when no cloud point is inside.
+    It may be None (the whole cloud) only for a body, pose or cloud not
+    well within float range.
+    """
     got, want = [], []
     shortlists = list(_shortlists(cloud, poses, gripper, margin))
     assert len(shortlists) == len(poses)
     for pose, shortlist in zip(poses, shortlists):
+        collides = gripper_collides(cloud, *pose_fields(pose), gripper, margin)
         if shortlist is None:
+            assert not _within_range(cloud, pose, gripper, margin)
             points = cloud
         else:
             assert shortlist.dtype == np.intp
             assert np.all(np.diff(shortlist) > 0)  # sorted, no repeats
+            assert all(gripper_collides(cloud[i], *pose_fields(pose), gripper, margin) for i in shortlist)
+            assert (len(shortlist) > 0) == collides
             points = cloud[shortlist]
         got.append(gripper_collides(points, *pose_fields(pose), gripper, margin))
-        want.append(gripper_collides(cloud, *pose_fields(pose), gripper, margin))
+        want.append(collides)
     return got, want
 
 
@@ -929,6 +948,22 @@ def test_collision_unusable_body_tests_whole_cloud(width, margin):
     assert shortlists == [None] * len(poses)
     got, want = _collision_verdicts(cloud, poses, margin=margin)
     assert got == want
+
+
+def test_collision_grasps_posed_near_the_float_limit(clutter):
+    """Grasps whose translation is finite but whose distances to the cloud
+    overflow, among ordinary ones: each gets the whole cloud's verdict."""
+    layout = clutter
+    rng = np.random.default_rng(52)
+    centers = np.array([inst.translation for inst in layout.instances])
+    poses = _grasps_near(rng, centers, 60)
+    far = [(0.0, 1e308, 0.0), (1e308, -1e308, 1e308), (0.0, -1e308, 0.0), (1e160, 0.0, -1e160)]
+    for k, t in enumerate(far):
+        pose = poses[10 * k]
+        poses[10 * k] = GraspPose(pose.rotation, np.array(t), pose.width, pose.depth)
+    got, want = _collision_verdicts(layout.scene_cloud, poses)
+    assert got == want
+    assert not any(want[::10][:len(far)]) and any(want)
 
 
 def _at_tolerance(rotation, kind):
