@@ -33,7 +33,7 @@ _DEFAULTS = PipelineConfig()
 
 # NMS broad phase (see grasp_nms). The embedding scales tau and rho carry a
 # relative pad far wider than the rounding of an embedded coordinate, which
-# _MAX_EMBED keeps below 2**36. rho also carries an absolute slack: the
+# is clipped to +-_MAX_EMBED. rho also carries an absolute slack: the
 # rule of gripper.proper_rotations (R^T R within about 1e-5 of I) lets
 # tr(R_a^T R_b) sit up to 3e-5 from that of the nearest exact rotations, so
 # a pair whose computed angle is below theta can have closing axes up to
@@ -46,12 +46,11 @@ _EMBED_RADIUS = float(np.sqrt(2.0))
 _NMS_BLOCK = 512
 _NMS_CHUNK = 16384
 
-# Collision broad phase: cloud points tried first per box centre, grasps per
-# batched pass, the absolute pad and relative slack of each cover ball, the
-# most pieces one box is cut into, and the farthest a ball centre may lie
-# from the cloud's bounding box on an axis: the KD-tree fails when squared
-# distances overflow (past 1.3e154), so such a body gets the whole cloud.
-_NEAREST = 32
+# Collision broad phase: grasps per batched pass, the absolute pad and
+# relative slack of each cover ball, the most pieces one box is cut into,
+# and the farthest a ball centre may lie from the cloud's bounding box on an
+# axis: the KD-tree fails when squared distances overflow (past 1.3e154), so
+# such a body gets the whole cloud.
 _COLLISION_CHUNK = 128
 _BAND = 1e-9
 _BALL_SLACK = 1e-4
@@ -283,16 +282,19 @@ def grasp_nms(
     R[:, 0] / rho)``. ``tau`` is ``trans_thresh`` and ``rho`` is ``2
     sin(theta / 2)`` for theta = min(rot_thresh, pi), the largest gap
     between the closing axes of two rotations theta apart; both are padded
-    (see ``_EMBED_PAD`` and ``_AXIS_SLACK``). A suppressing pair is then
-    closer than 1 in each half of the embedding, so within sqrt(2) in all
-    of it, and a pair farther apart cannot suppress. Grasps go through in
-    visit order, ``_NMS_BLOCK`` at a time: KD-trees over the kept grasps
-    give each block's candidate suppressors, ``query_pairs`` its pairs
-    within the block, and only candidate pairs get the exhaustive scan's
-    exact test. The greedy pass over the block then walks its suppressing
-    pairs by their later member. The kept list equals the one from testing
-    every kept grasp. Memory is bounded by the block size times the kept
-    grasps near it, plus the block size squared, whatever the thresholds.
+    (see ``_EMBED_PAD`` and ``_AXIS_SLACK``). Each embedded translation
+    coordinate is clipped to +-``_MAX_EMBED``, which bounds its rounding,
+    keeps one far grasp from squeezing the rest together, and never
+    lengthens a distance. A suppressing pair is then closer than 1 in each
+    half of the embedding, so within sqrt(2) in all of it, and a pair
+    farther apart cannot suppress. Grasps go through in visit order,
+    ``_NMS_BLOCK`` at a time: KD-trees over the kept grasps give each
+    block's candidate suppressors, ``query_pairs`` its pairs within the
+    block, and only candidate pairs get the exhaustive scan's exact test.
+    The greedy pass over the block then walks its suppressing pairs by
+    their later member. The kept list equals the one from testing every
+    kept grasp. Memory is bounded by the block size times the kept grasps
+    near it, plus the block size squared, whatever the thresholds.
     """
     scores = np.asarray(scores, dtype=float)
     n = len(scores)
@@ -306,9 +308,10 @@ def grasp_nms(
         # d_t < trans_thresh or d_r < rot_thresh never holds, as d_r >= 0.
         return order.astype(np.int64)
     translations, rotations = translations[order], rotations[order]
-    tau = max(trans_thresh * (1.0 + _EMBED_PAD), float(np.abs(translations).max()) / _MAX_EMBED)
+    tau = trans_thresh * (1.0 + _EMBED_PAD)
     rho = 2.0 * np.sin(min(rot_thresh, np.pi) / 2.0) * (1.0 + _EMBED_PAD) + _AXIS_SLACK
-    embedded = np.hstack([translations / tau, rotations[:, :, 0] / rho])
+    reach = _MAX_EMBED * tau
+    embedded = np.hstack([np.clip(translations, -reach, reach) / tau, rotations[:, :, 0] / rho])
 
     def suppressing(earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
         """Mask of the pairs where ``earlier`` suppresses ``later`` (visit positions)."""
@@ -378,20 +381,23 @@ def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations
     ``bodies[i]`` (from ``collision_body``) grown by ``margin``. Points are
     mapped by ``_gripper_frame`` and boxed as in ``gripper_collides``, so
     each listed point is inside for it too, and a shortlist (sorted) is
-    empty exactly when no cloud point is inside. The points tried are the
-    ``_NEAREST`` nearest each box centre, then, for a grasp none of those
-    hits, those in a ball cover of its boxes (see ``_ball_cover``). ``None``
-    stands for the whole cloud, for a body whose cover is not finite (a NaN
-    margin, a width near the float limit) or lies beyond ``_MAX_REACH`` of
-    the cloud. Each chunk of grasps splits one sorted array of (grasp,
-    point) keys.
+    empty exactly when no cloud point is inside. Each grasp's boxes are
+    covered by balls (see ``_ball_cover``). The points tried first are the
+    nearest to each ball's centre, one per ball, if within half the
+    chunk's smallest finite box side: a grasp that one of them lands inside
+    gets that one point as its shortlist. A grasp none of them settles gets
+    every point in its balls that is inside. ``None`` stands for the whole
+    cloud, for a body whose cover is not finite (a NaN margin, a width near
+    the float limit) or lies beyond ``_MAX_REACH`` of the cloud. The
+    nearest-point pre-test only saves work: the box test and the cover
+    decide. Each chunk of grasps splits one sorted array of (grasp, point)
+    keys.
     """
     if len(cloud) == 0:
         for _ in range(len(rotations)):
             yield np.zeros(0, dtype=np.intp)
         return
     tree = cKDTree(cloud)
-    k = min(_NEAREST, len(cloud))
     for start in range(0, len(rotations), _COLLISION_CHUNK):
         chunk = slice(start, start + _COLLISION_CHUNK)
         rot, trans = rotations[chunk], translations[chunk]
@@ -400,17 +406,23 @@ def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations
         owner, world, radius = _ball_cover(rot, trans, lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = np.maximum(np.abs(world - tree.mins), np.abs(world - tree.maxes))
-            # a box's centre lies among its balls' centres: finite if they are
-            centres = np.matmul(rot[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + trans[:, None, :]
+            sides = hi - lo
         far = ~((reach <= _MAX_REACH).all(axis=1) & np.isfinite(radius))
         usable = np.bincount(owner[far], minlength=n) == 0
+        inner = np.min(sides, where=np.isfinite(sides), initial=np.inf) / 2.0
 
-        _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
-        near = near.reshape(n, 3 * k)
-        hit = _in_boxes(_gripper_frame(cloud[near], rot[:, None], trans[:, None]), lo, hi)
+        # the point nearest each usable ball's centre, if within inner
+        ball = np.flatnonzero(usable[owner])
+        _, near = tree.query(world[ball], k=1, distance_upper_bound=inner)
+        ball, near = ball[near < len(cloud)], near[near < len(cloud)]
+        grasp = owner[ball]
+        hit = _in_boxes(_gripper_frame(cloud[near], rot[grasp], trans[grasp])[:, None], lo[grasp], hi[grasp])[:, 0]
+        settled, first = np.unique(grasp[hit], return_index=True)
+        pending = usable.copy()
+        pending[settled] = False
 
         # (grasp, point) keys of the open grasps' balls, sorted, no repeats
-        ball = usable[owner] & ~hit.any(axis=1)[owner]
+        ball = pending[owner]
         found = tree.query_ball_point(world[ball], radius[ball])
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
@@ -418,7 +430,7 @@ def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations
         grasp, points = np.divmod(keys, len(cloud))
         inside = _in_boxes(_gripper_frame(cloud[points], rot[grasp], trans[grasp])[:, None], lo[grasp], hi[grasp])
 
-        keys = np.unique(np.concatenate([(np.arange(n)[:, None] * len(cloud) + near)[hit], keys[inside[:, 0]]]))
+        keys = np.sort(np.concatenate([settled * len(cloud) + near[hit][first], keys[inside[:, 0]]]))
         grasp, points = np.divmod(keys, len(cloud))
         for g, shortlist in enumerate(np.split(points, np.cumsum(np.bincount(grasp, minlength=n))[:-1])):
             yield shortlist if usable[g] else None
@@ -542,9 +554,12 @@ def evaluate_ap(
     once per NMS survivor, on a shortlist of cloud points that its boxes
     hold by ``gripper_collides``'s own arithmetic (see
     ``_collision_shortlists``): the survivor collides iff its shortlist is
-    not empty. One distance matrix associates the top survivors with
-    instances (see ``_associate``); each instance's survivors move into its
-    frame with one matmul and are scored as one batch.
+    not empty. A colliding survivor's shortlist is most often one point,
+    the nearest to the centre of a ball covering its boxes; only the
+    survivors no such point settles query their whole ball cover. One
+    distance matrix associates the top survivors with instances (see
+    ``_associate``); each instance's survivors move into its frame with one
+    matmul and are scored as one batch.
 
     Predictions are validated once, when read (or packed from ``GraspPose``
     by ``PredictionTable.from_grasps``). After NMS every stage works on the

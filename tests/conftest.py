@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -5,12 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import graspscore
-from graspscore import geometry, with_surface_samples
+from graspscore import geometry, scene, with_surface_samples
 from graspscore.errors import UnknownObjectId
 from graspscore.geometry import transform_points, unit
-from graspscore.gripper import contacts_on_lines
+from graspscore.gripper import _gripper_frame, contacts_on_lines
 from graspscore.primitives import (
     make_box,
     make_cylinder,
@@ -232,6 +234,53 @@ def associate_oracle(center, object_id, layout) -> int:
         if d < best_d:
             best, best_d = k, d
     return best
+
+
+def nearest_shortlists(cloud, rotations, translations, bodies, margin, nearest=32):
+    """Oracle of ``scene._collision_shortlists``: the generator it replaced.
+
+    Same arguments and the same verdicts: per grasp, the sorted cloud
+    indices inside its boxes among the ``nearest`` points nearest each box
+    centre and, for a grasp none of those hits, among the points of its
+    ball cover; None for a body whose cover is not finite or lies beyond
+    ``scene._MAX_REACH`` of the cloud. A shortlist may differ from the new
+    one in which inside points it holds, never in being empty or None.
+    """
+    if len(cloud) == 0:
+        for _ in range(len(rotations)):
+            yield np.zeros(0, dtype=np.intp)
+        return
+    tree = cKDTree(cloud)
+    k = min(nearest, len(cloud))
+    for start in range(0, len(rotations), scene._COLLISION_CHUNK):
+        chunk = slice(start, start + scene._COLLISION_CHUNK)
+        rot, trans = rotations[chunk], translations[chunk]
+        n = len(rot)
+        lo, hi = bodies[chunk, :, 0, :] - margin, bodies[chunk, :, 1, :] + margin
+        owner, world, radius = scene._ball_cover(rot, trans, lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.maximum(np.abs(world - tree.mins), np.abs(world - tree.maxes))
+            centres = np.matmul(rot[:, None], ((lo + hi) / 2.0)[..., None])[..., 0] + trans[:, None, :]
+        far = ~((reach <= scene._MAX_REACH).all(axis=1) & np.isfinite(radius))
+        usable = np.bincount(owner[far], minlength=n) == 0
+
+        _, near = tree.query(np.where(usable[:, None, None], centres, 0.0).reshape(-1, 3), k=[*range(1, k + 1)])
+        near = near.reshape(n, 3 * k)
+        hit = scene._in_boxes(_gripper_frame(cloud[near], rot[:, None], trans[:, None]), lo, hi)
+
+        ball = usable[owner] & ~hit.any(axis=1)[owner]
+        found = tree.query_ball_point(world[ball], radius[ball])
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
+        keys = np.unique(np.repeat(owner[ball], counts) * len(cloud) + points)
+        grasp, points = np.divmod(keys, len(cloud))
+        inside = scene._in_boxes(_gripper_frame(cloud[points], rot[grasp], trans[grasp])[:, None],
+                                 lo[grasp], hi[grasp])
+
+        keys = np.unique(np.concatenate([(np.arange(n)[:, None] * len(cloud) + near)[hit], keys[inside[:, 0]]]))
+        grasp, points = np.divmod(keys, len(cloud))
+        for g, shortlist in enumerate(np.split(points, np.cumsum(np.bincount(grasp, minlength=n))[:-1])):
+            yield shortlist if usable[g] else None
 
 
 def run_python(*argv, cwd):

@@ -22,6 +22,7 @@ from graspscore import (
 )
 from graspscore import cli, mesh, scene
 from graspscore.labels import LABEL_COLUMNS
+from graspscore.meshio import save_ply
 from graspscore.primitives import make_box, make_icosphere
 
 import _scenes
@@ -378,6 +379,34 @@ def test_mutated_cli_inputs_exit_0_or_2(tmp_path, capsys):
         assert rc in (0, 2), f"mutant {k} of the {kind} file exited {rc}: {err} {data!r}"
         assert k >= 0 or rc == 0, err
 
+
+
+def test_mutated_mesh_files_through_label_exit_0_or_2(tmp_path, capsys):
+    """Seeded mutations of an OBJ, an ascii PLY and a binary PLY box, each
+    labeled in process on a 2 x 2 x 2 x 4 grid, end in exit 0 or 2, never
+    in an escaped exception or a RuntimeWarning, all within 3 s."""
+    box = make_box((0.04, 0.03, 0.02))
+    save_obj(str(tmp_path / "box.obj"), box.vertices, box.faces)
+    save_ply(str(tmp_path / "box.ascii.ply"), box.vertices, box.faces)
+    save_ply(str(tmp_path / "box.binary.ply"), box.vertices, box.faces, binary=True)
+    seeds = {kind: (tmp_path / f"box.{kind}").read_bytes() for kind in ("obj", "ascii.ply", "binary.ply")}
+    (tmp_path / "grid.cfg").write_text("n_seeds = 2\nn_views = 2\nn_rotations = 2\nsurface_density = 20000\n")
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    for k in range(-len(seeds), 200):  # each seed as it is, then its mutants
+        kind = list(seeds)[k % len(seeds)]
+        data = seeds[kind] if k < 0 else mutant(seeds[kind], rng)
+        path = tmp_path / f"mutant.{kind.split('.')[-1]}"
+        path.write_bytes(data)
+        argv = ["label", str(path), "--out", str(tmp_path / "labels.csv"), "--config", str(tmp_path / "grid.cfg")]
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:
+            pytest.fail(f"mutant {k} of the {kind} file raised {exc!r}: {data!r}")
+        err = capsys.readouterr().err
+        assert rc in (0, 2), f"mutant {k} of the {kind} file exited {rc}: {err} {data!r}"
+        assert k >= 0 or rc == 0, err
+    assert time.perf_counter() - start < 3.0
 
 @pytest.mark.parametrize("scale", ["nan", "-1"])
 def test_eval_rejects_bad_unit_scale(eval_setup, scale):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from graspscore import (
@@ -32,7 +33,14 @@ from graspscore.errors import ParseError, UnknownObjectId
 from graspscore.primitives import make_icosphere
 
 import _scenes
-from conftest import associate_oracle, collision_box_corners, one_line_contacts, pose_fields, random_rotation
+from conftest import (
+    associate_oracle,
+    collision_box_corners,
+    nearest_shortlists,
+    one_line_contacts,
+    pose_fields,
+    random_rotation,
+)
 
 
 def _pose(translation, rotation=None, width=0.05, depth=0.02):
@@ -43,6 +51,35 @@ def _pose(translation, rotation=None, width=0.05, depth=0.02):
 
 
 # --- NMS ---
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """What scene's KD-trees are asked: the candidate pairs the NMS broad
+    phase finds, and the distance bound of each nearest-point query and the
+    ball count of each cover query of the collision filter."""
+    calls = {"pairs": 0, "bounds": [], "balls": []}
+
+    class Recording(cKDTree):
+        def sparse_distance_matrix(self, other, max_distance, **kwargs):
+            near = super().sparse_distance_matrix(other, max_distance, **kwargs)
+            calls["pairs"] += len(near)
+            return near
+
+        def query_pairs(self, r, **kwargs):
+            pairs = super().query_pairs(r, **kwargs)
+            calls["pairs"] += len(pairs)
+            return pairs
+
+        def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+            calls["bounds"].append(distance_upper_bound)
+            return super().query(x, k=k, distance_upper_bound=distance_upper_bound, **kwargs)
+
+        def query_ball_point(self, x, r, **kwargs):
+            calls["balls"].append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(scene, "cKDTree", Recording)
+    return calls
 
 def _pose_columns(poses):
     """(rotations, translations) of a ``PredictionTable`` or a list of ``GraspPose``."""
@@ -374,6 +411,38 @@ def test_nms_memory_is_bounded(trans_thresh, rot_thresh):
         tracemalloc.stop()
     assert 0 < len(kept) < len(table)
     assert peak < _NMS_PEAK_BOUND
+
+
+# Finite translations far from the rest: one coordinate, all three, both signs.
+_FAR_TRANSLATIONS = [(0.0, 1e12, 0.0), (0.0, 1e308, 0.0), (0.0, -1e308, 0.0), (1e308, -1e308, 1e308)]
+
+
+def test_nms_grasps_far_from_the_rest_match_exhaustive():
+    table = _nms_table(np.random.default_rng(71), 2 * scene._NMS_BLOCK + 200)
+    values = table.values.copy()
+    rows = [3, scene._NMS_BLOCK - 1, scene._NMS_BLOCK + 7, len(values) - 1]
+    values[rows, 9:12] = _FAR_TRANSLATIONS
+    values[rows[:2], 14] = 1.0  # two are visited first
+    table = PredictionTable(values, [None] * len(values))
+    with np.errstate(over="ignore"):  # the oracle's overflowing distances are too far to suppress
+        kept = _assert_nms_matches(table, table.scores)
+    assert set(rows) <= set(kept.tolist()) and len(kept) < len(table)
+
+
+@pytest.mark.parametrize("far", _FAR_TRANSLATIONS)
+def test_nms_grasp_far_from_the_rest_adds_no_candidate_pair(far, tree_calls):
+    """A far grasp does not squeeze the others together in the embedding:
+    visited last, so that every block keeps its members, it leaves the
+    broad phase's candidate pairs as they were."""
+    table = _nms_table(np.random.default_rng(73), 2 * scene._NMS_BLOCK + 200)
+    kept = grasp_nms(table.rotations, table.translations, table.scores)
+    pairs, tree_calls["pairs"] = tree_calls["pairs"], 0
+    values = np.vstack([table.values, table.values[:1]])
+    values[-1, 9:12] = far
+    values[-1, 14] = -1.0
+    grown = PredictionTable(values, [None] * len(values))
+    assert grasp_nms(grown.rotations, grown.translations, grown.scores).tolist() == [*kept.tolist(), len(table)]
+    assert tree_calls["pairs"] == pairs > 0
 
 
 # --- scene composition and serialization ---
@@ -786,10 +855,10 @@ def test_scene_json_rotation_within_tolerance(tmp_path):
 
 # --- collision broad phase ---
 
-def _shortlists(cloud, poses, gripper, margin):
-    """``scene._collision_shortlists`` on the columns of a list of ``GraspPose``."""
+def _shortlists(cloud, poses, gripper, margin, generator=scene._collision_shortlists):
+    """``scene._collision_shortlists`` (or its oracle) on the columns of a list of ``GraspPose``."""
     bodies = np.array([gripper.collision_body(p.width, p.depth) for p in poses]).reshape(-1, 3, 2, 3)
-    return scene._collision_shortlists(cloud, *_pose_columns(poses), bodies, margin)
+    return generator(cloud, *_pose_columns(poses), bodies, margin)
 
 
 def _within_range(cloud, pose, gripper, margin, bound=1e100):
@@ -807,13 +876,16 @@ def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
     sorted and without repeats, are each inside by ``gripper_collides`` on
     that one point, and it is empty exactly when no cloud point is inside.
     It may be None (the whole cloud) only for a body, pose or cloud not
-    well within float range.
+    well within float range. It is None, or empty, exactly when the
+    nearest-32 generator's (``conftest.nearest_shortlists``) is.
     """
     got, want = [], []
     shortlists = list(_shortlists(cloud, poses, gripper, margin))
-    assert len(shortlists) == len(poses)
-    for pose, shortlist in zip(poses, shortlists):
+    oracle = list(_shortlists(cloud, poses, gripper, margin, nearest_shortlists))
+    assert len(shortlists) == len(oracle) == len(poses)
+    for pose, shortlist, old in zip(poses, shortlists, oracle):
         collides = gripper_collides(cloud, *pose_fields(pose), gripper, margin)
+        assert (shortlist is None) == (old is None)
         if shortlist is None:
             assert not _within_range(cloud, pose, gripper, margin)
             points = cloud
@@ -821,7 +893,7 @@ def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
             assert shortlist.dtype == np.intp
             assert np.all(np.diff(shortlist) > 0)  # sorted, no repeats
             assert all(gripper_collides(cloud[i], *pose_fields(pose), gripper, margin) for i in shortlist)
-            assert (len(shortlist) > 0) == collides
+            assert (len(shortlist) > 0) == (len(old) > 0) == collides
             points = cloud[shortlist]
         got.append(gripper_collides(points, *pose_fields(pose), gripper, margin))
         want.append(collides)
@@ -923,7 +995,7 @@ def test_collision_empty_cloud():
     assert all(len(s) == 0 for s in _shortlists(cloud, poses, GripperModel(), 0.001))
 
 
-@pytest.mark.parametrize("n_points", [1, 2, 5, scene._NEAREST - 1, scene._NEAREST, scene._NEAREST + 1])
+@pytest.mark.parametrize("n_points", [1, 2, 5, 31, 32, 33])
 def test_collision_cloud_smaller_than_nearest_count(n_points):
     rng = np.random.default_rng(42 + n_points)
     cloud = rng.uniform(-0.05, 0.05, (n_points, 3))
@@ -939,13 +1011,14 @@ def test_collision_cloud_smaller_than_nearest_count(n_points):
 
 
 @pytest.mark.parametrize("width, margin", [(1e300, 0.001), (0.05, float("nan")), (0.05, float("inf"))])
-def test_collision_unusable_body_tests_whole_cloud(width, margin):
+def test_collision_unusable_body_tests_whole_cloud(width, margin, tree_calls):
     rng = np.random.default_rng(47)
     cloud = rng.uniform(-0.05, 0.05, (300, 3))
     poses = [GraspPose(rotation=p.rotation, translation=p.translation, width=width, depth=p.depth)
              for p in _grasps_near(rng, np.zeros((1, 3)), 20, spread=0.05)]
     shortlists = list(_shortlists(cloud, poses, GripperModel(), margin))
     assert shortlists == [None] * len(poses)
+    assert tree_calls["balls"] == [0]  # no ball is open for the cover
     got, want = _collision_verdicts(cloud, poses, margin=margin)
     assert got == want
 
@@ -1030,10 +1103,12 @@ def _cover_probes(lo, hi):
     return np.array(probes)
 
 
-def _decoys(rng, lo, hi, per_box=scene._NEAREST + 8):
+def _decoys(rng, lo, hi, per_box=32 + 8):
     """Gripper-frame points just outside the face of each box nearest its
     centre, outside every box: nearer each box centre than any probe, so
-    the nearest-point pre-test decides nothing and the cover must."""
+    the nearest-32 oracle's pre-test decides nothing and its cover must.
+    No probe lies within half a box side of a ball centre, so the cover
+    decides in ``_collision_shortlists`` too."""
     decoys = []
     for l, h in zip(lo, hi):
         half = (h - l) / 2.0
@@ -1051,7 +1126,7 @@ def _assert_cover_cases(pose, gripper, margin, exact=False):
     boxes = gripper.collision_body(pose.width, pose.depth)
     lo, hi = boxes[:, 0] - margin, boxes[:, 1] + margin
     decoys = _decoys(np.random.default_rng(49), lo, hi)
-    assert len(decoys) >= 3 * scene._NEAREST
+    assert len(decoys) >= 3 * 32
 
     def to_world(local):
         if exact:  # a signed permutation and no translation: bit for bit
@@ -1120,6 +1195,126 @@ def test_collision_clear_grasp_gets_an_empty_shortlist():
     shortlist, = _shortlists(cloud, [pose], gripper, 0.001)
     assert shortlist is not None and shortlist.dtype == np.intp and len(shortlist) == 0
     assert not gripper_collides(cloud, *pose_fields(pose), gripper, 0.001)
+
+
+# --- the nearest-point pre-test of the collision broad phase ---
+
+def test_collision_shortlists_match_the_nearest_32_oracle(clutter):
+    """The NMS survivors of an eval-clutter op, in size: the verdicts of
+    the generator the pre-test replaced, most settled by one point."""
+    layout = clutter
+    cloud, gripper = layout.scene_cloud, GripperModel()
+    rng = np.random.default_rng(48)
+    centers = np.array([inst.translation for inst in layout.instances])
+    poses = _grasps_near(rng, centers, 1650)
+    shortlists = list(_shortlists(cloud, poses, gripper, 0.001))
+    oracle = list(_shortlists(cloud, poses, gripper, 0.001, nearest_shortlists))
+    # the whole cloud's verdicts, from the points within each body's
+    # bounding ball (an accepted rotation scales lengths by under 1e-5)
+    want = []
+    for pose in poses:
+        reach = np.linalg.norm(np.abs(gripper.collision_body(pose.width, pose.depth)) + 0.001, axis=-1).max()
+        near = cloud[np.linalg.norm(cloud - pose.translation, axis=1) <= reach * (1.0 + 1e-4)]
+        want.append(gripper_collides(near, *pose_fields(pose), gripper, 0.001))
+    for pose, shortlist, old, collides in zip(poses, shortlists, oracle, want):
+        assert np.all(np.diff(shortlist) > 0)
+        assert (len(shortlist) > 0) == (len(old) > 0) == collides
+        assert all(gripper_collides(cloud[i], *pose_fields(pose), gripper, 0.001) for i in shortlist)
+    assert 0 < sum(want) < len(want)
+    assert sum(len(s) == 1 for s in shortlists) > 0.8 * sum(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_collision_pre_test_bound_comes_from_finite_sides(clutter, tree_calls, bad):
+    """Grasps with a non-finite box side, in a chunk of ordinary ones, get
+    the whole cloud; the others keep a finite bound and their verdicts."""
+    layout = clutter
+    rng = np.random.default_rng(53)
+    centers = np.array([inst.translation for inst in layout.instances])
+    poses = _grasps_near(rng, centers, 40)
+    rotations, translations = _pose_columns(poses)
+    gripper = GripperModel()
+    bodies = np.array([gripper.collision_body(p.width, p.depth) for p in poses])
+    bodies[0, 2, 1, 0] = bad  # one side of the palm
+    bodies[1] = bad  # every side
+    bodies[2, :, 0, 1] = -bad  # lo on y
+    shortlists = list(scene._collision_shortlists(layout.scene_cloud, rotations, translations, bodies, 0.001))
+    oracle = list(nearest_shortlists(layout.scene_cloud, rotations, translations, bodies, 0.001))
+    assert shortlists[:3] == oracle[:3] == [None] * 3
+    sides = (bodies[3:, :, 1] - bodies[3:, :, 0] + 0.002).min()
+    assert tree_calls["bounds"] == [pytest.approx(sides / 2.0, rel=1e-9)]
+    for pose, shortlist, old in zip(poses[3:], shortlists[3:], oracle[3:]):
+        collides = gripper_collides(layout.scene_cloud, *pose_fields(pose), gripper, 0.001)
+        assert (len(shortlist) > 0) == (len(old) > 0) == collides
+    assert any(len(s) > 0 for s in shortlists[3:])
+
+
+# A gripper whose sizes, poses and box centres are exact in binary: fingers
+# 2**-7 thick and 2**-4 long, opened 2**-4 at a depth of 2**-6, so the
+# pre-test's bound is 2**-8, half a finger's thickness.
+_DYADIC = GripperModel(max_width=0.125, finger_length=2.0**-4, finger_thickness=2.0**-7)
+_DYADIC_POSE = GraspPose(rotation=np.eye(3), translation=np.zeros(3), width=2.0**-4, depth=2.0**-6)
+
+
+@pytest.mark.parametrize("where", ["centre", "corner", "outside"])
+def test_collision_cloud_of_one_point(where, tree_calls):
+    """A one-point cloud: at a ball centre the pre-test settles it, at a box
+    corner the cover must, and outside every box the shortlist is empty."""
+    lo, hi = _DYADIC.collision_body(_DYADIC_POSE.width, _DYADIC_POSE.depth)[1]
+    point = {"centre": [(lo[0] + hi[0]) / 2.0, 0.0, hi[2] - 2.0**-8],
+             "corner": hi, "outside": hi + 2.0**-10}[where]
+    cloud = np.array([point])
+    got, want = _collision_verdicts(cloud, [_DYADIC_POSE], _DYADIC, 0.0)
+    assert got == want == [where != "outside"]
+    tree_calls["balls"].clear()
+    shortlist, = _shortlists(cloud, [_DYADIC_POSE], _DYADIC, 0.0)
+    assert shortlist.tolist() == ([0] if want[0] else [])
+    boxes = _DYADIC.collision_body(_DYADIC_POSE.width, _DYADIC_POSE.depth)
+    n_balls = len(scene._ball_cover(np.eye(3)[None], np.zeros((1, 3)), boxes[None, :, 0], boxes[None, :, 1])[0])
+    assert tree_calls["balls"] == [0 if where == "centre" else n_balls]
+
+
+@pytest.mark.parametrize("step", ["in", "on", "out"])
+def test_collision_cloud_point_at_the_bound_from_a_ball_centre(step, tree_calls):
+    """A point 2**-8 (the bound) from a finger ball's centre along the
+    closing axis lies on the finger's outer face; one float step nearer it
+    is inside and the pre-test settles it, one step farther it is clear."""
+    lo, hi = _DYADIC.collision_body(_DYADIC_POSE.width, _DYADIC_POSE.depth)[1]
+    centre = np.array([(lo[0] + hi[0]) / 2.0, 0.0, lo[2] + 2.0**-8])
+    assert hi[0] - centre[0] == 2.0**-8
+    point = centre + [2.0**-8, 0.0, 0.0]
+    point[0] = {"in": np.nextafter(point[0], 0.0), "on": point[0], "out": np.nextafter(point[0], 1.0)}[step]
+    cloud = np.vstack([point, [[5.0, 5.0, 5.0]]])
+    got, want = _collision_verdicts(cloud, [_DYADIC_POSE], _DYADIC, 0.0)
+    assert got == want == [step != "out"]
+    assert tree_calls["bounds"][0] == 2.0**-8
+    if step == "in":
+        assert tree_calls["balls"][0] == 0
+
+
+def test_collision_nearest_point_outside_leaves_the_grasp_to_the_cover(tree_calls):
+    """The point nearest a fingertip ball's centre lies within the bound but
+    beyond the fingertip, outside every box; a point just inside a palm
+    corner, farther than the bound from every ball centre, decides."""
+    gripper = GripperModel()
+    pose = GraspPose(rotation=Rotation.from_euler("xyz", [30, -20, 110], degrees=True).as_matrix(),
+                     translation=np.array([0.2, 0.1, -0.3]), width=0.05, depth=0.02)
+    boxes = gripper.collision_body(pose.width, pose.depth)
+    lo, hi = boxes[:, 0] - 0.001, boxes[:, 1] + 0.001
+    inner = (hi - lo).min() / 2.0
+    tip = np.array([(lo[1, 0] + hi[1, 0]) / 2.0, 0.0, hi[1, 2] + 2e-4])
+    corner = lo[2] + 1e-6
+    cloud = np.linalg.solve(pose.rotation.T, np.array([tip, corner]).T).T + pose.translation
+
+    _, world, _ = scene._ball_cover(pose.rotation[None], pose.translation[None], lo[None], hi[None])
+    distance = np.linalg.norm(world[:, None] - cloud, axis=2)
+    assert distance[:, 0].min() < inner < distance[:, 1].min()
+    assert not gripper_collides(cloud[:1], *pose_fields(pose), gripper, 0.001)
+    got, want = _collision_verdicts(cloud, [pose], gripper)
+    assert got == want == [True]
+    shortlist, = _shortlists(cloud, [pose], gripper, 0.001)
+    assert shortlist.tolist() == [1]
+    assert tree_calls["balls"][0] == len(world)
 
 
 # Gathering a rotation and the boxes for every (grasp, point) pair of one
