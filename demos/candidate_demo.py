@@ -12,11 +12,11 @@ import numpy as np
 from graspscore import (
     CandidateGrid,
     GripperModel,
-    enumerate_candidates,
     farthest_point_sampling,
     generate_views,
     with_surface_samples,
 )
+from graspscore.candidates import candidate_arrays
 from graspscore.primitives import make_cylinder
 
 
@@ -42,15 +42,16 @@ if __name__ == "__main__":
           f" closest pair {spread.min() * 100:.2f} cm apart")
 
     grid = CandidateGrid.build(mesh, n_seeds=16, n_views=24, n_rotations=4)
-    enumerator = enumerate_candidates(mesh, grid, GripperModel())
-    pairs = list(enumerator)
-    print(f"grid of {grid.size} cells -> {enumerator.n_skipped} skipped,"
-          f" {len(pairs)} candidates")
+    # One row per valid candidate: pose columns plus the resolved contacts.
+    candidates = candidate_arrays(mesh, grid, GripperModel())
+    print(f"grid of {grid.size} cells -> {candidates.n_skipped} skipped,"
+          f" {len(candidates.widths)} candidates")
 
-    pose, frame = pairs[0]
-    separation = np.linalg.norm(frame.p_cr - frame.p_cl)
+    contacts = candidates.contacts
+    separation = np.linalg.norm(contacts.p_cr[0] - contacts.p_cl[0])
     print("\nfirst candidate:")
-    print(f"  commanded width {pose.width * 100:.2f} cm at depth {pose.depth * 100:.1f} cm")
+    print(f"  commanded width {candidates.widths[0] * 100:.2f} cm"
+          f" at depth {candidates.depths[0] * 100:.1f} cm")
     print(f"  contact separation {separation * 100:.2f} cm")
-    print(f"  left contact {np.round(frame.p_cl * 100, 2)} cm,"
-          f" normal {np.round(frame.v_ql, 3)}")
+    print(f"  left contact {np.round(contacts.p_cl[0] * 100, 2)} cm,"
+          f" normal {np.round(contacts.v_ql[0], 3)}")

@@ -8,31 +8,27 @@ a duplicate of the best grasp that NMS should suppress.
 
 import numpy as np
 
-from graspscore import (
-    GraspPose,
-    PipelineConfig,
-    PredictedGrasp,
-    PredictionTable,
-    SceneInstance,
-    build_scene,
-    evaluate_ap,
-)
+from graspscore import PipelineConfig, PredictionTable, SceneInstance, build_scene, evaluate_ap
 from graspscore.primitives import make_icosphere
 
 RADIUS = 0.03
 
 
+def pose_row(rotation, translation, width, depth):
+    """The 14 pose columns of a prediction row: rotation row-major,
+    translation, width, depth."""
+    return [*np.ravel(rotation), *translation, width, depth]
+
+
 def diametral(center, closing):
     approach = np.array([0.0, 0.0, -1.0])
     rot = np.column_stack([closing, np.cross(approach, closing), approach])
-    return GraspPose(rotation=rot, translation=center + [0, 0, RADIUS],
-                     width=0.07, depth=RADIUS)
+    return pose_row(rot, center + [0, 0, RADIUS], 0.07, RADIUS)
 
 
 def high_chord(center):
     rot = np.column_stack([[0, 1, 0], [1, 0, 0], [0, 0, -1]]).astype(float)
-    return GraspPose(rotation=rot, translation=center + [0, 0, RADIUS],
-                     width=0.07, depth=0.005)
+    return pose_row(rot, center + [0, 0, RADIUS], 0.07, 0.005)
 
 
 if __name__ == "__main__":
@@ -46,12 +42,12 @@ if __name__ == "__main__":
 
     # The table holds one row per prediction: the pose and predicted score
     # as floats (the prediction file's columns) plus the object id.
-    predictions = PredictionTable.from_grasps([
-        PredictedGrasp(diametral(centers[0], np.array([1.0, 0, 0])), 0.95, "sphere"),
-        PredictedGrasp(diametral(centers[1], np.array([0.0, 1, 0])), 0.90, "sphere"),
-        PredictedGrasp(high_chord(centers[2]), 0.80, "sphere"),
-        PredictedGrasp(diametral(centers[0], np.array([1.0, 0, 0])), 0.70, "sphere"),
-    ])
+    predictions = PredictionTable(np.array([
+        diametral(centers[0], np.array([1.0, 0, 0])) + [0.95],
+        diametral(centers[1], np.array([0.0, 1, 0])) + [0.90],
+        high_chord(centers[2]) + [0.80],
+        diametral(centers[0], np.array([1.0, 0, 0])) + [0.70],
+    ]), ["sphere"] * 4)
 
     closure_only = PipelineConfig(lambda_t=1.0, lambda_f=0.0, lambda_g=0.0, lambda_c=0.0)
     report = evaluate_ap(predictions, layout, closure_only)

@@ -1,12 +1,7 @@
 """Grasp candidate generation, hybrid physical scoring, and AP evaluation
 for parallel-jaw grippers on triangle meshes."""
 
-from .candidates import (
-    CandidateGrid,
-    enumerate_candidates,
-    farthest_point_sampling,
-    generate_views,
-)
+from .candidates import CandidateGrid, farthest_point_sampling, generate_views
 from .closure import DEFAULT_BINS, FrictionBins, closure_scores
 from .config import PipelineConfig, load_config, save_config
 from .errors import (
@@ -18,7 +13,7 @@ from .errors import (
     SchemaError,
     UnknownObjectId,
 )
-from .gripper import ContactFrame, GraspPose, GripperModel, gripper_collides
+from .gripper import GripperModel, gripper_collides
 from .labels import LabelTable, read_labels, read_predictions, write_labels, write_predictions
 from .mesh import (
     MassProperties,
@@ -34,7 +29,6 @@ from .metrics import MetricWeights, combine_scores, neighborhood_normal_consiste
 from .pipeline import LabelSummary, label_mesh
 from .scene import (
     EvalReport,
-    PredictedGrasp,
     PredictionTable,
     SceneInstance,
     SceneLayout,
@@ -51,12 +45,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateGrid",
     "ConfigError",
-    "ContactFrame",
     "DEFAULT_BINS",
     "EmptyMesh",
     "EvalReport",
     "FrictionBins",
-    "GraspPose",
     "GraspScoreError",
     "GripperModel",
     "KTooLarge",
@@ -66,7 +58,6 @@ __all__ = [
     "MetricWeights",
     "ParseError",
     "PipelineConfig",
-    "PredictedGrasp",
     "PredictionTable",
     "SceneInstance",
     "SceneLayout",
@@ -78,7 +69,6 @@ __all__ = [
     "build_scene",
     "closure_scores",
     "combine_scores",
-    "enumerate_candidates",
     "evaluate_ap",
     "farthest_point_sampling",
     "generate_views",

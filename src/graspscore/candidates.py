@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from . import geometry
-from .gripper import ContactArrays, ContactFrame, GraspPose, GripperModel, contacts_on_lines
+from .gripper import ContactArrays, GripperModel, contacts_on_lines
 from .mesh import TriangleMesh
 
 _GOLDEN_INCREMENT = np.pi * (3.0 - np.sqrt(5.0))
@@ -175,10 +175,14 @@ def candidate_arrays(
 
 @dataclass(eq=False, repr=False)
 class CandidateEnumerator:
-    """Iterator over valid (GraspPose, ContactFrame) pairs of a grid.
+    """Iterator over the valid candidates of a grid, one row at a time.
 
-    An object view of :func:`candidate_arrays`; ``n_enumerated`` and
-    ``n_skipped`` are filled in once iteration starts.
+    Each item is one row of :func:`candidate_arrays` as a plain tuple:
+    rotation, translation, width, depth, then the ``ContactArrays`` fields.
+    ``n_enumerated`` and ``n_skipped`` are filled in once iteration starts.
+    Nothing in the package iterates it; it stays only because the benchmark
+    tracer (``perfbench/spans.py``) wraps ``__iter__`` by name, and goes once
+    the tracer hooks ``candidate_arrays`` instead.
     """
 
     mesh: TriangleMesh
@@ -188,19 +192,8 @@ class CandidateEnumerator:
     n_enumerated: int = field(default=0, init=False)
     n_skipped: int = field(default=0, init=False)
 
-    def __iter__(self) -> Iterator[tuple[GraspPose, ContactFrame]]:
+    def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
         batch = candidate_arrays(self.mesh, self.grid, self.gripper, self.clearance)
         self.n_enumerated += batch.n_enumerated
         self.n_skipped += batch.n_skipped
-        for i, (width, depth) in enumerate(zip(batch.widths.tolist(), batch.depths.tolist())):
-            yield GraspPose(batch.rotations[i], batch.translations[i], width, depth), batch.contacts.frame(i)
-
-
-def enumerate_candidates(
-    mesh: TriangleMesh,
-    grid: CandidateGrid,
-    gripper: GripperModel,
-    clearance: float = 0.01,
-) -> CandidateEnumerator:
-    """Valid grasp candidates of the grid; the grid is resolved when iteration starts."""
-    return CandidateEnumerator(mesh, grid, gripper, clearance)
+        yield from zip(batch.rotations, batch.translations, batch.widths, batch.depths, *batch.contacts)

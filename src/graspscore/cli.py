@@ -23,15 +23,7 @@ import numpy as np
 
 from .candidates import generate_views
 from .config import PipelineConfig, load_config
-from .errors import (
-    ConfigError,
-    EmptyMesh,
-    GraspScoreError,
-    KTooLarge,
-    ParseError,
-    SchemaError,
-    UnknownObjectId,
-)
+from .errors import GraspScoreError, UnknownObjectId
 from .geometry import rotation_about_axis
 from .labels import check_object_id, read_labels, read_predictions, write_labels
 from .meshio import load_mesh, save_point_cloud_ply
@@ -41,16 +33,9 @@ from .scene import SceneInstance, build_scene, evaluate_ap, load_scene_instances
 
 logger = logging.getLogger(__name__)
 
-_INPUT_ERRORS = (
-    ParseError,
-    SchemaError,
-    ConfigError,
-    UnknownObjectId,
-    EmptyMesh,
-    KTooLarge,
-    ValueError,
-    OSError,
-)
+# Every package error is an input error, and so is a MemoryError: an input
+# can ask for an array larger than any memory (numpy refuses it at once).
+_INPUT_ERRORS = (GraspScoreError, ValueError, OSError, MemoryError)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (GraspScoreError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Parallel-jaw gripper model, grasp poses, and contact resolution.
+"""Parallel-jaw gripper model, the grasp pose rule, and contact resolution.
 
 Gripper frame convention (used everywhere in this package):
 
@@ -23,8 +23,6 @@ import numpy as np
 
 from . import geometry
 from .mesh import TriangleMesh
-
-_UNIT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,81 +93,14 @@ def proper_rotations(r: np.ndarray) -> np.ndarray:
                 & (det > 0))
 
 
-@dataclass(frozen=True, eq=False)
-class GraspPose:
-    """One parallel-jaw grasp: rigid pose plus opening width and depth.
-
-    ``rotation`` columns are (closing axis, finger height axis, approach
-    axis); ``translation`` is the surface seed point in meters.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    width: float
-    depth: float
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not proper_rotations(r):
-            raise ValueError("rotation must be a proper orthonormal matrix")
-        if t.shape != (3,):
-            raise ValueError("translation must be a 3-vector")
-        if not np.isfinite(t).all():
-            raise ValueError("translation must be finite")
-        if not (self.width > 0 and np.isfinite(self.width)):
-            raise ValueError("width must be positive")
-        if not (self.depth > 0 and np.isfinite(self.depth)):
-            raise ValueError("depth must be positive")
-
-    @property
-    def closing_axis(self) -> np.ndarray:
-        return self.rotation[:, 0]
-
-    @property
-    def approach_axis(self) -> np.ndarray:
-        return self.rotation[:, 2]
-
-    @property
-    def center(self) -> np.ndarray:
-        """Grasp center: seed point advanced by depth along the approach."""
-        return self.translation + self.depth * self.approach_axis
-
-
-@dataclass(frozen=True, eq=False)
-class ContactFrame:
-    """Resolved finger contacts for one grasp: one row of :class:`ContactArrays`.
-
-    Fields are world-space. ``p_cl``/``p_cr`` are the left/right contact
-    points with outward surface normals ``v_ql``/``v_qr``; ``v_a`` is the
-    unit vector from left to right contact; ``p_el``/``p_er`` are the
-    fingertip inner-edge centers at the commanded width.
-    """
-
-    p_cl: np.ndarray
-    p_cr: np.ndarray
-    v_ql: np.ndarray
-    v_qr: np.ndarray
-    v_a: np.ndarray
-    p_el: np.ndarray
-    p_er: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v_ql", "v_qr", "v_a"):
-            v = getattr(self, name)
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-                raise ValueError(f"{name} must be a unit vector")
-
-
 class ContactArrays(NamedTuple):
     """Resolved contacts as parallel (n, 3) arrays; row i is one grasp line.
 
-    Fields follow :class:`ContactFrame`, in its positional order.
-    ``contacts_on_lines`` returns the rows of the valid lines only.
+    Fields are world-space. ``p_cl``/``p_cr`` are the left/right contact
+    points with unit outward surface normals ``v_ql``/``v_qr``; ``v_a`` is
+    the unit vector from left to right contact; ``p_el``/``p_er`` are the
+    fingertip inner-edge centers. ``contacts_on_lines`` returns the rows of
+    the valid lines only.
     """
 
     p_cl: np.ndarray
@@ -179,9 +110,6 @@ class ContactArrays(NamedTuple):
     v_a: np.ndarray
     p_el: np.ndarray
     p_er: np.ndarray
-
-    def frame(self, i: int) -> ContactFrame:
-        return ContactFrame(*(a[i] for a in self))
 
 
 def contacts_on_lines(

@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .gripper import GraspPose, proper_rotations
+from .gripper import proper_rotations
 from .metrics import SCORE_COLUMNS, MetricWeights, combine_scores
 from .scene import PredictionTable
 
@@ -122,8 +122,9 @@ def read_labels(path: str) -> LabelTable:
 
     Raises:
         SchemaError: wrong header, wrong column count, a second object id,
-            an unparseable or non-finite value, or a pose that
-            ``GraspPose`` rejects; carries the 1-based line number.
+            an unparseable or non-finite value, a rotation that is not
+            proper orthonormal, or a width or depth that is not positive;
+            carries the 1-based line number.
     """
     header, n = _scan(path)
     if tuple(header) != LABEL_COLUMNS:
@@ -325,9 +326,8 @@ def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) 
 def _flagged_rows(values: np.ndarray) -> np.ndarray:
     """Mask of the rows ``_check_row`` rejects.
 
-    A row passes only when every value is finite, width and depth are
-    positive and ``proper_rotations`` accepts its rotation, the rule
-    ``GraspPose`` applies to one row.
+    A row passes only when every value is finite, ``proper_rotations``
+    accepts its rotation, and width and depth are positive.
     """
     ok = (np.isfinite(values).all(axis=1) & proper_rotations(values[:, 0:9].reshape(-1, 3, 3))
           & (values[:, 12] > 0) & (values[:, 13] > 0))
@@ -337,19 +337,20 @@ def _flagged_rows(values: np.ndarray) -> np.ndarray:
 def _check_row(fields: tuple[str, ...], lineno: int, split: int) -> None:
     """The per-row check of one grasp row; raises its ``SchemaError``.
 
-    ``fields[:split]`` and ``fields[split:]`` are parsed in turn, then the
-    first 14 values must make a ``GraspPose``.
+    ``fields[:split]`` and ``fields[split:]`` are parsed in turn; then the
+    rotation, the width and the depth are checked, in that order, and the
+    first fault found is the one reported.
     """
     vals = _floats(fields[:split], lineno) + _floats(fields[split:], lineno)
-    try:
-        GraspPose(
-            rotation=np.array(vals[0:9]).reshape(3, 3),
-            translation=np.array(vals[9:12]),
-            width=vals[12],
-            depth=vals[13],
-        )
-    except ValueError as exc:
-        raise SchemaError(f"bad grasp pose: {exc}", lineno) from exc
+    if not proper_rotations(np.array(vals[0:9]).reshape(3, 3)):
+        fault = "rotation must be a proper orthonormal matrix"
+    elif not vals[12] > 0:
+        fault = "width must be positive"
+    elif not vals[13] > 0:
+        fault = "depth must be positive"
+    else:
+        return
+    raise SchemaError(f"bad grasp pose: {fault}", lineno)
 
 
 def _floats(parts, lineno: int) -> list[float]:

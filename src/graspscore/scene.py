@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .config import PipelineConfig
 from .errors import ParseError, UnknownObjectId
-from .gripper import GraspPose, _gripper_frame, contacts_on_lines, gripper_collides, proper_rotations
+from .gripper import _gripper_frame, contacts_on_lines, gripper_collides, proper_rotations
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import combine_scores, score_contacts
 from .spatial import SpatialIndex
@@ -81,15 +81,6 @@ class SceneLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictedGrasp:
-    """A predictor's output: pose, confidence, optional object binding."""
-
-    pose: GraspPose
-    predicted_score: float
-    object_id: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class PredictionTable:
     """Predictions as columns: one float64 row and one object id per grasp.
 
@@ -97,8 +88,7 @@ class PredictionTable:
     tz``, ``width``, ``depth`` and ``predicted_score``, the order of a
     prediction file's columns. ``object_ids[i]`` is row i's object id, or
     None for an unbound prediction. The values are taken as given:
-    ``read_predictions`` validates a file's rows, and ``from_grasps`` copies
-    poses that ``GraspPose`` has already validated. ``evaluate_ap`` works
+    ``read_predictions`` validates a file's rows, and ``evaluate_ap`` works
     on the columns and checks no row again.
     """
 
@@ -113,15 +103,6 @@ class PredictionTable:
             raise ValueError(f"{len(self.object_ids)} object ids for {len(values)} predictions")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "object_ids", tuple(self.object_ids))
-
-    @classmethod
-    def from_grasps(cls, grasps: list[PredictedGrasp]) -> "PredictionTable":
-        """One row per grasp, in order."""
-        values = [
-            [*g.pose.rotation.ravel(), *g.pose.translation, g.pose.width, g.pose.depth, g.predicted_score]
-            for g in grasps
-        ]
-        return cls(np.array(values, dtype=np.float64).reshape(-1, 15), tuple(g.object_id for g in grasps))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -561,9 +542,8 @@ def evaluate_ap(
     ``_associate``); each instance's survivors move into its frame with one
     matmul and are scored as one batch.
 
-    Predictions are validated once, when read (or packed from ``GraspPose``
-    by ``PredictionTable.from_grasps``). After NMS every stage works on the
-    survivors' rows of the table's columns and no pose is built or checked
+    Predictions are validated once, when read. After NMS every stage works
+    on the survivors' rows of the table's columns and no pose is checked
     again, so a rotation turned into an object's frame is used as it is.
     """
     gripper, bins, weights = config.gripper(), config.bins(), config.weights()

@@ -14,18 +14,11 @@ every prediction survives filtering and the AP arithmetic is exact.
 
 import numpy as np
 
-from graspscore import (
-    GraspPose,
-    PipelineConfig,
-    PredictedGrasp,
-    SceneInstance,
-    build_scene,
-    with_surface_samples,
-)
+from graspscore import PipelineConfig, SceneInstance, build_scene, with_surface_samples
 from graspscore.candidates import generate_views
 from graspscore.primitives import make_icosphere
 
-from conftest import perpendicular_basis
+from conftest import GraspPose, perpendicular_basis, prediction_table
 
 CLOSURE_ONLY = PipelineConfig(lambda_t=1.0, lambda_f=0.0, lambda_g=0.0, lambda_c=0.0)
 SPHERE_ID = "sph3"
@@ -66,32 +59,21 @@ def chord_grasp(center, phi):
 
 def perfect_predictions(count=50):
     views = generate_views(count)
-    return [
-        PredictedGrasp(diametral_grasp(grid_position(i), views[i]), 1.0 - i * 1e-3, SPHERE_ID)
-        for i in range(count)
-    ]
+    poses = [diametral_grasp(grid_position(i), views[i]) for i in range(count)]
+    return prediction_table(poses, [1.0 - i * 1e-3 for i in range(count)], [SPHERE_ID] * count)
 
 
 def zero_predictions(count=50):
-    return [
-        PredictedGrasp(chord_grasp(grid_position(i), i * 2 * np.pi / count + 0.1),
-                       1.0 - i * 1e-3, SPHERE_ID)
-        for i in range(count)
-    ]
+    poses = [chord_grasp(grid_position(i), i * 2 * np.pi / count + 0.1) for i in range(count)]
+    return prediction_table(poses, [1.0 - i * 1e-3 for i in range(count)], [SPHERE_ID] * count)
 
 
 def good25_predictions():
     views = generate_views(25)
-    preds = [
-        PredictedGrasp(diametral_grasp(grid_position(i), views[i]), 0.9 - i * 1e-3, SPHERE_ID)
-        for i in range(25)
-    ]
-    preds += [
-        PredictedGrasp(chord_grasp(grid_position(25 + i), i * 2 * np.pi / 25 + 0.1),
-                       0.5 - i * 1e-3, SPHERE_ID)
-        for i in range(25)
-    ]
-    return preds
+    poses = [diametral_grasp(grid_position(i), views[i]) for i in range(25)]
+    poses += [chord_grasp(grid_position(25 + i), i * 2 * np.pi / 25 + 0.1) for i in range(25)]
+    scores = [0.9 - i * 1e-3 for i in range(25)] + [0.5 - i * 1e-3 for i in range(25)]
+    return prediction_table(poses, scores, [SPHERE_ID] * 50)
 
 
 def good25_oracle_map():

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import graspscore
-from graspscore import geometry, scene, with_surface_samples
+from graspscore import PredictionTable, geometry, scene, with_surface_samples
 from graspscore.errors import UnknownObjectId
 from graspscore.geometry import transform_points, unit
 from graspscore.gripper import _gripper_frame, contacts_on_lines
@@ -153,6 +154,64 @@ def frame_from_approach(approach: np.ndarray, theta: float) -> np.ndarray:
     x = np.cos(theta) * b1 + np.sin(theta) * b2
     y = np.cross(z, x)
     return np.column_stack([x, y, z])
+
+
+def allclose_rotation(r) -> bool:
+    """One-matrix oracle of ``gripper.proper_rotations``: finite, ``R^T R``
+    within ``np.allclose(..., atol=1e-8)`` of the identity, and det R > 0."""
+    return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
+
+
+@dataclass(frozen=True, eq=False)
+class GraspPose:
+    """One grasp: rigid pose plus opening width and depth, checked alone.
+
+    The one-pose oracle of the pose rule that the label and prediction
+    readers apply to a table's rows: finite values, a proper orthonormal
+    rotation (``allclose_rotation``), positive width and depth. A pose that
+    breaks it raises ValueError with the fault the row check names.
+    ``rotation`` columns are (closing axis, finger height axis, approach
+    axis); ``translation`` is the surface seed point.
+    """
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    width: float
+    depth: float
+
+    def __post_init__(self):
+        r = np.asarray(self.rotation, dtype=float)
+        t = np.asarray(self.translation, dtype=float)
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
+        if r.shape != (3, 3) or not allclose_rotation(r):
+            raise ValueError("rotation must be a proper orthonormal matrix")
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
+        if not (self.width > 0 and np.isfinite(self.width)):
+            raise ValueError("width must be positive")
+        if not (self.depth > 0 and np.isfinite(self.depth)):
+            raise ValueError("depth must be positive")
+
+    @property
+    def closing_axis(self) -> np.ndarray:
+        return self.rotation[:, 0]
+
+    @property
+    def approach_axis(self) -> np.ndarray:
+        return self.rotation[:, 2]
+
+    @property
+    def center(self) -> np.ndarray:
+        """Grasp center: seed point advanced by depth along the approach."""
+        return self.translation + self.depth * self.approach_axis
+
+
+def prediction_table(poses, scores, object_ids) -> PredictionTable:
+    """A ``PredictionTable`` with row i from ``poses[i]``, ``scores[i]`` and
+    ``object_ids[i]``."""
+    values = [[*p.rotation.ravel(), *p.translation, p.width, p.depth, s] for p, s in zip(poses, scores)]
+    return PredictionTable(np.array(values, dtype=np.float64).reshape(-1, 15), tuple(object_ids))
 
 
 def closest_on_triangle(p, a, b, c) -> float:

@@ -23,17 +23,13 @@ from scipy.spatial.transform import Rotation
 
 from graspscore import (
     CandidateGrid,
-    ContactFrame,
     FrictionBins,
-    GraspPose,
     GripperModel,
     MetricWeights,
     PipelineConfig,
-    PredictionTable,
     SpatialIndex,
     closure_scores,
     combine_scores,
-    enumerate_candidates,
     evaluate_ap,
     grasp_nms,
     label_mesh,
@@ -47,7 +43,7 @@ from graspscore.candidates import candidate_arrays, generate_views
 from graspscore.gripper import ContactArrays, contacts_on_lines
 
 import _scenes
-from conftest import random_rotation, run_cli
+from conftest import GraspPose, random_rotation, run_cli
 
 # Score column layout: (s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw,
 # s_c, s_hybrid).
@@ -110,13 +106,10 @@ def test_criterion_2_rigid_invariance(icosphere):
     config = PipelineConfig()
     gripper = config.gripper()
     grid = CandidateGrid.build(icosphere, n_seeds=6, n_views=8, n_rotations=2)
-    poses = [pose for pose, _ in enumerate_candidates(icosphere, grid, gripper)]
-    rotations = np.stack([p.rotation for p in poses])
-    translations = np.stack([p.translation for p in poses])
-    widths = np.array([p.width for p in poses])
-    depths = np.array([p.depth for p in poses])
+    batch = candidate_arrays(icosphere, grid, gripper)
+    rotations, translations, widths, depths = batch.rotations, batch.translations, batch.widths, batch.depths
 
-    search_half = np.full(len(poses), gripper.max_width / 2.0)
+    search_half = np.full(len(widths), gripper.max_width / 2.0)
 
     def field_matrix(mesh, rots, trans):
         # Contacts are searched at full jaw opening, as during enumeration;
@@ -191,25 +184,25 @@ def _rim_cone_contains(ray: np.ndarray, axis: np.ndarray, mu: float) -> bool:
     return float(np.dot(ray, axis)) >= float(np.max(rim @ axis))
 
 
-def _random_closure_frame(rng) -> ContactFrame:
+def _random_closure_frames(rng, n) -> ContactArrays:
+    """n random contact pairs with unit normals, one row each."""
     def unit(v):
         return v / np.linalg.norm(v)
 
-    v_a = unit(rng.normal(size=3))
-    p_cl = rng.uniform(-0.05, 0.05, size=3)
-    p_cr = p_cl + rng.uniform(0.01, 0.08) * v_a
-    return ContactFrame(
-        p_cl=p_cl, p_cr=p_cr,
-        v_ql=unit(rng.normal(size=3)), v_qr=unit(rng.normal(size=3)),
-        v_a=v_a, p_el=p_cl - 0.005 * v_a, p_er=p_cr + 0.005 * v_a,
-    )
+    rows = []
+    for _ in range(n):
+        v_a = unit(rng.normal(size=3))
+        p_cl = rng.uniform(-0.05, 0.05, size=3)
+        p_cr = p_cl + rng.uniform(0.01, 0.08) * v_a
+        v_ql, v_qr = unit(rng.normal(size=3)), unit(rng.normal(size=3))
+        rows.append((p_cl, p_cr, v_ql, v_qr, v_a, p_cl - 0.005 * v_a, p_cr + 0.005 * v_a))
+    return ContactArrays(*map(np.array, zip(*rows)))
 
 
 def _closes(frames, mu) -> np.ndarray:
-    """Force closure of each frame at friction mu: a one-bin ladder scores
+    """Force closure of each row at friction mu: a one-bin ladder scores
     1.1 - mu on a pass and 0 on a fail."""
-    v_a, v_ql, v_qr = (np.array([getattr(f, name) for f in frames]) for name in ("v_a", "v_ql", "v_qr"))
-    return closure_scores(v_a, v_ql, v_qr, FrictionBins((mu,))) != 0.0
+    return closure_scores(frames.v_a, frames.v_ql, frames.v_qr, FrictionBins((mu,))) != 0.0
 
 
 def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
@@ -246,11 +239,11 @@ def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
     # Force-closure decisions against cone-boundary sampling, 500 frames
     # across the whole friction ladder.
     rng = np.random.default_rng(13)
-    frames = [_random_closure_frame(rng) for _ in range(500)]
+    frames = _random_closure_frames(rng, 500)
     closure_bad = 0
     for mu in FrictionBins().mus:
-        want = [_rim_cone_contains(f.v_a, -f.v_ql, mu) and _rim_cone_contains(-f.v_a, -f.v_qr, mu)
-                for f in frames]
+        want = [_rim_cone_contains(v_a, -v_ql, mu) and _rim_cone_contains(-v_a, -v_qr, mu)
+                for v_a, v_ql, v_qr in zip(frames.v_a, frames.v_ql, frames.v_qr)]
         closure_bad += int(np.sum(_closes(frames, mu) != want))
     if closure_bad:
         failures.append(f"{closure_bad} closure decisions disagree")
@@ -348,7 +341,7 @@ def test_criterion_5_flatness_sanity(plate, icosphere):
 def test_criterion_6_closure_monotonicity(desk_breakdowns):
     rng = np.random.default_rng(17)
     mus = FrictionBins().mus
-    frames = [_random_closure_frame(rng) for _ in range(500)]
+    frames = _random_closure_frames(rng, 500)
     passes = np.column_stack([_closes(frames, mu) for mu in mus])
     non_monotone = int(np.sum((passes[:, :-1] & ~passes[:, 1:]).any(axis=1)))
 
@@ -369,7 +362,7 @@ def test_criterion_7_ap_protocol():
     layout = _scenes.sphere_scene(_scenes.sphere_library())
 
     perfect, zero, good25 = (
-        evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
+        evaluate_ap(preds, layout, _scenes.CLOSURE_ONLY)
         for preds in (_scenes.perfect_predictions(), _scenes.zero_predictions(), _scenes.good25_predictions()))
     zero_dev = abs(zero.map_value - 1.0 / 6.0)
     good_dev = abs(good25.map_value - _scenes.good25_oracle_map())

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from graspscore import GraspPose, GripperModel
+from graspscore import GripperModel
 from graspscore.candidates import (
+    CandidateEnumerator,
     CandidateGrid,
-    enumerate_candidates,
+    candidate_arrays,
     farthest_point_sampling,
     generate_views,
 )
 from graspscore.geometry import frames_from_approaches
 from graspscore.primitives import make_plate
 
-from conftest import frame_from_approach, one_line_contacts
+from conftest import GraspPose, frame_from_approach, one_line_contacts
 
 
 def test_views_single_is_north_pole():
@@ -124,40 +125,50 @@ def test_grid_frames_match_scalar_frames(n_views, n_rotations):
 
 def test_enumerator_accounting(icosphere):
     grid = CandidateGrid.build(icosphere, n_seeds=6, n_views=8, n_rotations=2)
-    stream = enumerate_candidates(icosphere, grid, GripperModel())
+    stream = CandidateEnumerator(icosphere, grid, GripperModel())
     produced = list(stream)
     total = 6 * 8 * 2 * 4
     assert stream.n_enumerated == total
     assert stream.n_skipped == total - len(produced)
     assert 0 < len(produced) <= total
+    # each item is one row of candidate_arrays, in order
+    batch = candidate_arrays(icosphere, grid, GripperModel())
+    columns = (batch.rotations, batch.translations, batch.widths, batch.depths, *batch.contacts)
+    assert (batch.n_enumerated, batch.n_skipped) == (stream.n_enumerated, stream.n_skipped)
+    for i, row in enumerate(produced):
+        assert type(row) is tuple and len(row) == len(columns)
+        assert all(np.array_equal(value, column[i]) for value, column in zip(row, columns))
 
 
 def test_candidate_pose_contract(icosphere):
     gripper = GripperModel()
     grid = CandidateGrid.build(icosphere, n_seeds=6, n_views=8, n_rotations=2)
     seeds = {tuple(p) for p in grid.seed_points}
-    for pose, frame in enumerate_candidates(icosphere, grid, gripper):
+    batch = candidate_arrays(icosphere, grid, gripper)
+    contacts = batch.contacts
+    assert len(batch.widths) > 0
+    assert all(len(column) == len(batch.widths) for column in (batch.rotations, batch.translations,
+                                                                batch.depths, *contacts))
+    for i, width in enumerate(batch.widths.tolist()):
+        pose = GraspPose(batch.rotations[i], batch.translations[i], width, float(batch.depths[i]))
         assert tuple(pose.translation) in seeds
         assert pose.depth in (0.01, 0.02, 0.03, 0.04)
         assert pose.width <= gripper.max_width
-        separation = np.linalg.norm(frame.p_cr - frame.p_cl)
+        separation = np.linalg.norm(contacts.p_cr[i] - contacts.p_cl[i])
         assert pose.width == pytest.approx(min(separation + 0.01, gripper.max_width))
         # approach vector of the contact pair lies along the closing axis
-        assert np.dot(frame.v_a, pose.closing_axis) > 1 - 1e-9
-        assert np.linalg.norm(frame.p_er - frame.p_el) == pytest.approx(pose.width)
+        assert np.dot(contacts.v_a[i], pose.closing_axis) > 1 - 1e-9
+        assert np.linalg.norm(contacts.p_er[i] - contacts.p_el[i]) == pytest.approx(pose.width)
 
 
 def test_enumeration_deterministic(icosphere):
     grid = CandidateGrid.build(icosphere, n_seeds=5, n_views=6, n_rotations=2)
-    first = [(p.rotation, p.translation, p.width, p.depth)
-             for p, _ in enumerate_candidates(icosphere, grid, GripperModel())]
-    second = [(p.rotation, p.translation, p.width, p.depth)
-              for p, _ in enumerate_candidates(icosphere, grid, GripperModel())]
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-        assert a[2:] == b[2:]
+    first, second = (candidate_arrays(icosphere, grid, GripperModel()) for _ in range(2))
+    assert len(first.widths) > 0
+    for a, b in zip((first.rotations, first.translations, first.widths, first.depths, *first.contacts),
+                    (second.rotations, second.translations, second.widths, second.depths, *second.contacts)):
+        # bit for bit
+        assert a.tobytes() == b.tobytes()
 
 
 def _sideways_pose(center_z, depth):
@@ -175,6 +186,5 @@ def test_narrow_plate_accepts_sideways_grasp():
     narrow = make_plate((0.04, 0.04, 0.004))
     contacts = one_line_contacts(narrow, _sideways_pose(-0.002, 0.004))
     assert len(contacts.p_cl) == 1
-    frame = contacts.frame(0)
-    assert np.allclose(frame.p_cl, [-0.02, 0, -0.002], atol=1e-9)
-    assert np.allclose(frame.p_cr, [0.02, 0, -0.002], atol=1e-9)
+    assert np.allclose(contacts.p_cl, [[-0.02, 0, -0.002]], atol=1e-9)
+    assert np.allclose(contacts.p_cr, [[0.02, 0, -0.002]], atol=1e-9)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from graspscore import (
-    GraspPose,
-    PredictedGrasp,
+    GraspScoreError,
     PredictionTable,
     SceneInstance,
     build_scene,
@@ -26,7 +25,7 @@ from graspscore.meshio import save_ply
 from graspscore.primitives import make_box, make_icosphere
 
 import _scenes
-from conftest import mutant, run_cli as _run
+from conftest import GraspPose, mutant, prediction_table, run_cli as _run
 
 
 @pytest.fixture(scope="module")
@@ -133,12 +132,8 @@ def eval_setup(tmp_path_factory):
     sphere = make_icosphere(0.03, 3)
     save_obj(str(meshes / "sph3.obj"), sphere.vertices, sphere.faces)
 
-    preds = PredictionTable.from_grasps([
-        PredictedGrasp(_scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])),
-                       0.9, "sph3"),
-        PredictedGrasp(_scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2),
-                       0.8, "sph3"),
-    ])
+    preds = prediction_table([_scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+                              _scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2)], [0.9, 0.8], ["sph3"] * 2)
     write_predictions(str(path / "preds.csv"), preds)
     return path, preds
 
@@ -277,6 +272,44 @@ def test_label_rejects_bad_unit_scale(workdir, scale):
     assert not (workdir / "scaled.csv").exists()
 
 
+# 10**15 views take 7.11 PiB as int64: numpy refuses the array at once,
+# before anything is allocated.
+_IMPOSSIBLE_COUNT = 10**15
+
+
+@pytest.mark.parametrize("command", ["views", "label"])
+def test_impossible_array_is_an_input_error(workdir, capsys, command):
+    out = workdir / "impossible.csv"
+    if command == "views":
+        argv = ["views", "--count", str(_IMPOSSIBLE_COUNT), "--out", str(out)]
+    else:
+        cfg = workdir / "impossible.cfg"
+        cfg.write_text(f"n_seeds = 2\nn_views = {_IMPOSSIBLE_COUNT}\nn_rotations = 2\n")
+        argv = ["label", str(workdir / "cube.obj"), "--out", str(out), "--config", str(cfg)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("MemoryError: ") and "PiB" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [("package", 2), ("arithmetic", 1)])
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
+    """Any ``GraspScoreError``, even one the CLI does not name, is an input
+    error; an arithmetic error is a compute error."""
+    class NewPackageError(GraspScoreError):
+        pass
+
+    raised = {"package": NewPackageError("a new kind of bad input"), "arithmetic": ZeroDivisionError("x / 0")}[error]
+
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "cmd_views", fail)
+    assert cli.main(["views"]) == code
+    assert capsys.readouterr().err == f"{type(raised).__name__}: {raised}\n"
+
+
 @pytest.mark.parametrize("mesh_file, scale", [("far_tetrahedron.obj", "1.0"), ("cube.obj", "1e160")])
 def test_label_rejects_mesh_whose_face_areas_overflow(workdir, capsys, mesh_file, scale):
     """Finite coordinates whose face areas overflow exit 2, with no warning."""
@@ -338,11 +371,11 @@ def _fuzz_corpus(path):
                    "--config", str(path / "label.cfg")])
     assert rc == 0
     far = _scenes.diametral_grasp(np.zeros(3), np.array([0.0, 1.0, 0.0]))
-    write_predictions(str(path / "preds.csv"), PredictionTable.from_grasps([
-        PredictedGrasp(GraspPose(far.rotation, np.array([0.0, 1e308, 0.0]), far.width, far.depth), 0.95, "sph3"),
-        PredictedGrasp(_scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])), 0.9, "sph3"),
-        PredictedGrasp(_scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2), 0.8, None),
-    ]))
+    write_predictions(str(path / "preds.csv"), prediction_table([
+        GraspPose(far.rotation, np.array([0.0, 1e308, 0.0]), far.width, far.depth),
+        _scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+        _scenes.chord_grasp(np.array([0.3, 0.0, 0.0]), 0.2),
+    ], [0.95, 0.9, 0.8], ["sph3", "sph3", None]))
     save_scene(str(path / "scene.json"), [SceneInstance("sph3", np.eye(3), np.zeros(3)),
                                           SceneInstance("sph3", np.eye(3), np.array([0.3, 0.0, 0.0]))], -0.2)
     (path / "eval.cfg").write_text("surface_density = 20000\nknn_k = 4\nnms_trans_thresh = 0.03\n"
@@ -433,8 +466,7 @@ def test_eval_grasp_turned_into_a_scaled_instance_frame(eval_setup):
     (path / "shrunk_scene.json").write_text(json.dumps(scene))
     pose = _scenes.diametral_grasp(np.zeros(3), np.array([1.0, 0.0, 0.0]))
     pose = GraspPose(pose.rotation * shrink, pose.translation, pose.width, pose.depth)
-    write_predictions(str(path / "shrunk_preds.csv"),
-                      PredictionTable.from_grasps([PredictedGrasp(pose, 0.9, "sph3")]))
+    write_predictions(str(path / "shrunk_preds.csv"), prediction_table([pose], [0.9], ["sph3"]))
     turned = (np.eye(3) * shrink).T @ pose.rotation
     assert not np.allclose(turned.T @ turned, np.eye(3), atol=1e-8)
 

@@ -1,7 +1,8 @@
-"""Smoke tests: every demo script runs clean, and the public API resolves."""
+"""Smoke tests: every demo script and the README example run clean, and the public API resolves."""
 
 import glob
 import os
+import re
 
 import pytest
 
@@ -9,7 +10,8 @@ import graspscore
 
 from conftest import run_python
 
-DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py")))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
 def test_demos_are_found():
@@ -19,6 +21,19 @@ def test_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs_clean(path, tmp_path):
     result = run_python(os.path.abspath(path), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert result.stdout.strip()
+
+
+def test_readme_example_runs_clean(tmp_path):
+    """The README's one python block ("Library use"), run as a demo is."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    script = tmp_path / "readme_example.py"
+    script.write_text(blocks[0])
+    result = run_python(str(script), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert result.stdout.strip()

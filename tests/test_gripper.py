@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from graspscore import (
-    ContactFrame,
-    GraspPose,
-    GripperModel,
-    enumerate_candidates,
-    gripper_collides,
-    transform_mesh,
-)
-from graspscore.candidates import CandidateGrid
+from graspscore import GripperModel, gripper_collides, labels, transform_mesh
+from graspscore.candidates import CandidateGrid, candidate_arrays
 from graspscore.gripper import _gripper_frame, contacts_on_lines
 from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
-from conftest import closest_on_triangle, collision_box_corners, one_line_contacts, pose_fields, random_rotation
+from conftest import (
+    GraspPose,
+    closest_on_triangle,
+    collision_box_corners,
+    one_line_contacts,
+    pose_fields,
+    random_rotation,
+)
 
 
 def _pose_closing_x(center, width, depth):
@@ -28,16 +28,15 @@ def test_cube_centered_grasp():
     cube = make_box((1.0, 1.0, 1.0))
     contacts = one_line_contacts(cube, _pose_closing_x((0, 0, 0), 1.2, 0.25))
     assert len(contacts.p_cl) == 1
-    frame = contacts.frame(0)
-    assert np.allclose(frame.p_cl, [-0.5, 0, 0], atol=1e-12)
-    assert np.allclose(frame.p_cr, [0.5, 0, 0], atol=1e-12)
-    assert np.allclose(frame.v_a, [1, 0, 0], atol=1e-12)
-    assert np.allclose(frame.p_el, [-0.6, 0, 0], atol=1e-12)
-    assert np.allclose(frame.p_er, [0.6, 0, 0], atol=1e-12)
+    assert np.allclose(contacts.p_cl, [[-0.5, 0, 0]], atol=1e-12)
+    assert np.allclose(contacts.p_cr, [[0.5, 0, 0]], atol=1e-12)
+    assert np.allclose(contacts.v_a, [[1, 0, 0]], atol=1e-12)
+    assert np.allclose(contacts.p_el, [[-0.6, 0, 0]], atol=1e-12)
+    assert np.allclose(contacts.p_er, [[0.6, 0, 0]], atol=1e-12)
     # interpolated vertex normals on a sparse cube lean toward the corners,
     # so only the dominant component is pinned down
-    assert frame.v_ql[0] < -0.9
-    assert frame.v_qr[0] > 0.9
+    assert contacts.v_ql[0, 0] < -0.9
+    assert contacts.v_qr[0, 0] > 0.9
 
 
 def test_grasp_above_object_misses():
@@ -49,11 +48,11 @@ def test_icosphere_diametral_contacts():
     sphere = make_icosphere(0.03, 3)
     contacts = one_line_contacts(sphere, _pose_closing_x((0, 0, 0), 0.07, 0.03))
     assert len(contacts.p_cl) == 1
-    frame = contacts.frame(0)
-    separation = np.linalg.norm(frame.p_cr - frame.p_cl)
+    p_cl, p_cr, v_ql, v_qr, v_a, _, _ = (a[0] for a in contacts)
+    separation = np.linalg.norm(p_cr - p_cl)
     assert abs(separation - 0.06) < 2e-3
-    ang_l = np.arccos(np.clip(np.dot(frame.v_ql, -frame.v_a), -1, 1))
-    ang_r = np.arccos(np.clip(np.dot(frame.v_qr, frame.v_a), -1, 1))
+    ang_l = np.arccos(np.clip(np.dot(v_ql, -v_a), -1, 1))
+    ang_r = np.arccos(np.clip(np.dot(v_qr, v_a), -1, 1))
     assert ang_l < 0.06
     assert ang_r < 0.06
 
@@ -99,17 +98,14 @@ def test_contact_frame_invariants_on_candidates(icosphere):
     # a point within 1e-6 of a face lies in its bounding box grown by 1e-6
     lo = np.minimum(np.minimum(v0, v1), v2) - 1e-6
     hi = np.maximum(np.maximum(v0, v1), v2) + 1e-6
-    count = 0
-    for pose, frame in enumerate_candidates(icosphere, grid, gripper):
-        assert np.linalg.norm(frame.p_cr - frame.p_cl) <= gripper.max_width + 1e-12
-        for v in (frame.v_a, frame.v_ql, frame.v_qr):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-6
-        if count % 37 == 0:
-            for p in (frame.p_cl, frame.p_cr):
-                near = np.flatnonzero(((lo <= p) & (p <= hi)).all(axis=1))
-                assert any(closest_on_triangle(p, v0[i], v1[i], v2[i]) < 1e-6 for i in near)
-        count += 1
-    assert count > 0
+    contacts = candidate_arrays(icosphere, grid, gripper).contacts
+    assert len(contacts.p_cl) > 0
+    assert (np.linalg.norm(contacts.p_cr - contacts.p_cl, axis=1) <= gripper.max_width + 1e-12).all()
+    for v in (contacts.v_a, contacts.v_ql, contacts.v_qr):
+        assert (np.abs(np.linalg.norm(v, axis=1) - 1.0) < 1e-6).all()
+    for p in np.concatenate([contacts.p_cl[::37], contacts.p_cr[::37]]):
+        near = np.flatnonzero(((lo <= p) & (p <= hi)).all(axis=1))
+        assert any(closest_on_triangle(p, v0[i], v1[i], v2[i]) < 1e-6 for i in near)
 
 
 def test_batch_matches_single(icosphere):
@@ -245,22 +241,32 @@ def test_collision_monotone_in_margin():
             assert (not tight) or loose
 
 
+def _row_flagged(rotation, translation, width, depth) -> bool:
+    """Whether the label and prediction readers flag this pose as a row."""
+    row = np.concatenate([np.ravel(rotation), translation, [width, depth, 0.5]])
+    return bool(labels._flagged_rows(row[None, :])[0])
+
+
 def test_grasp_pose_validation():
+    """The one-pose oracle and the readers' row check refuse the same poses."""
+    assert not _row_flagged(np.eye(3), np.zeros(3), 0.05, 0.02)
+    GraspPose(rotation=np.eye(3), translation=np.zeros(3), width=0.05, depth=0.02)
     bad_rot = np.eye(3)
     bad_rot[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        GraspPose(rotation=bad_rot, translation=np.zeros(3), width=0.05, depth=0.02)
     reflect = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        GraspPose(rotation=reflect, translation=np.zeros(3), width=0.05, depth=0.02)
-    with pytest.raises(ValueError):
-        GraspPose(rotation=np.eye(3), translation=np.zeros(3), width=-0.01, depth=0.02)
+    for rotation, width, depth in ((bad_rot, 0.05, 0.02), (reflect, 0.05, 0.02), (np.eye(3), -0.01, 0.02),
+                                   (np.eye(3), 0.05, 0.0)):
+        assert _row_flagged(rotation, np.zeros(3), width, depth)
+        with pytest.raises(ValueError):
+            GraspPose(rotation=rotation, translation=np.zeros(3), width=width, depth=depth)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_grasp_pose_rejects_non_finite_translation(value):
+    translation = np.array([0.0, value, 0.0])
+    assert _row_flagged(np.eye(3), translation, 0.05, 0.02)
     with pytest.raises(ValueError, match="translation must be finite"):
-        GraspPose(rotation=np.eye(3), translation=np.array([0.0, value, 0.0]), width=0.05, depth=0.02)
+        GraspPose(rotation=np.eye(3), translation=translation, width=0.05, depth=0.02)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.01])
@@ -270,13 +276,6 @@ def test_gripper_model_rejects_non_finite_and_non_positive_sizes(field, value):
     match = "depth levels" if field == "depth_levels" else "dimensions"
     with pytest.raises(ValueError, match=f"{match} must be positive and finite"):
         GripperModel(**kwargs)
-
-
-def test_contact_frame_unit_check():
-    z = np.zeros(3)
-    with pytest.raises(ValueError):
-        ContactFrame(p_cl=z, p_cr=z, v_ql=np.array([2.0, 0, 0]), v_qr=np.array([1.0, 0, 0]),
-                     v_a=np.array([1.0, 0, 0]), p_el=z, p_er=z)
 
 
 def test_collision_body_layout():

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspscore import (
-    GraspPose,
     LabelTable,
-    PredictedGrasp,
     PredictionTable,
     read_labels,
     read_predictions,
@@ -22,7 +20,7 @@ from graspscore.errors import SchemaError
 from graspscore.gripper import proper_rotations
 from graspscore.labels import LABEL_COLUMNS, PREDICTION_COLUMNS
 
-from conftest import random_rotation
+from conftest import GraspPose, allclose_rotation, prediction_table, random_rotation
 
 
 def _random_values(rng, n):
@@ -133,36 +131,36 @@ def test_object_id_with_comma_rejected(tmp_path):
         with pytest.raises(ValueError, match="object_id"):
             LabelTable(object_id, values)
         with pytest.raises(ValueError, match="object_id"):
-            write_predictions(str(path), PredictionTable.from_grasps([PredictedGrasp(pose, 0.5, object_id)]))
+            write_predictions(str(path), prediction_table([pose], [0.5], [object_id]))
         assert not path.exists()
 
 
 def _random_predictions(rng, n):
-    preds = []
-    for i in range(n):
-        pose = GraspPose(rotation=random_rotation(rng), translation=rng.uniform(-1, 1, 3),
-                         width=float(rng.uniform(0.01, 0.085)), depth=0.02)
-        oid = None if i % 3 == 0 else f"obj{i % 4}"
-        preds.append(PredictedGrasp(pose=pose, predicted_score=float(rng.uniform()), object_id=oid))
-    return preds
+    """(poses, predicted scores, object ids) of n random predictions."""
+    poses, scores = [], []
+    for _ in range(n):
+        poses.append(GraspPose(rotation=random_rotation(rng), translation=rng.uniform(-1, 1, 3),
+                               width=float(rng.uniform(0.01, 0.085)), depth=0.02))
+        scores.append(float(rng.uniform()))
+    return poses, scores, [None if i % 3 == 0 else f"obj{i % 4}" for i in range(n)]
 
 
 def test_prediction_round_trip(tmp_path):
     rng = np.random.default_rng(45)
-    preds = _random_predictions(rng, 200)
+    poses, scores, object_ids = _random_predictions(rng, 200)
     path = str(tmp_path / "preds.csv")
-    assert write_predictions(path, PredictionTable.from_grasps(preds)) == 200
+    assert write_predictions(path, prediction_table(poses, scores, object_ids)) == 200
     header = open(path).readline().rstrip("\n")
     assert header == ",".join(PREDICTION_COLUMNS)
     loaded = read_predictions(path)
     assert len(loaded) == 200
-    for i, a in enumerate(preds):
-        assert np.array_equal(a.pose.rotation, loaded.rotations[i])
-        assert np.array_equal(a.pose.translation, loaded.translations[i])
-        assert a.pose.width == loaded.values[i, 12]
-        assert a.pose.depth == loaded.values[i, 13]
-        assert a.predicted_score == loaded.scores[i]
-        assert a.object_id == loaded.object_ids[i]
+    for i, pose in enumerate(poses):
+        assert np.array_equal(pose.rotation, loaded.rotations[i])
+        assert np.array_equal(pose.translation, loaded.translations[i])
+        assert pose.width == loaded.values[i, 12]
+        assert pose.depth == loaded.values[i, 13]
+        assert scores[i] == loaded.scores[i]
+        assert object_ids[i] == loaded.object_ids[i]
     again = str(tmp_path / "again.csv")
     write_predictions(again, loaded)
     assert open(again).read() == open(path).read()
@@ -193,7 +191,7 @@ def test_predictions_missing_column(tmp_path):
 def test_predictions_reject_non_finite_values(tmp_path, column, value):
     rng = np.random.default_rng(48)
     path = str(tmp_path / "preds.csv")
-    write_predictions(path, PredictionTable.from_grasps(_random_predictions(rng, 2)))
+    write_predictions(path, prediction_table(*_random_predictions(rng, 2)))
     lines = open(path).read().splitlines()
     parts = lines[2].split(",")
     parts[PREDICTION_COLUMNS.index(column)] = value
@@ -219,7 +217,7 @@ def test_labels_reject_non_finite_values(tmp_path):
 def test_predictions_reject_bad_pose(tmp_path):
     rng = np.random.default_rng(47)
     path = str(tmp_path / "preds.csv")
-    write_predictions(path, PredictionTable.from_grasps(_random_predictions(rng, 2)))
+    write_predictions(path, prediction_table(*_random_predictions(rng, 2)))
     lines = open(path).read().splitlines()
     parts = lines[2].split(",")
     parts[1:10] = [repr(v) for v in (2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)]
@@ -378,6 +376,11 @@ _FAULTS = {
     "reflection": _rotation_fault(flip=True),
     "zero_width": _set("width", "0.0"),
     "negative_depth": _set("depth", "-0.01"),
+    # a row's first fault is named: values, then rotation, width, depth
+    "reflection_zero_width": _both(_rotation_fault(flip=True), _set("width", "0.0")),
+    "zero_width_negative_depth": _both(_set("width", "0.0"), _set("depth", "-0.01")),
+    "nan_pose_reflection": _both(_set("tx", "nan"), _rotation_fault(flip=True)),
+    "reflection_bad_score": _both(_rotation_fault(flip=True), _set_score("0.5.5")),
     "short_row": lambda parts, columns: parts.pop(),
     "long_row": lambda parts, columns: parts.append("0.5"),
 }
@@ -450,10 +453,6 @@ def test_rotation_inside_rtol_edge_is_accepted(tmp_path, kind):
     _per_row_read(path, kind)
 
 
-def _allclose_rotation_oracle(r):
-    return bool(np.isfinite(r).all() and np.allclose(r.T @ r, np.eye(3), atol=1e-8) and np.linalg.det(r) > 0)
-
-
 def test_batched_rotation_check_matches_per_row_near_rtol_edge(tmp_path):
     """Rotations scaled across the rtol edge: ``proper_rotations`` gives each
     the np.allclose rule's verdict, alone and in a batch, the batched read
@@ -470,7 +469,7 @@ def test_batched_rotation_check_matches_per_row_near_rtol_edge(tmp_path):
     values[:, 12:14] = 0.05
     flagged = labels._flagged_rows(values)
     per_row = np.array([bool(proper_rotations(r)) for r in rotations])
-    assert np.array_equal(per_row, [_allclose_rotation_oracle(r) for r in rotations])
+    assert np.array_equal(per_row, [allclose_rotation(r) for r in rotations])
     assert np.array_equal(proper_rotations(rotations), per_row)
     assert 100 < per_row.sum() < n - 100
     assert np.array_equal(flagged, ~per_row)

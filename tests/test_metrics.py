@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graspscore import (
-    GraspPose,
     MetricWeights,
     SpatialIndex,
     combine_scores,
@@ -13,7 +12,7 @@ from graspscore.gripper import ContactArrays
 from graspscore.labels import LABEL_COLUMNS
 from graspscore.metrics import SCORE_COLUMNS
 
-from conftest import one_line_contacts
+from conftest import GraspPose, one_line_contacts
 
 # Raw score columns returned by score_contacts.
 _S_T, _S_F1, _S_F2, _S_F, _S_G_RAW, _S_C_RAW = range(6)
@@ -85,10 +84,9 @@ def test_flatness_matches_bruteforce_on_sphere(icosphere):
     contacts = one_line_contacts(icosphere, pose)
     assert len(contacts.p_cl) == 1
     s = _scores(contacts, index)
-    frame = contacts.frame(0)
 
     acc = 0.0
-    for p, n in ((frame.p_cl, frame.v_ql), (frame.p_cr, frame.v_qr)):
+    for p, n in ((contacts.p_cl[0], contacts.v_ql[0]), (contacts.p_cr[0], contacts.v_qr[0])):
         rows = _oracle_knn_rows(index.points, p, 10)
         acc += np.clip(np.mean(index.normals[rows] @ n), 0.0, 1.0)
     assert s[_S_F1] == pytest.approx(acc / 2.0, abs=1e-9)

@@ -10,9 +10,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from graspscore import (
-    GraspPose,
     GripperModel,
-    PredictedGrasp,
     PredictionTable,
     SceneInstance,
     SpatialIndex,
@@ -34,11 +32,13 @@ from graspscore.primitives import make_icosphere
 
 import _scenes
 from conftest import (
+    GraspPose,
     associate_oracle,
     collision_box_corners,
     nearest_shortlists,
     one_line_contacts,
     pose_fields,
+    prediction_table,
     random_rotation,
 )
 
@@ -604,6 +604,16 @@ def test_associate_names_the_first_failing_grasp(cube, scene_ids, object_ids, me
 
 # --- the AP protocol fixtures ---
 
+_NO_PREDICTIONS = PredictionTable(np.zeros((0, 15)), ())
+
+
+def _with_copy_of_first(table, score):
+    """``table`` and, at its end, a copy of its first row scored ``score``."""
+    copy = table.values[0].copy()
+    copy[14] = score
+    return PredictionTable(np.vstack([table.values, copy]), table.object_ids + table.object_ids[:1])
+
+
 @pytest.fixture(scope="module")
 def sphere_world():
     return _scenes.sphere_scene(_scenes.sphere_library())
@@ -611,7 +621,7 @@ def sphere_world():
 
 def test_perfect_predictor_maps_to_one(sphere_world):
     layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.perfect_predictions()), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_scenes.perfect_predictions(), layout, _scenes.CLOSURE_ONLY)
     assert report.map_value == 1.0
     assert report.ap_values == (1.0,) * 6
     assert report.n_evaluated == 50
@@ -623,7 +633,7 @@ def test_perfect_predictor_maps_to_one(sphere_world):
 
 def test_zero_predictor_maps_to_one_sixth(sphere_world):
     layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.zero_predictions()), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_scenes.zero_predictions(), layout, _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - 1.0 / 6.0) <= 1e-9
     assert report.ap_values[0] == 1.0
     assert report.ap_values[1:] == (0.0,) * 5
@@ -633,7 +643,7 @@ def test_zero_predictor_maps_to_one_sixth(sphere_world):
 
 def test_good25_matches_summation_oracle(sphere_world):
     layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_scenes.good25_predictions(), layout, _scenes.CLOSURE_ONLY)
     assert abs(report.map_value - _scenes.good25_oracle_map()) <= 1e-9
     assert report.true_scores[:25] == (1.0,) * 25
     assert report.true_scores[25:] == (0.0,) * 25
@@ -644,7 +654,7 @@ def test_good25_matches_summation_oracle(sphere_world):
 
 def test_eval_report_invariants(sphere_world):
     layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps(_scenes.good25_predictions()), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_scenes.good25_predictions(), layout, _scenes.CLOSURE_ONLY)
     assert report.map_value == pytest.approx(np.mean(report.ap_values), abs=1e-15)
     assert all(0.0 <= ap <= 1.0 for ap in report.ap_values)
     assert list(report.ap_values) == sorted(report.ap_values, reverse=True)
@@ -657,9 +667,7 @@ def test_eval_report_invariants(sphere_world):
 
 def test_eval_counts_nms_suppression(sphere_world):
     layout = sphere_world
-    preds = _scenes.perfect_predictions()
-    preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_with_copy_of_first(_scenes.perfect_predictions(), 0.99), layout, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_nms == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
@@ -670,10 +678,10 @@ def test_eval_counts_collision_filter(sphere_world):
     preds = _scenes.perfect_predictions()
     # width below the sphere diameter puts the fingers inside the cloud
     squeeze = _scenes.diametral_grasp(_scenes.grid_position(0), np.array([1.0, 0.0, 0.0]))
-    bad = GraspPose(rotation=squeeze.rotation, translation=squeeze.translation,
-                    width=0.05, depth=squeeze.depth)
-    preds.append(PredictedGrasp(bad, 2.0, _scenes.SPHERE_ID))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
+    bad = prediction_table([GraspPose(rotation=squeeze.rotation, translation=squeeze.translation,
+                                      width=0.05, depth=squeeze.depth)], [2.0], [_scenes.SPHERE_ID])
+    preds = PredictionTable(np.vstack([preds.values, bad.values]), preds.object_ids + bad.object_ids)
+    report = evaluate_ap(preds, layout, _scenes.CLOSURE_ONLY)
     assert report.n_filtered_collision == 1
     assert report.n_evaluated == 50
     assert report.map_value == 1.0
@@ -682,8 +690,8 @@ def test_eval_counts_collision_filter(sphere_world):
 def test_eval_below_table_filters_everything(sphere_world):
     instances = [SceneInstance(_scenes.SPHERE_ID, np.eye(3), np.zeros(3))]
     layout = build_scene(instances, sphere_world.meshes, table_height=10.0)
-    preds = _scenes.perfect_predictions()[:3]
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout, _scenes.CLOSURE_ONLY)
+    preds = _scenes.perfect_predictions()
+    report = evaluate_ap(PredictionTable(preds.values[:3], preds.object_ids[:3]), layout, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.map_value == 0.0
     assert report.ap_values == (0.0,) * 6
@@ -737,14 +745,14 @@ def test_below_table_at_the_lowest_corner(k):
 
 def test_eval_unknown_object_id(sphere_world):
     layout = sphere_world
-    stray = PredictedGrasp(_scenes.perfect_predictions()[0].pose, 0.9, "ghost")
+    stray = PredictionTable(_scenes.perfect_predictions().values[:1], ("ghost",))
     with pytest.raises(UnknownObjectId):
-        evaluate_ap(PredictionTable.from_grasps([stray]), layout, _scenes.CLOSURE_ONLY)
+        evaluate_ap(stray, layout, _scenes.CLOSURE_ONLY)
 
 
 def test_eval_empty_predictions(sphere_world):
     layout = sphere_world
-    report = evaluate_ap(PredictionTable.from_grasps([]), layout, _scenes.CLOSURE_ONLY)
+    report = evaluate_ap(_NO_PREDICTIONS, layout, _scenes.CLOSURE_ONLY)
     assert report.empty_after_filtering
     assert report.n_predictions == 0
     assert report.map_value == 0.0
@@ -754,9 +762,7 @@ def test_eval_empty_predictions(sphere_world):
 
 def test_eval_config_nms_threshold_zero_suppresses_nothing(sphere_world):
     layout = sphere_world
-    preds = _scenes.perfect_predictions()
-    preds.append(PredictedGrasp(preds[0].pose, 0.99, _scenes.SPHERE_ID))
-    table = PredictionTable.from_grasps(preds)
+    table = _with_copy_of_first(_scenes.perfect_predictions(), 0.99)
     assert evaluate_ap(table, layout, _scenes.CLOSURE_ONLY).n_filtered_nms == 1
     config = replace(_scenes.CLOSURE_ONLY, nms_trans_thresh=0.0)
     report = evaluate_ap(table, layout, config)
@@ -769,7 +775,7 @@ def test_eval_config_collision_margin_inflates_the_fingers(sphere_world):
     centre of the 0.03 m sphere; a 0.01 m margin puts the sphere inside
     the inflated fingers, so every grasp collides."""
     layout = sphere_world
-    table = PredictionTable.from_grasps(_scenes.perfect_predictions())
+    table = _scenes.perfect_predictions()
     assert evaluate_ap(table, layout, _scenes.CLOSURE_ONLY).n_filtered_collision == 0
     report = evaluate_ap(table, layout, replace(_scenes.CLOSURE_ONLY, collision_margin=0.01))
     assert report.n_filtered_collision == 50
@@ -778,12 +784,12 @@ def test_eval_config_collision_margin_inflates_the_fingers(sphere_world):
 
 def test_eval_config_score_thresholds_make_the_report(sphere_world):
     layout = sphere_world
-    table = PredictionTable.from_grasps(_scenes.good25_predictions())
+    table = _scenes.good25_predictions()
     report = evaluate_ap(table, layout, replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.25, 1.0)))
     assert report.thresholds == (0.25, 1.0)
     mid = sum(min(k, 25) / k for k in range(1, 51)) / 50
     assert report.ap_values == pytest.approx((mid, mid), abs=1e-12)
-    empty = evaluate_ap(PredictionTable.from_grasps([]), layout,
+    empty = evaluate_ap(_NO_PREDICTIONS, layout,
                         replace(_scenes.CLOSURE_ONLY, score_thresholds=(0.5,)))
     assert empty.thresholds == (0.5,) and empty.ap_values == (0.0,)
 
@@ -1351,14 +1357,14 @@ def one_sphere_group():
     miss = poses[2]
     poses[2] = GraspPose(miss.rotation, miss.translation + 0.05 * miss.rotation[:, 1], miss.width, miss.depth)
     poses += [_scenes.chord_grasp(center, phi) for phi in (0.3, 1.5)]
-    preds = [PredictedGrasp(p, 0.9 - 0.1 * i, _scenes.SPHERE_ID) for i, p in enumerate(poses)]
-    return layout, inst, preds
+    table = prediction_table(poses, [0.9 - 0.1 * i for i in range(len(poses))], [_scenes.SPHERE_ID] * len(poses))
+    return layout, inst, poses, table
 
 
 def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_group):
-    layout, inst, preds = one_sphere_group
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
-    assert (report.n_evaluated, report.n_filtered_nms, report.n_filtered_collision) == (len(preds), 0, 0)
+    layout, inst, poses, table = one_sphere_group
+    report = evaluate_ap(table, layout)
+    assert (report.n_evaluated, report.n_filtered_nms, report.n_filtered_collision) == (len(poses), 0, 0)
 
     # Per grasp: the pose in the object frame, a one-line contacts_on_lines
     # and a one-row score_contacts; then combine_scores over the resolvable
@@ -1367,16 +1373,15 @@ def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_gro
     index = SpatialIndex.from_mesh(mesh)
     gravity_center = mass_properties(mesh).gravity_center
     resolved, rows = [], []
-    for i, pred in enumerate(preds):
-        local = GraspPose(inst.rotation.T @ pred.pose.rotation,
-                          inst.rotation.T @ (pred.pose.translation - inst.translation),
-                          pred.pose.width, pred.pose.depth)
+    for i, pose in enumerate(poses):
+        local = GraspPose(inst.rotation.T @ pose.rotation, inst.rotation.T @ (pose.translation - inst.translation),
+                          pose.width, pose.depth)
         contacts = one_line_contacts(mesh, local)
         if len(contacts.p_cl):
             resolved.append(i)
             rows.append([c[0] for c in score_contacts(contacts, index, gravity_center)])
     s_t, _, _, s_f, s_g_raw, s_c_raw = np.array(rows).T
-    want = np.zeros(len(preds))
+    want = np.zeros(len(poses))
     want[resolved] = combine_scores(s_t, s_f, s_g_raw, s_c_raw)[2]
 
     assert resolved == [0, 1, 3, 4, 5]
@@ -1384,11 +1389,11 @@ def test_eval_scores_match_per_grasp_oracle_under_default_weights(one_sphere_gro
     # every term moves the hybrid: closure levels differ, and the gravity and
     # clearance columns are not constant, so normalization is in play
     assert len(set(s_t)) > 1 and np.ptp(s_g_raw) > 0 and np.ptp(s_c_raw) > 0
-    assert len(set(report.true_scores)) == len(preds)
+    assert len(set(report.true_scores)) == len(poses)
 
 
 def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch):
-    layout, _, preds = one_sphere_group
+    layout, _, poses, table = one_sphere_group
     calls = []
 
     def spy(original, rows):
@@ -1399,10 +1404,10 @@ def test_evaluate_ap_scores_through_the_label_path(one_sphere_group, monkeypatch
 
     monkeypatch.setattr(scene, "score_contacts", spy(metrics.score_contacts, lambda c: len(c.p_cl)))
     monkeypatch.setattr(scene, "combine_scores", spy(metrics.combine_scores, len))
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
+    report = evaluate_ap(table, layout)
     # one group: its five resolvable grasps are scored and combined together
     assert calls == [("score_contacts", 5), ("combine_scores", 5)]
-    assert report.n_evaluated == len(preds)
+    assert report.n_evaluated == len(poses)
 
 
 def test_evaluate_ap_normalizes_per_instance_and_indexes_each_object_once(icosphere, monkeypatch):
@@ -1415,9 +1420,9 @@ def test_evaluate_ap_normalizes_per_instance_and_indexes_each_object_once(icosph
     instances = [SceneInstance(oid, np.eye(3), c) for oid, c in zip(ids, centers)]
     layout = build_scene(instances, library, table_height=_scenes.TABLE_HEIGHT)
     views = generate_views(6)
-    preds = [PredictedGrasp(_scenes.diametral_grasp(centers[i % 3], views[i]), 0.9 - 0.1 * i, ids[i % 3])
-             for i in range(6)]
-    preds[4] = PredictedGrasp(_scenes.chord_grasp(centers[1], 0.7), preds[4].predicted_score, ids[1])
+    poses = [_scenes.diametral_grasp(centers[i % 3], views[i]) for i in range(6)]
+    poses[4] = _scenes.chord_grasp(centers[1], 0.7)
+    preds = prediction_table(poses, [0.9 - 0.1 * i for i in range(6)], [ids[i % 3] for i in range(6)])
 
     indexed, groups = [], []
     from_mesh = SpatialIndex.from_mesh
@@ -1432,14 +1437,15 @@ def test_evaluate_ap_normalizes_per_instance_and_indexes_each_object_once(icosph
 
     monkeypatch.setattr(SpatialIndex, "from_mesh", classmethod(counting_index))
     monkeypatch.setattr(scene, "combine_scores", counting_combine)
-    report = evaluate_ap(PredictionTable.from_grasps(preds), layout)
+    report = evaluate_ap(preds, layout)
     assert report.n_evaluated == 6 and groups == [2, 2, 2]
     assert len(indexed) == 2 and {id(m) for m in indexed} == {id(layout.meshes[oid]) for oid in set(ids)}
 
     for k, inst in enumerate(instances):
         alone = build_scene([inst], library, table_height=_scenes.TABLE_HEIGHT)
         rows = [i for i in range(6) if i % 3 == k]
-        want = evaluate_ap(PredictionTable.from_grasps([preds[i] for i in rows]), alone).true_scores
+        alone_preds = PredictionTable(preds.values[rows], [preds.object_ids[i] for i in rows])
+        want = evaluate_ap(alone_preds, alone).true_scores
         assert tuple(report.true_scores[i] for i in rows) == want
     assert len(set(report.true_scores)) > 2
 
@@ -1450,13 +1456,13 @@ def _clutter_predictions(layout, n=700, seed=44):
     rng = np.random.default_rng(seed)
     centers = np.array([inst.translation for inst in layout.instances])
     ids = [inst.object_id for inst in layout.instances]
-    preds = []
-    for pose in _grasps_near(rng, centers, n):
+    poses, scores, object_ids = _grasps_near(rng, centers, n), [], []
+    for pose in poses:
         nearest = int(np.argmin(np.linalg.norm(centers - pose.center, axis=1)))
-        object_id = ids[nearest] if rng.random() < 0.5 else None
-        preds.append(PredictedGrasp(pose, float(rng.choice(np.linspace(0, 1, 40))), object_id))
-    preds += [PredictedGrasp(p.pose, p.predicted_score, p.object_id) for p in preds[:50]]  # duplicates
-    return PredictionTable.from_grasps(preds)
+        object_ids.append(ids[nearest] if rng.random() < 0.5 else None)
+        scores.append(float(rng.choice(np.linspace(0, 1, 40))))
+    table = prediction_table(poses, scores, object_ids)
+    return PredictionTable(np.vstack([table.values, table.values[:50]]), table.object_ids + table.object_ids[:50])
 
 
 def _all_points(cloud, rotations, translations, bodies, margin):
@@ -1500,22 +1506,6 @@ def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
     assert np.array_equal(bits([c[1] for c in calls]), bits(preds.translations[kept]))
     assert np.array_equal(bits([c[2] for c in calls]), bits(preds.values[kept, 12]))
     assert np.array_equal(bits([c[3] for c in calls]), bits(preds.values[kept, 13]))
-
-
-def test_evaluate_ap_builds_no_grasp_pose(clutter, monkeypatch):
-    layout = clutter
-    table = _clutter_predictions(layout, n=300, seed=47)
-    built = []
-    original = GraspPose.__post_init__
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(GraspPose, "__post_init__", counting)
-    report = evaluate_ap(table, layout)
-    assert built == []
-    assert report.n_filtered_nms > 0 and report.n_filtered_collision > 0 and report.n_evaluated > 0
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
