@@ -8,7 +8,8 @@ Subcommands::
     eval     score a prediction file against a scene (AP / mAP)
     views    print the approach-view directions for a given count
 
-Exit codes: 0 success, 1 compute error, 2 input error.
+Exit codes: 0 success, 1 compute error (an ``ArithmeticError``), 2 input
+error.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -134,18 +134,33 @@ def ray_mesh_first_hit(
       Each kept (line, node) pair then tests the node's children, whose
       boxes are projected once per (direction group, node), down to the
       faces. A line keeps a node when its point lies in the node's 2D box
-      padded by three ``pad``. Every ray of a kept (line, face) pair goes
-      to Moller-Trumbore.
+      padded by three ``pad``.
+    * A kept (line, face) pair then takes the exact leaf test
+      (:func:`_near_triangles`): the line's float64 point must lie in the
+      face's triangle, projected onto the line's plane, with each edge
+      moved out by three ``pad``. Every ray of a pair that passes goes to
+      Moller-Trumbore.
 
-    A ray can only hit a face its line passes through, so the face test is
-    conservative: the padding covers the kernel's 1e-12 barycentric
-    tolerance, the spread of a line's rays within its cell and, for
-    origins within about 1e9 mesh extents of the mesh, the rounding of the
-    kernel and of the projection. So is every level above it: a node's 3D
-    box holds its children's boxes with ``pad`` to spare, far more than the
-    rounding of a projection, and parent and child get the same 2D padding
-    and the same monotone rounding to float32. A line that keeps a face
-    keeps every node above it.
+    A ray can only hit a face its line passes through, so the leaf test is
+    conservative. A ray the kernel hits crosses the face's plane inside the
+    triangle grown by the kernel's 1e-12 barycentric tolerance: projected
+    along the ray, within 2e-12 times the projected triangle's largest
+    height (under twice the mesh extent, so under 4e-6 ``pad``) of it.
+    The ray's projected origin lies in its line's cell, within sqrt(2)
+    ``pad`` of the line's point. Measured across the ray, the kernel's
+    rounding is a few ulps of the distance from the origin to the face,
+    whatever the angle between them, and the projections round by a few
+    ulps of the origin's and the corners' distances from the mesh centre:
+    under half a ``pad`` for origins within about 1e9 mesh extents of the
+    mesh. The sum stays under three ``pad``. The margin is taken across
+    each edge's line, so a face seen edge-on, whose projection is a
+    segment, keeps the lines within three ``pad`` of it. The box levels
+    are conservative too: a face's projected box, padded by three ``pad``,
+    holds every point within three ``pad`` of its projected triangle; a
+    node's 3D box holds its children's boxes with ``pad`` to spare, far
+    more than the rounding of a projection; and parent and child get the
+    same 2D padding and the same monotone rounding to float32. So a line
+    whose ray can hit a face keeps the face's box and every node above it.
 
     Besides per-ray, per-line and per-face arrays, each step holds at most
     about ``_PROJECTED_CHUNK`` box tests or candidate pairs. Vertices must
@@ -177,12 +192,14 @@ def ray_mesh_first_hit(
     # from the mesh, not from the world origin.
     centre = 0.5 * (lo.min(axis=0) + hi.max(axis=0))
     leaf_faces, tree = _box_tree((v0 + v1 + v2) / 3.0 - centre, lo - centre, hi - centre, pad)
+    # Leaf j's corners, relative to the centre, as column j of a (corner, coordinate, leaf) array.
+    corners = np.stack([v0, v1, v2])[:, leaf_faces].transpose(0, 2, 1) - centre[:, None]
     e1 = v1 - v0
     e2 = v2 - v0
     det_floor = 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
 
-    rays, starts, line_group, line_point, basis = _lines(origins, directions, centre, pad)
-    axes = np.ascontiguousarray(basis.transpose(0, 2, 1))
+    rays, starts, line_group, line_point, axes_t = _lines(origins, directions, centre, pad)
+    axes = np.ascontiguousarray(axes_t.transpose(2, 0, 1))
     # A line's rays project up to two pads from its first ray's point (inf past float32: no box).
     with np.errstate(over="ignore"):
         planes = _Planes(axes, np.abs(axes), line_group, line_point.astype(np.float32), 3.0 * pad)
@@ -196,6 +213,9 @@ def ray_mesh_first_hit(
         boxes = _projected_boxes(top_mid, top_half, planes, slice(first, line_group[lines[-1]] + 1))
         node, i = _points_in_boxes(planes, lines, boxes, line_group[lines] - first)
         for line, leaf in _descend(tree, len(tree) - 1, lines[i], node, planes):
+            keep = _near_triangles(np.take(corners, leaf, axis=2), np.take(axes_t, line_group[line], axis=2),
+                                   np.take(line_point, line, axis=1), planes.pad)
+            line, leaf = line[keep], leaf[keep]
             # Every ray of a kept (line, face) pair goes to the narrow phase.
             n = starts[line + 1] - starts[line]
             ray = rays[np.repeat(starts[line] - np.cumsum(n) + n, n) + np.arange(n.sum())]
@@ -260,49 +280,82 @@ def _lines(origins: np.ndarray, directions: np.ndarray, centre: np.ndarray, pad:
     of one group whose origins, projected onto that plane relative to
     ``centre``, fall in one square cell of side ``pad``; the two inward rays
     of a grasp are one line. Rays with a non-finite origin or direction, or
-    a zero direction, hit nothing and are left out.
+    a zero direction, hit nothing and are left out. Grouping is by hashed
+    keys (:func:`_runs`), so equal directions or cells may now and then form
+    two groups or lines, but rays that differ never share one.
 
-    Returns (rays, starts, group, point, basis): live ray indices sorted by
+    Returns (rays, starts, group, point, axes): live ray indices sorted by
     line, the (n + 1,) offsets of each line's rays in them, each line's
-    group, the (2, n) projected origin of its first ray, and the (g, 3, 2)
-    group bases. Lines are sorted by group.
+    group, the (2, n) projected origin of its first ray, and the (2, 3, g)
+    group bases: column g of ``axes[j]`` is unit axis j of group g. Lines
+    are sorted by group.
     """
-    scale = np.abs(directions).max(axis=1)
-    live = np.flatnonzero(np.isfinite(origins).all(axis=1) & np.isfinite(scale) & (scale > 0.0))
-    d = directions[live]
-    lead = d[np.arange(len(d)), (d != 0.0).argmax(axis=1)]
-    canon = np.where((lead < 0.0)[:, None], -d, d)
-    order, new = _sorted_runs(canon)
+    # Coordinates as (3, n) rows: numpy reduces along rows of three slowly.
+    o, d = origins.T, directions.T
+    scale = np.maximum(np.maximum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2]))
+    live = np.flatnonzero(np.isfinite(o[0]) & np.isfinite(o[1]) & np.isfinite(o[2])
+                          & np.isfinite(scale) & (scale > 0.0))
+    d = np.take(directions, live, axis=0).T
+    lead = np.where(d[0] != 0.0, d[0], np.where(d[1] != 0.0, d[1], d[2]))
+    canon = d * np.where(lead < 0.0, -1.0, 1.0)
+    # Adding 0.0 turns -0.0 into 0.0, so d and -d get the same bits.
+    canon += 0.0
+    order, new = _runs(canon.view(np.uint64), np.zeros(len(live), dtype=np.int64))
     group = np.empty(len(live), dtype=np.int64)
     group[order] = np.cumsum(new) - 1
-    uniq = canon[order[new]]
+    uniq = canon[:, order[new]].T
     # Scaling by the largest component first keeps tiny directions from
     # underflowing to a zero norm.
-    b1, b2 = perpendicular_bases(uniq / np.abs(uniq).max(axis=1)[:, None])
-    basis = np.stack([b1, b2], axis=2)
+    bases = perpendicular_bases(uniq / np.abs(uniq).max(axis=1)[:, None])
+    axes = np.ascontiguousarray(np.stack(bases).transpose(0, 2, 1))
+    ray_axes = np.take(axes, group, axis=2)
     # Cells are exact below 2^52 pads; a ray farther out, even past overflow, is a line of its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        point = np.einsum("rk,rkj->rj", origins[live] - centre, basis[group])
+        o = np.take(origins, live, axis=0).T - centre[:, None]
+        point = ray_axes[:, 0] * o[0] + ray_axes[:, 1] * o[1] + ray_axes[:, 2] * o[2]
         cell = np.floor(point / pad)
-    solo = ~(np.abs(cell) < 2.0**52).all(axis=1)
-    cell[solo] = 0.0
-    order, new = _sorted_runs(np.column_stack([group, np.where(solo, np.arange(len(live)) + 1, 0), cell]))
+    solo = ~(np.abs(cell[0]) < 2.0**52) | ~(np.abs(cell[1]) < 2.0**52)
+    cell[:, solo] = 0.0
+    order, new = _runs(cell.astype(np.int64).view(np.uint64), group)
+    # A solo ray's cell reads (0, 0), so it and the ray after it start lines.
+    solo = solo[order]
+    new |= solo
+    new[1:] |= solo[:-1]
     first = order[new]
     starts = np.append(np.flatnonzero(new), len(order))
-    return live[order], starts, group[first], point[first].T, basis
+    return live[order], starts, group[first], point[:, first], axes
 
 
-def _sorted_runs(keys: np.ndarray):
-    """Stable lexicographic order of the rows of ``keys``, and where its runs of equal rows start.
+# Odd multiplier of the row hash (the 64-bit golden ratio).
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 
-    Returns (order, new): ``keys[order]`` is sorted on the first column,
-    then the second, and so on; ``new[i]`` marks row i of that order as the
-    first of its run.
+
+def _runs(words: np.ndarray, high: np.ndarray):
+    """An order of n rows in which equal rows of one ``high`` value are runs.
+
+    ``words`` is (k, n) uint64, row j of it holding word j of every row,
+    and ``high`` (n,) nonnegative int64. Each row gets one uint64 key:
+    ``high`` in the top bits and a multiplicative hash of its words below
+    them. One argsort of the keys sorts the rows by ``high``, and equal
+    rows of one ``high`` get equal keys. ``new[i]`` marks row i of the
+    order as the first of its run: its key or a word differs from the row
+    before. So a hash collision can split a run of equal rows, but rows
+    that differ never share one.
+
+    Returns (order, new).
     """
-    order = np.lexsort(keys.T[::-1])
-    k = keys[order]
-    new = np.ones(len(k), dtype=bool)
-    new[1:] = (k[1:] != k[:-1]).any(axis=1)
+    top = max(1, int(high.max(initial=0)).bit_length())
+    h = np.zeros(len(high), dtype=np.uint64)
+    for word in words:
+        h ^= word
+        h *= _HASH_MUL
+    key = (high.astype(np.uint64) << np.uint64(64 - top)) | (h >> np.uint64(top))
+    order = np.argsort(key)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for row in (key, *words):
+        sorted_row = row[order]
+        new[1:] |= sorted_row[1:] != sorted_row[:-1]
     return order, new
 
 
@@ -380,6 +433,30 @@ def _points_in_boxes(planes: _Planes, lines: np.ndarray, boxes: np.ndarray, whic
     return np.divmod(np.flatnonzero(inside.T), len(lines))
 
 
+def _near_triangles(corners: np.ndarray, axes: np.ndarray, point: np.ndarray, margin: float) -> np.ndarray:
+    """Whether each point lies within about ``margin`` of its triangle, in the plane of its axes.
+
+    Column j of each array is one (triangle, plane, point): ``corners`` is
+    (3, 3, k), corner then coordinate, ``axes`` (2, 3, k), the plane's two
+    unit axes, and ``point`` (2, k), the point in those axes. The corners
+    are projected onto the plane. A point is kept when, for one orientation
+    of the projected triangle, its signed distance from no edge's line is
+    below -``margin``: it lies in the triangle with each edge moved out by
+    ``margin``. That holds every point within ``margin`` of the triangle,
+    whichever way round it is. A triangle projected onto a segment keeps
+    the points within ``margin`` of the segment's line, and a zero-length
+    edge rejects nothing. Non-finite arithmetic keeps the point.
+    """
+    x, y = (a[0] * corners[:, 0] + a[1] * corners[:, 1] + a[2] * corners[:, 2] for a in axes)
+    ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The edge function: the signed distance from the edge's line times the edge's length.
+        side = ex * (point[1] - y) - ey * (point[0] - x)
+        # |ex| + |ey| is at least the edge's length and, unlike np.hypot, cheap.
+        reach = margin * (np.abs(ex) + np.abs(ey))
+        return ~(side < -reach).any(axis=0) | ~(side > reach).any(axis=0)
+
+
 def _pair_hits(o, d, v0, e1, e2, det_floor, t_lim):
     """Moller-Trumbore on matched (ray, face) rows, one pair per row.
 
@@ -407,19 +484,18 @@ def _merge_hits(out, ray, face, t, u, v):
     """Keep, per ray, the lowest (t, face index) of ``out`` and the given hits.
 
     This is the tie rule of a scan over all faces: the lowest t, then the
-    lowest face index. A pair with t = inf is a miss and never wins.
+    lowest face index. A pair with t = inf is a miss and never wins. Two
+    ``np.minimum.at`` passes find each ray's lowest t, then its lowest face
+    at that t; ``out``'s face takes part only where ``out`` holds that t.
+    A (ray, face) pair may appear once, here or in ``out``.
     """
     t_out, face_out, u_out, v_out = out
-    hit = np.isfinite(t)
-    order = np.lexsort((face[hit], t[hit], ray[hit]))
-    ray, face, t, u, v = (a[hit][order] for a in (ray, face, t, u, v))
-    first = np.ones(len(ray), dtype=bool)
-    first[1:] = ray[1:] != ray[:-1]
-    ray, face, t, u, v = (a[first] for a in (ray, face, t, u, v))
-    cur_t = t_out[ray]
-    take = (t < cur_t) | ((t == cur_t) & (face < face_out[ray]))
-    idx = ray[take]
-    t_out[idx] = t[take]
-    face_out[idx] = face[take]
-    u_out[idx] = u[take]
-    v_out[idx] = v[take]
+    i = np.flatnonzero(np.isfinite(t))
+    low = t_out.copy()
+    np.minimum.at(low, ray[i], t[i])
+    i = i[t[i] == low[ray[i]]]
+    lowest = np.where(t_out == low, face_out, np.iinfo(np.int64).max)
+    np.minimum.at(lowest, ray[i], face[i])
+    i = i[face[i] == lowest[ray[i]]]
+    r = ray[i]
+    t_out[r], face_out[r], u_out[r], v_out[r] = t[i], face[i], u[i], v[i]

@@ -117,6 +117,29 @@ def all_faces_first_hits(origins, directions, vertices, faces, t_max=np.inf):
     return t_out, face_out, u_out, v_out
 
 
+def merge_hits_oracle(out, ray, face, t, u, v):
+    """Oracle of ``geometry._merge_hits``: one three-key lexsort of the hits
+    by (ray, t, face), then each ray's first row against ``out``.
+
+    The lowest t wins, then the lowest face index; a pair with a
+    non-finite t is a miss and never wins.
+    """
+    t_out, face_out, u_out, v_out = out
+    hit = np.isfinite(t)
+    order = np.lexsort((face[hit], t[hit], ray[hit]))
+    ray, face, t, u, v = (a[hit][order] for a in (ray, face, t, u, v))
+    first = np.ones(len(ray), dtype=bool)
+    first[1:] = ray[1:] != ray[:-1]
+    ray, face, t, u, v = (a[first] for a in (ray, face, t, u, v))
+    cur_t = t_out[ray]
+    take = (t < cur_t) | ((t == cur_t) & (face < face_out[ray]))
+    idx = ray[take]
+    t_out[idx] = t[take]
+    face_out[idx] = face[take]
+    u_out[idx] = u[take]
+    v_out[idx] = v[take]
+
+
 def watertight_oracle(faces) -> bool:
     """Set oracle of ``mesh._is_watertight``: every directed edge appears
     once and its reverse appears once."""

@@ -293,14 +293,16 @@ def test_impossible_array_is_an_input_error(workdir, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error, code", [("package", 2), ("arithmetic", 1)])
+@pytest.mark.parametrize("error, code", [("package", 2), ("arithmetic", 1), ("linalg", 2)])
 def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
     """Any ``GraspScoreError``, even one the CLI does not name, is an input
-    error; an arithmetic error is a compute error."""
+    error; an arithmetic error is a compute error. numpy's ``LinAlgError``
+    is a ``ValueError``, so it is an input error."""
     class NewPackageError(GraspScoreError):
         pass
 
-    raised = {"package": NewPackageError("a new kind of bad input"), "arithmetic": ZeroDivisionError("x / 0")}[error]
+    raised = {"package": NewPackageError("a new kind of bad input"), "arithmetic": ZeroDivisionError("x / 0"),
+              "linalg": np.linalg.LinAlgError("Singular matrix")}[error]
 
     def fail(args):
         raise raised

@@ -8,6 +8,7 @@ leaves (at most ``_TREE_TOP`` faces) and on deeper trees.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from graspscore import geometry
 from graspscore.candidates import generate_views
 from graspscore.primitives import make_box, make_cylinder, make_icosphere, make_l_prism, make_plate
 
-from conftest import all_faces_first_hits
+from conftest import all_faces_first_hits, merge_hits_oracle
 
 MESHES = {
     "box": make_box((0.04, 0.04, 0.04)),
@@ -309,3 +310,259 @@ def test_ray_cast_memory_is_bounded(name):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _pad(vertices):
+    """The cast's cell side and box padding for a mesh that uses all its vertices."""
+    return geometry._BOX_PAD * (vertices.max(axis=0) - vertices.min(axis=0)).max() + 1e-9
+
+
+def _unit_rows(m):
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def _inward_pairs(points, directions, reach):
+    """Each line through ``points[i]`` along ``directions[i]`` as two inward
+    rays from ``reach`` out on either side, like a grasp's; t_max spans the line."""
+    origins = np.concatenate([points - reach * directions, points + reach * directions])
+    return origins, np.concatenate([directions, -directions]), 2.0 * reach
+
+
+# Sideways offsets of a line from a triangle edge, in pads: on it, at the
+# margin of one and three pads, and a hair inside and outside three pads.
+_EDGE_OFFSETS = np.array([0.0, 1.0, -1.0, 3.0, -3.0, 2.99, -2.99, 3.01, -3.01])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6], ids=["home", "1e3", "1e6"])
+@pytest.mark.parametrize("name", ["box", "l_prism", "icosphere2"])
+def test_lines_beside_triangle_edges(name, shift):
+    # Lines at the ends and a random point of every edge of every face, 0,
+    # 1 and 3 pads either side of it across the line's direction, on meshes
+    # 0, 1e3 and 1e6 extents from the origin: where the leaf test is tight.
+    vertices, faces = _mesh_arrays(name, moved=True)
+    extent = (vertices.max(axis=0) - vertices.min(axis=0)).max()
+    vertices = vertices + shift * extent * np.array([0.6, -0.48, 0.64])
+    pad = _pad(vertices)
+    rng = np.random.default_rng(len(faces))
+    v0, v1, v2 = geometry.triangle_corners(vertices, faces)
+    a, b = np.concatenate([v0, v1, v2]), np.concatenate([v1, v2, v0])
+    along = np.stack([np.zeros(len(a)), rng.uniform(0.0, 1.0, len(a)), np.ones(len(a))], axis=1)
+    on_edge = (a[:, None, :] + along[:, :, None] * (b - a)[:, None, :]).reshape(-1, 3)
+    d = _unit_rows(rng.normal(size=(len(on_edge), 3)))
+    across = _unit_rows(np.cross(d, np.repeat(b - a, 3, axis=0)))
+    points = on_edge[:, None, :] + (pad * _EDGE_OFFSETS)[None, :, None] * across[:, None, :]
+    origins, directions, t_max = _inward_pairs(points.reshape(-1, 3), np.repeat(d, len(_EDGE_OFFSETS), axis=0),
+                                               2.0 * extent)
+    t, face, _, _ = _assert_same(origins, directions, vertices, faces, t_max)
+    assert (face >= 0).mean() > 0.5
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+@pytest.mark.parametrize("name", ["box", "plate", "l_prism", "cylinder", "icosphere3"])
+def test_meshes_far_from_the_origin(name, shift):
+    vertices, faces = _mesh_arrays(name, moved=True)
+    extent = (vertices.max(axis=0) - vertices.min(axis=0)).max()
+    vertices = vertices + shift * extent * np.array([-0.36, 0.48, 0.8])
+    origins, directions = _rays(vertices, seed=len(faces), n=200)
+    _assert_same(origins, directions, vertices, faces, np.inf)
+    origins, directions, t_max = _grasp_lines(vertices, seed=len(faces), n_seeds=2, n_views=12, n_rotations=4)
+    t, face, _, _ = _assert_same(origins, directions, vertices, faces, t_max)
+    assert (face >= 0).any()
+
+
+def _line_of_each_ray(origins, directions, vertices):
+    """Which line of the cast each ray falls in."""
+    centre = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    rays, starts, *_ = geometry._lines(origins, directions, centre, _pad(vertices))
+    line = np.full(len(origins), -1)
+    line[rays] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return line
+
+
+def _cell_points(vertices, targets, directions, cell_xy):
+    """Origins on the lines through ``targets`` moved across ``directions``
+    so that they project to ``cell_xy`` (in pads) of the cast's cells: the
+    cell of the target's own line plus ``cell_xy``."""
+    centre = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    pad = _pad(vertices)
+    out = []
+    for p, d, xy in zip(targets, directions, cell_xy):
+        *_, point, axes = geometry._lines(p[None], d[None], centre, pad)
+        goal = (np.floor(point[:, 0] / pad) + xy) * pad
+        out.append(p + (goal - point[:, 0]) @ axes[:, :, 0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["l_prism", "icosphere2"])
+def test_line_rays_at_cell_corners_and_across_cells(name):
+    # Two rays per line near each vertex: at opposite corners of one cell,
+    # so the second ray lies sqrt(2) pads from the line's point, and a
+    # thousandth of a pad either side of a cell edge, so the two rays of
+    # one grasp fall in adjacent cells and make two lines.
+    vertices, faces = _mesh_arrays(name, moved=True)
+    extent = (vertices.max(axis=0) - vertices.min(axis=0)).max()
+    rng = np.random.default_rng(4)
+    targets = np.repeat(vertices, 2, axis=0)
+    d = np.repeat(_unit_rows(rng.normal(size=(len(vertices), 3))), 2, axis=0)
+    for near, far in (((0.001, 0.001), (0.999, 0.999)), ((-0.001, 0.5), (0.001, 0.5))):
+        xy = np.tile([near, far], (len(vertices), 1))
+        points = _cell_points(vertices, targets, d, xy)
+        origins = points - 2.0 * extent * d * np.tile([1.0, -1.0], len(vertices))[:, None]
+        directions = d * np.tile([1.0, -1.0], len(vertices))[:, None]
+        line = _line_of_each_ray(origins, directions, vertices)
+        same_line = line[0::2] == line[1::2]
+        assert same_line.all() if near[0] > 0.0 else not same_line.any()
+        t, face, _, _ = _assert_same(origins, directions, vertices, faces, 4.0 * extent)
+        # Lines through a convex corner pass beside the mesh about half the time.
+        assert (face >= 0).mean() > 0.25
+
+
+def test_opposite_rays_with_zero_components_share_a_line():
+    # d, -d and d with -0.0 for its zero components are one group and, from
+    # one point, one line.
+    vertices, _ = _mesh_arrays("box", moved=False)
+    d = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.6, 0.8]])
+    signed_zeros = np.where(d == 0.0, -0.0, d)
+    points = np.random.default_rng(5).uniform(-0.02, 0.02, (len(d), 3))
+    origins, directions, _ = _inward_pairs(points, d, 0.1)
+    origins = np.concatenate([origins, points - 0.1 * d])
+    directions = np.concatenate([directions, signed_zeros])
+    line = _line_of_each_ray(origins, directions, vertices).reshape(3, len(d))
+    assert (line == line[0]).all()
+    assert len(set(line[0].tolist())) == len(d)
+
+
+def test_line_point_sqrt2_pads_beside_a_triangle_edge():
+    # Two rays of one line at opposite corners of a cell, (0.01, 0.01) and
+    # (0.99, 0.99) pads in, beside a triangle edge at 45 degrees to the cell
+    # that passes between them: the first ray is 0.014 pads inside the
+    # triangle, the second 1.37 pads outside. Whichever ray gives the line
+    # its point, the inner ray must still reach the narrow phase. Two large
+    # triangles on the planes x = -1 and x = 1 fix the mesh box, so the
+    # centre and the cells stay put while the triangle moves.
+    rng = np.random.default_rng(12)
+    frame = np.array([[-1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, 0.0, 1.0],
+                      [1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
+    pad = _pad(frame)
+    for d in np.concatenate([np.eye(3), _unit_rows(rng.normal(size=(5, 3)))]):
+        *_, point, axes = geometry._lines(np.zeros((1, 3)), d[None], np.zeros(3), pad)
+        # In-plane (u, v) pads from the lower corner of the origin's cell.
+        at = lambda uv: (np.floor(point[:, 0] / pad) * pad - point[:, 0] + pad * np.asarray(uv)) @ axes[:, :, 0]
+        mid, edge, inward = at([0.02, 0.02]), at([1.0, -1.0]) - at([0.0, 0.0]), at([-1.0, -1.0]) - at([0.0, 0.0])
+        corners = mid + 0.1 * np.array([edge, -edge, inward]) / np.linalg.norm(edge)
+        vertices = np.vstack([frame, corners])
+        faces = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        inner, outer = at([0.01, 0.01]), at([0.99, 0.99])
+        for first, second in ((inner, outer), (outer, inner)):
+            origins = np.array([first - 0.5 * d, second + 0.5 * d])
+            directions = np.array([d, -d])
+            line = _line_of_each_ray(origins, directions, vertices)
+            assert line[0] == line[1]
+            t, face, _, _ = _assert_same(origins, directions, vertices, faces, np.inf)
+            assert face[0 if first is inner else 1] == 2
+
+
+def test_far_rays_are_lines_of_their_own():
+    # Rays whose cells are past 2^52 pads, or overflow, sort next to rays
+    # of their direction through the mesh centre, whose cell is (0, 0).
+    vertices, faces = _mesh_arrays("box", moved=True)
+    centre = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    d = _unit_rows(np.array([[0.3, 0.2, 1.0], [-0.5, 1.0, 0.1]]))
+    aside = _unit_rows(np.cross(d, [1.0, 0.0, 0.0]))
+    origins, directions = [], []
+    for scale in (1e300, 1e200, 1e12):
+        origins += [centre + scale * aside, centre - 0.1 * d, centre - scale * aside, centre + 0.1 * d]
+        directions += [d, d, -d, -d]
+    t, face, _, _ = _assert_same(np.concatenate(origins), np.concatenate(directions), vertices, faces, np.inf)
+    far = np.tile([True, True, False, False], 6)
+    assert (face[~far] >= 0).all() and (face[far] == -1).all()
+
+
+def test_hash_collisions_only_split_lines(monkeypatch):
+    # With every hash zero, all directions, and all cells of a direction,
+    # share one key: only the row comparison tells them apart.
+    monkeypatch.setattr(geometry, "_HASH_MUL", np.uint64(0))
+    vertices, faces = _mesh_arrays("icosphere2", moved=True)
+    origins, directions, t_max = _grasp_lines(vertices, seed=6, n_seeds=2, n_views=8, n_rotations=2)
+    line = _line_of_each_ray(origins, directions, vertices)
+    # Each line holds rays of one direction up to sign.
+    for ray_line in np.unique(line):
+        members = directions[line == ray_line]
+        assert not np.cross(members, members[0]).any()
+    _assert_same(origins, directions, vertices, faces, t_max)
+    origins, directions = _rays(vertices, seed=6, n=100)
+    _assert_same(origins, directions, vertices, faces, np.inf)
+
+
+def test_edge_on_and_zero_area_faces():
+    # A box with three zero-area faces: a repeated corner, three collinear
+    # points on an edge and one point thrice. Rays run in the planes of the
+    # box's faces, through their edges and corners, and through the
+    # degenerate faces; none of it may warn.
+    box = MESHES["box"]
+    a, b = box.faces[0, 0], box.faces[0, 1]
+    vertices = np.vstack([box.vertices, 0.5 * (box.vertices[a] + box.vertices[b])])
+    extra = np.array([[a, a, b], [a, len(vertices) - 1, b], [b, b, b]])
+    rng = np.random.default_rng(8)
+    for moved in (False, True):
+        v = _moved(vertices, 9) if moved else vertices
+        faces = np.vstack([box.faces, extra])
+        v0, v1, v2 = geometry.triangle_corners(v, faces)
+        # Directions in each face's plane, through its corners, edge midpoints and a random point.
+        e1, e2 = v1 - v0, v2 - v0
+        in_plane = rng.normal(size=(len(faces), 2))
+        d = in_plane[:, :1] * e1 + in_plane[:, 1:] * e2
+        d[len(box.faces):] = rng.normal(size=(len(extra), 3))
+        d = _unit_rows(d)
+        w = rng.uniform(0.0, 0.5, len(faces))[:, None]
+        spots = [v0, v1, v2, 0.5 * (v0 + v1), 0.5 * (v1 + v2), v0 + w * e1 + w * e2]
+        points = np.concatenate(spots)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            origins, directions, t_max = _inward_pairs(points, np.tile(d, (len(spots), 1)), 0.1)
+            _assert_same(origins, directions, v, faces, t_max)
+            origins, directions = _rays(v, seed=8, n=100)
+            _assert_same(origins, directions, v, faces, np.inf)
+
+
+@pytest.mark.parametrize("name", ["box", "plate", "l_prism", "cylinder", "icosphere4"])
+def test_narrow_phase_pairs_follow_the_hits(monkeypatch, name):
+    # The leaf test keeps about two (ray, face) pairs per hit on grasp line
+    # bundles: each line crosses a face going in and one going out, and
+    # both of its rays test both. The leaf boxes alone keep 5 to 26 times
+    # the hits.
+    rows = []
+    pair_hits = geometry._pair_hits
+
+    def counted(*args):
+        rows.append(len(args[0]))
+        return pair_hits(*args)
+
+    monkeypatch.setattr(geometry, "_pair_hits", counted)
+    vertices, faces = _mesh_arrays(name, moved=True)
+    origins, directions, t_max = _grasp_lines(vertices, seed=0)
+    _, face, _, _ = geometry.ray_mesh_first_hit(origins, directions, vertices, faces, t_max)
+    hits = int((face >= 0).sum())
+    assert hits > 0 and sum(rows) <= 4 * hits
+
+
+def test_merge_hits_matches_lexsort_oracle():
+    # Random (ray, face) pairs in two chunks, the second merging into an out
+    # that holds hits: t drawn from few values, so rays tie across faces,
+    # with -0.0 next to 0.0, misses (inf) and NaN.
+    rng = np.random.default_rng(11)
+    n_rays, n_faces = 60, 25
+    values = np.array([0.0, -0.0, 0.25, 0.5, 0.5 + 2.0**-53, 1.0, np.inf, np.nan])
+    for trial in range(40):
+        got = (np.full(n_rays, np.inf), np.full(n_rays, -1), np.zeros(n_rays), np.zeros(n_rays))
+        want = tuple(a.copy() for a in got)
+        pairs = rng.permutation(n_rays * n_faces)[:rng.integers(1, 600)]
+        for chunk in np.array_split(pairs, 2):
+            ray, face = np.divmod(chunk, n_faces)
+            t = np.where(rng.random(len(chunk)) < 0.8, rng.choice(values, len(chunk)), rng.random(len(chunk)))
+            u, v = rng.random((2, len(chunk)))
+            geometry._merge_hits(got, ray, face, t, u, v)
+            merge_hits_oracle(want, ray, face, t, u, v)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert (got[1] >= 0).any()
