@@ -14,7 +14,7 @@ from .errors import (
     UnknownObjectId,
 )
 from .gripper import GripperModel, gripper_collides
-from .labels import LabelTable, read_labels, read_predictions, write_labels, write_predictions
+from .labels import LabelTable, PredictionTable, read_labels, read_predictions, write_labels, write_predictions
 from .mesh import (
     MassProperties,
     TriangleMesh,
@@ -29,7 +29,6 @@ from .metrics import MetricWeights, combine_scores, neighborhood_normal_consiste
 from .pipeline import LabelSummary, label_mesh
 from .scene import (
     EvalReport,
-    PredictionTable,
     SceneInstance,
     SceneLayout,
     build_scene,

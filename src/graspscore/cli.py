@@ -138,7 +138,7 @@ def cmd_label(args) -> int:
     print(f"wrote {len(table)} records to {args.out}")
 
     if args.dump_ply:
-        centers = table.translations + table.column("depth")[:, None] * table.rotations[:, :, 2]
+        centers = table.translations + table.depths[:, None] * table.rotations[:, :, 2]
         save_point_cloud_ply(args.dump_ply, centers, _score_colors(table.column("s_hybrid")))
         print(f"wrote debug cloud to {args.dump_ply}")
     return 0

@@ -76,7 +76,7 @@ _ROTATION_TOL = 1e-8 + 1e-5 * np.eye(3)
 
 
 def proper_rotations(r: np.ndarray) -> np.ndarray:
-    """Mask over an (..., 3, 3) stack: finite, R^T R allclose (atol=1e-8) to I, det R > 0.
+    """Mask over an (..., 3, 3) stack: finite, R^T R within ``_ROTATION_TOL`` of I, det R > 0.
 
     The Gram matrix and the cofactor determinant are summed elementwise in
     a fixed order, so a matrix gets the same verdict alone or in any batch.

@@ -1,8 +1,13 @@
-"""Flat-file store for grasp labels and predictor outputs.
+"""Grasp tables and the flat files that store them.
 
-One record per line, comma separated, ascii, with a header naming every
-column. Floats are written in Python's shortest round-trip form, so a
-parsed file reproduces the original float64 values bit for bit.
+``LabelTable`` and ``PredictionTable`` live here, with their column
+layout: both lead each row with the 14 pose columns that ``_PoseColumns``
+names.
+
+Files hold one record per line, comma separated, ascii, with a header
+naming every column. Floats are written in Python's shortest round-trip
+form, so a parsed file reproduces the original float64 values bit for
+bit.
 
 Label schema (24 columns)::
 
@@ -35,7 +40,6 @@ import numpy as np
 from .errors import SchemaError
 from .gripper import proper_rotations
 from .metrics import SCORE_COLUMNS, MetricWeights, combine_scores
-from .scene import PredictionTable
 
 _POSE_COLUMNS = (
     "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
@@ -66,8 +70,26 @@ def check_object_id(object_id: str) -> None:
         raise ValueError(f"object_id must be ascii with no comma or line break: {object_id!r}")
 
 
+class _PoseColumns:
+    """Views of the 14 pose columns that lead every row of ``values``:
+    ``rotations`` (n, 3, 3), ``translations`` (n, 3), ``widths`` and
+    ``depths`` (n,). Both tables inherit them; ``_PoseColumns(values)``
+    views a bare array."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    rotations = property(lambda self: self.values[:, 0:9].reshape(-1, 3, 3))
+    translations = property(lambda self: self.values[:, 9:12])
+    widths = property(lambda self: self.values[:, 12])
+    depths = property(lambda self: self.values[:, 13])
+
+
 @dataclass(frozen=True, eq=False)
-class LabelTable:
+class LabelTable(_PoseColumns):
     """Labeled grasps of one object.
 
     ``values`` is (n, 23) float64, its columns in ``LABEL_COLUMNS[1:]``
@@ -85,20 +107,9 @@ class LabelTable:
             raise ValueError(f"label values must be (n, {len(_LABEL_INDEX)}), got {values.shape}")
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def column(self, name: str) -> np.ndarray:
         """The named column of ``LABEL_COLUMNS`` (not ``object_id``)."""
         return self.values[:, _LABEL_INDEX[name]]
-
-    @property
-    def rotations(self) -> np.ndarray:
-        return self.values[:, 0:9].reshape(-1, 3, 3)
-
-    @property
-    def translations(self) -> np.ndarray:
-        return self.values[:, 9:12]
 
     def rescored(self, weights: MetricWeights) -> LabelTable:
         """The same grasps with ``s_g``, ``s_c`` and ``s_hybrid`` recombined."""
@@ -107,6 +118,33 @@ class LabelTable:
         for name, column in zip(("s_g", "s_c", "s_hybrid"), combined):
             values[:, _LABEL_INDEX[name]] = column
         return LabelTable(self.object_id, values)
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable(_PoseColumns):
+    """Predictions as columns: one float64 row and one object id per grasp.
+
+    ``values`` is (n, 15): the 14 pose columns and ``predicted_score``, the
+    order of a prediction file's columns. ``object_ids[i]`` is row i's
+    object id, or None for an unbound prediction; an empty id, as a file's
+    empty ``object_id`` field gives, is taken as None. The values are taken
+    as given: ``read_predictions`` validates a file's rows, and
+    ``evaluate_ap`` works on the columns and checks no row again.
+    """
+
+    values: np.ndarray
+    object_ids: tuple[str | None, ...]
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != 15:
+            raise ValueError(f"prediction values must be (n, 15), got {values.shape}")
+        if len(self.object_ids) != len(values):
+            raise ValueError(f"{len(self.object_ids)} object ids for {len(values)} predictions")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "object_ids", tuple(oid or None for oid in self.object_ids))
+
+    scores = property(lambda self: self.values[:, 14])
 
 
 def write_labels(path: str, table: LabelTable) -> int:
@@ -181,8 +219,8 @@ def read_predictions(path: str) -> PredictionTable:
     columns = [cols[c] for c in _POSE_COLUMNS] + [score_col]
     id_col = cols["object_id"]
     values = np.empty((n, len(columns)))
-    ids: list[str | None] = []
-    seen: dict[str, str | None] = {"": None}  # one str per distinct id
+    ids: list[str] = []
+    seen: dict[str, str] = {}  # one str per distinct id
     for rows, linenos in _row_chunks(path):
         values[len(ids):len(ids) + len(rows)] = _parse_rows(rows, linenos, columns, len(_POSE_COLUMNS))
         ids.extend(seen.setdefault(parts[id_col], parts[id_col]) for parts in rows)
@@ -329,8 +367,9 @@ def _flagged_rows(values: np.ndarray) -> np.ndarray:
     A row passes only when every value is finite, ``proper_rotations``
     accepts its rotation, and width and depth are positive.
     """
-    ok = (np.isfinite(values).all(axis=1) & proper_rotations(values[:, 0:9].reshape(-1, 3, 3))
-          & (values[:, 12] > 0) & (values[:, 13] > 0))
+    poses = _PoseColumns(values)
+    ok = (np.isfinite(values).all(axis=1) & proper_rotations(poses.rotations)
+          & (poses.widths > 0) & (poses.depths > 0))
     return ~ok
 
 

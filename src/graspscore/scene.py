@@ -1,4 +1,5 @@
-"""Scene composition, grasp NMS, and the top-50 mAP evaluation protocol.
+"""Scenes and their JSON files, pose NMS, the collision and table filter,
+instance association, and the top-50 mAP evaluation protocol.
 
 Evaluation mirrors how a grasp predictor is bench-tested: predictions are
 deduplicated with pose NMS, colliding grasps are removed, the 50 highest
@@ -21,6 +22,7 @@ from . import geometry
 from .config import PipelineConfig
 from .errors import ParseError, UnknownObjectId
 from .gripper import _gripper_frame, contacts_on_lines, gripper_collides, proper_rotations
+from .labels import PredictionTable
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import combine_scores, score_contacts
 from .spatial import SpatialIndex
@@ -78,46 +80,6 @@ class SceneLayout:
     table_height: float
     scene_cloud: np.ndarray
     meshes: dict[str, TriangleMesh]
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionTable:
-    """Predictions as columns: one float64 row and one object id per grasp.
-
-    ``values`` is (n, 15): the row-major rotation ``r00..r22``, ``tx, ty,
-    tz``, ``width``, ``depth`` and ``predicted_score``, the order of a
-    prediction file's columns. ``object_ids[i]`` is row i's object id, or
-    None for an unbound prediction. The values are taken as given:
-    ``read_predictions`` validates a file's rows, and ``evaluate_ap`` works
-    on the columns and checks no row again.
-    """
-
-    values: np.ndarray
-    object_ids: tuple[str | None, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != 15:
-            raise ValueError(f"prediction values must be (n, 15), got {values.shape}")
-        if len(self.object_ids) != len(values):
-            raise ValueError(f"{len(self.object_ids)} object ids for {len(values)} predictions")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "object_ids", tuple(self.object_ids))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def rotations(self) -> np.ndarray:
-        return np.ascontiguousarray(self.values[:, 0:9]).reshape(-1, 3, 3)
-
-    @property
-    def translations(self) -> np.ndarray:
-        return np.ascontiguousarray(self.values[:, 9:12])
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.values[:, 14]
 
 
 @dataclass(frozen=True)
@@ -554,9 +516,8 @@ def evaluate_ap(
     n_nms = n_in - len(kept)
 
     # The NMS survivors' columns, in visit order.
-    rotations = predictions.values[kept, 0:9].reshape(-1, 3, 3)
-    translations = predictions.values[kept, 9:12]
-    widths, depths = predictions.values[kept, 12], predictions.values[kept, 13]
+    rotations, translations = predictions.rotations[kept], predictions.translations[kept]
+    widths, depths = predictions.widths[kept], predictions.depths[kept]
     bodies = gripper.collision_body(widths, depths)
     cloud = layout.scene_cloud
     clear = ~_below_table(rotations, translations, bodies, layout.table_height)

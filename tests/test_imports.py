@@ -134,6 +134,19 @@ def test_private_name_checker_flags_dead_and_spares_referenced_names():
     assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 5: _orphan"]
 
 
+def test_labels_does_not_import_scene_pipeline_or_cli():
+    """The table and file layer sits below evaluation, labeling and the
+    command line: ``labels.py`` imports none of them."""
+    tree = ast.parse((pathlib.Path(graspscore.__file__).parent / "labels.py").read_text())
+    above = {"scene", "pipeline", "cli"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+            found += sorted(names & above)
+    assert found == []
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)

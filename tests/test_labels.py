@@ -175,7 +175,12 @@ def test_label_file_doubles_as_predictions(tmp_path):
     assert len(preds) == 20
     assert np.array_equal(preds.scores, table.column("s_hybrid"))
     assert preds.object_ids == ("obj_1",) * 20
-    assert np.array_equal(preds.rotations, table.rotations)
+    read_back = read_labels(path)
+    # the pose columns, bit for bit (tobytes reads a view in logical order)
+    for name in ("rotations", "translations", "widths", "depths"):
+        got = getattr(preds, name)
+        assert got.shape == getattr(table, name).shape
+        assert got.tobytes() == getattr(read_back, name).tobytes() == getattr(table, name).tobytes(), name
 
 
 def test_predictions_missing_column(tmp_path):

@@ -21,9 +21,11 @@ from graspscore import (
     grasp_nms,
     load_scene_instances,
     mass_properties,
+    read_predictions,
     save_scene,
     score_contacts,
     with_surface_samples,
+    write_predictions,
 )
 from graspscore import geometry, metrics, scene
 from graspscore.candidates import generate_views
@@ -748,6 +750,18 @@ def test_eval_unknown_object_id(sphere_world):
     stray = PredictionTable(_scenes.perfect_predictions().values[:1], ("ghost",))
     with pytest.raises(UnknownObjectId):
         evaluate_ap(stray, layout, _scenes.CLOSURE_ONLY)
+
+
+def test_eval_empty_object_id_is_unbound(sphere_world, tmp_path):
+    """A table built with empty ids evaluates as it does once written and
+    read back: an empty id, as in a file, leaves the grasp unbound."""
+    direct = PredictionTable(_scenes.perfect_predictions().values[:3], ("",) * 3)
+    assert direct.object_ids == (None,) * 3
+    path = str(tmp_path / "preds.csv")
+    write_predictions(path, direct)
+    report = evaluate_ap(direct, sphere_world, _scenes.CLOSURE_ONLY)
+    assert report == evaluate_ap(read_predictions(path), sphere_world, _scenes.CLOSURE_ONLY)
+    assert report.n_evaluated == 3
 
 
 def test_eval_empty_predictions(sphere_world):
