@@ -69,8 +69,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.surface_density <= 0:
             raise ValueError(f"surface_density must be > 0, got {self.surface_density!r}")
+        if not self.score_thresholds:
+            raise ValueError("score_thresholds must hold at least one threshold")
         if not all(0.0 <= x <= 1.0 for x in self.score_thresholds):
             raise ValueError(f"score_thresholds must lie in [0, 1], got {self.score_thresholds!r}")
+        self.gripper(), self.weights(), self.bins()  # each checks its own rules
 
     def gripper(self) -> GripperModel:
         return GripperModel(
@@ -138,11 +141,9 @@ def load_config(path: str) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     try:
-        cfg = PipelineConfig(**overrides)
-        cfg.gripper(), cfg.weights(), cfg.bins()  # validate derived models
+        return PipelineConfig(**overrides)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid configuration: {exc}") from exc
-    return cfg
 
 
 def _coerce(value: str, annotation) -> object:

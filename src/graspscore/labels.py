@@ -20,12 +20,14 @@ file (``s_hybrid`` doubles as the predicted score).
 
 Both kinds of file are handled as tables: an (n, k) float64 array plus
 object ids. The writer formats each distinct value of a column once and
-gathers the text by index. The readers make two passes over a file, each
-holding one block of text at a time: the first checks every row's field
-count, the second splits and parses the rows in chunks. Each chunk's
-values are parsed with one numpy call and checked as arrays, and only the
-rows those checks flag go through the per-row check, whose
-``SchemaError`` names the first bad line.
+gathers the text by index. The readers open a file once and pass over it
+once, holding one block of bytes and one chunk of split rows at a time.
+Each chunk's values are parsed with one numpy call and checked as arrays,
+and only the rows those checks flag go through the per-row check, whose
+``SchemaError`` names the first bad line. A read keeps the first fault of
+each kind and, at the end of the file, raises the highest ranked: a
+non-ascii byte, then a row of the wrong width, the header, a second
+object id in a label file, and a bad value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -52,8 +55,8 @@ _LABEL_INDEX = {name: j for j, name in enumerate(LABEL_COLUMNS[1:])}
 # Rows formatted and written per file write, so the text of a large table
 # is never held whole.
 _WRITE_CHUNK = 16384
-# Characters decoded per read, and rows split and parsed at a time: a read
-# holds one block of text and one chunk of split rows, never the file.
+# Bytes read at a time, and rows split and parsed at a time: a read holds
+# one block of text and one chunk of split rows, never the file.
 _READ_BLOCK = 1 << 20
 _READ_CHUNK = 4096
 # Every ascii character str.splitlines breaks a line at.
@@ -156,37 +159,24 @@ def write_labels(path: str, table: LabelTable) -> int:
 
 
 def read_labels(path: str) -> LabelTable:
-    """Parse a label file back into a table.
+    """Parse a label file back into a table, in one pass over the file,
+    which is opened once.
 
     Raises:
-        SchemaError: wrong header, wrong column count, a second object id,
-            an unparseable or non-finite value, a rotation that is not
-            proper orthonormal, or a width or depth that is not positive;
-            carries the 1-based line number.
+        SchemaError: an empty file, a byte that is not ascii, wrong column
+            count, wrong header, a second object id, an unparseable or
+            non-finite value, a rotation that is not proper orthonormal, or
+            a width or depth that is not positive; carries the 1-based line
+            number. When a file has several faults, the first of the
+            earliest kind in this list is raised.
     """
-    header, n = _scan(path)
-    if tuple(header) != LABEL_COLUMNS:
-        raise SchemaError(f"expected label header {','.join(LABEL_COLUMNS)}", 1)
-    values = np.empty((n, len(_LABEL_INDEX)))
-    object_id, bad_value, start = None, None, 0
-    for rows, linenos in _row_chunks(path):
-        if object_id is None:
-            object_id = rows[0][0]
-        for parts, lineno in zip(rows, linenos):
-            if parts[0] != object_id:
-                raise SchemaError(f"object_id {parts[0]!r} differs from {object_id!r}; "
-                                  "a label file holds one object", lineno)
-        # a second object id anywhere in the file outranks a bad value
-        if bad_value is None:
-            try:
-                values[start:start + len(rows)] = _parse_rows(rows, linenos, range(1, len(LABEL_COLUMNS)),
-                                                              len(LABEL_COLUMNS) - 1)
-            except SchemaError as exc:
-                bad_value = exc
-        start += len(rows)
-    if bad_value is not None:
-        raise bad_value
-    return LabelTable(object_id or "", values)
+    def columns(header):
+        if tuple(header) != LABEL_COLUMNS:
+            raise SchemaError(f"expected label header {','.join(LABEL_COLUMNS)}", 1)
+        return 0, range(1, len(LABEL_COLUMNS)), len(LABEL_COLUMNS) - 1
+
+    values, ids = _read_table(path, columns, one_object=True)
+    return LabelTable(ids[0] if ids else "", values)
 
 
 def write_predictions(path: str, predictions: PredictionTable) -> int:
@@ -202,28 +192,30 @@ def read_predictions(path: str) -> PredictionTable:
 
     Accepts both the minimal prediction schema and full label files, whose
     ``s_hybrid`` column is taken as the predicted score. An empty
-    ``object_id`` field means the prediction is unbound.
-    """
-    header, n = _scan(path)
-    cols = {name: i for i, name in enumerate(header)}
-    missing = [c for c in ("object_id",) + _POSE_COLUMNS if c not in cols]
-    if missing:
-        raise SchemaError(f"missing column(s): {', '.join(missing)}", 1)
-    if "predicted_score" in cols:
-        score_col = cols["predicted_score"]
-    elif "s_hybrid" in cols:
-        score_col = cols["s_hybrid"]
-    else:
-        raise SchemaError("no predicted_score or s_hybrid column", 1)
+    ``object_id`` field means the prediction is unbound. The file is opened
+    once and read in one pass.
 
-    columns = [cols[c] for c in _POSE_COLUMNS] + [score_col]
-    id_col = cols["object_id"]
-    values = np.empty((n, len(columns)))
-    ids: list[str] = []
-    seen: dict[str, str] = {}  # one str per distinct id
-    for rows, linenos in _row_chunks(path):
-        values[len(ids):len(ids) + len(rows)] = _parse_rows(rows, linenos, columns, len(_POSE_COLUMNS))
-        ids.extend(seen.setdefault(parts[id_col], parts[id_col]) for parts in rows)
+    Raises:
+        SchemaError: an empty file, a byte that is not ascii, wrong column
+            count, a missing column, or a bad value as ``read_labels``
+            rejects one; carries the 1-based line number. When a file has
+            several faults, the first of the earliest kind in this list is
+            raised.
+    """
+    def columns(header):
+        cols = {name: i for i, name in enumerate(header)}
+        missing = [c for c in ("object_id",) + _POSE_COLUMNS if c not in cols]
+        if missing:
+            raise SchemaError(f"missing column(s): {', '.join(missing)}", 1)
+        if "predicted_score" in cols:
+            score_col = cols["predicted_score"]
+        elif "s_hybrid" in cols:
+            score_col = cols["s_hybrid"]
+        else:
+            raise SchemaError("no predicted_score or s_hybrid column", 1)
+        return cols["object_id"], [cols[c] for c in _POSE_COLUMNS] + [score_col], len(_POSE_COLUMNS)
+
+    values, ids = _read_table(path, columns)
     return PredictionTable(values, tuple(ids))
 
 
@@ -253,92 +245,97 @@ def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], value
     return n
 
 
-def _lines(path: str):
-    """Yield the lines of an ascii file as ``str.splitlines`` cuts its whole
-    text, decoding ``_READ_BLOCK`` characters at a time.
+def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarray, list[str]]:
+    """(values, per-row object ids) of a table file, read in one pass.
+
+    ``columns(header)`` applies a reader's header rule to the split header:
+    it gives the object id's field, the fields to parse and how many of
+    those ``_check_row`` parses first, or raises the header's
+    ``SchemaError``. With ``one_object`` every row must carry the first
+    row's object id. Blank lines are not rows.
+
+    The file is opened once. Rows are split and parsed ``_READ_CHUNK`` at a
+    time, and the first fault of each kind is kept while the read goes on
+    to the end of the file. A non-ascii byte is raised where it is found;
+    at the end the first of the others is raised in this order: a row of
+    the wrong width, the header, a second object id, a bad value. That is
+    the order of a reader that checks every row's width before it checks
+    the header or parses a value.
+    """
+    bad_width = bad_header = other_id = bad_value = None
+    values, ids, seen = np.empty(0), [], {}  # one str per distinct id
+    with open(path, "rb") as fh:
+        lines = _lines(fh, path)
+        header = next(lines, None)
+        if header is None:
+            raise SchemaError("empty file", 1)
+        header = header.split(",")
+        try:
+            id_col, picked, split = columns(header)
+        except SchemaError as exc:
+            bad_header = exc
+        numbered = ((lineno, line.split(",")) for lineno, line in enumerate(lines, start=2) if line)
+        while chunk := list(islice(numbered, _READ_CHUNK)):
+            if bad_width is None:
+                for lineno, parts in chunk:
+                    if len(parts) != len(header):
+                        bad_width = SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno)
+                        break
+            if bad_width or bad_header or other_id:
+                continue
+            linenos, rows = zip(*chunk)
+            chunk_ids = [seen.setdefault(parts[id_col], parts[id_col]) for parts in rows]
+            if one_object and len(seen) > 1:
+                first, other = list(seen)[:2]
+                other_id = SchemaError(f"object_id {other!r} differs from {first!r}; "
+                                       "a label file holds one object", linenos[chunk_ids.index(other)])
+            if other_id or bad_value:
+                continue
+            try:
+                parsed = _parse_rows(rows, linenos, picked, split)
+            except SchemaError as exc:
+                bad_value = exc
+                continue
+            # grown in place (a realloc), so a read never holds two copies
+            start = values.size
+            values.resize(start + parsed.size, refcheck=False)
+            values[start:] = parsed.ravel()
+            ids.extend(chunk_ids)
+    fault = bad_width or bad_header or other_id or bad_value
+    if fault:
+        raise fault
+    return values.reshape(-1, len(picked)), ids
+
+
+def _lines(fh, path: str):
+    """Yield the lines of a binary file as ``str.splitlines`` cuts its whole
+    ascii text, reading ``_READ_BLOCK`` bytes at a time.
 
     Raises:
         SchemaError: a byte is not ascii; names the file, the byte and its
             line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        tail = ""
-        while block := _read_block(fh, path):
-            lines = (tail + block).splitlines()
-            # the block's last line may go on in the next block
-            tail = "" if block[-1] in _LINE_BREAKS else lines.pop()
-            yield from lines
-        if tail:
-            yield tail
-
-
-def _read_block(fh, path: str) -> str:
-    try:
-        return fh.read(_READ_BLOCK)
-    except UnicodeDecodeError:
-        raise _not_ascii(path) from None
-
-
-def _not_ascii(path: str) -> SchemaError:
-    """The error for the first non-ascii byte of a file, on the line
-    ``_lines`` gives it.
-
-    Text mode reads CR LF and a lone CR as one LF, so the line breaks
-    before the bad byte are its break characters less its CR LF pairs,
-    counted ``_READ_BLOCK`` bytes at a time.
-    """
-    breaks, last = 0, b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_READ_BLOCK):
+    tail, done = "", 0
+    while block := fh.read(_READ_BLOCK):
+        if not block.isascii():
             found = _NOT_ASCII.search(block)
-            head = block[:found.start()] if found else block
-            breaks += sum(head.count(c.encode()) for c in _LINE_BREAKS) - head.count(b"\r\n")
-            breaks -= last == b"\r" and head.startswith(b"\n")
-            if found:
-                return SchemaError(f"byte {found[0][0]:#04x} in {path} is not ascii", breaks + 1)
-            last = block[-1:]
-    return SchemaError(f"{path} is not ascii", breaks + 1)
-
-
-def _scan(path: str) -> tuple[list[str], int]:
-    """(header, row count) of a file, once every row has the header's width.
-
-    The first row of the wrong width is reported only after the whole file
-    has been decoded, so a decoding error anywhere comes first, as when the
-    file was read at once. Blank lines are not rows.
-    """
-    lines = _lines(path)
-    header = next(lines, None)
-    if header is None:
-        raise SchemaError("empty file", 1)
-    header = header.split(",")
-    commas = len(header) - 1
-    n, bad_width = 0, None
-    for lineno, line in enumerate(lines, start=2):
-        if line:
-            n += 1
-            if bad_width is None and line.count(",") != commas:
-                bad_width = SchemaError(f"expected {commas + 1} fields, got {line.count(',') + 1}", lineno)
-    if bad_width is not None:
-        raise bad_width
-    return header, n
-
-
-def _row_chunks(path: str):
-    """Yield (rows split at commas, line numbers) of a file's rows, in
-    chunks of ``_READ_CHUNK``."""
-    lines = _lines(path)
-    next(lines, None)  # the header
-    rows, linenos = [], []
-    for lineno, line in enumerate(lines, start=2):
-        if line:
-            rows.append(line.split(","))
-            linenos.append(lineno)
-            if len(rows) == _READ_CHUNK:
-                yield rows, linenos
-                rows, linenos = [], []
-    if rows:
-        yield rows, linenos
+            # the lines before the byte, and the one it is on
+            head = (tail + block[:found.start()].decode("ascii") + "?").splitlines()
+            raise SchemaError(f"byte {found[0][0]:#04x} in {path} is not ascii", done + len(head))
+        text = tail + block.decode("ascii")
+        lines = text.splitlines()
+        # The last line may go on in the next block. A CR that ends the
+        # block stays with it, as the next block may open with the LF of a
+        # CR LF pair.
+        if text[-1] == "\r":
+            tail = lines.pop() + "\r"
+        elif text[-1] in _LINE_BREAKS:
+            tail = ""
+        else:
+            tail = lines.pop()
+        done += len(lines)
+        yield from lines
+    yield from tail.splitlines()
 
 
 def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) -> np.ndarray:

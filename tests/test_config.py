@@ -104,6 +104,17 @@ def test_bad_values_rejected(tmp_path, line, key):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"score_thresholds": ()}, "score_thresholds"),
+    ({"lambda_t": 0.9}, "weights must sum to 1"),
+    ({"depth_levels": ()}, "depth levels"),
+    ({"friction_bins": (0.4, 0.2)}, "strictly increasing"),
+])
+def test_config_checks_itself_when_built(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**overrides)
+
+
 def test_boundary_values_accepted(tmp_path):
     path = tmp_path / "pipeline.cfg"
     path.write_text("score_thresholds = 0.0, 1.0\nwidth_clearance = 0\nnms_trans_thresh = 0\n"

@@ -108,9 +108,9 @@ def test_label_file_holds_one_object(tmp_path):
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^line 1: empty file$"):
         read_labels(str(path))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^line 1: empty file$"):
         read_predictions(str(path))
 
 
@@ -514,23 +514,23 @@ def _read_any(path, kind):
     return table.values.tobytes(), ids
 
 
-_SIZES = [(1, 1), (2, 3), (7, 2), (64, 5)]  # (_READ_BLOCK characters, _READ_CHUNK rows)
+_SIZES = [(1, 1), (2, 3), (7, 2), (64, 5)]  # (_READ_BLOCK bytes, _READ_CHUNK rows)
 
 
 @pytest.mark.parametrize("kind", ["labels", "predictions"])
 def test_read_is_the_same_in_any_block_and_chunk_size(tmp_path, kind):
     """Mixed line breaks, blank lines and a last line without a break, read
     a few characters and rows at a time, give what one read gives."""
-    path = _fault_file(tmp_path, kind, {}, n=9)
+    path = _fault_file(tmp_path, kind, {}, n=10)
     lines = open(path).read().splitlines()
-    breaks = ["\n", "\r\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\x1c", "\x1d"]
+    breaks = ["\n", "\r\n", "\r\n\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\x1c", "\x1d"]
     text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
     variants = {"mixed": text, "no_last_break": text.rstrip("\r\n\x0b\x0c\x1c\x1d\x1e")}
     for name, body in variants.items():
         with open(path, "w", newline="") as fh:
             fh.write(body)
         want = _read_any(path, kind)
-        assert len(want) == 2 and len(want[1]) == (1 if kind == "labels" else 9)
+        assert len(want) == 2 and len(want[1]) == (1 if kind == "labels" else 10)
         for block, chunk in _SIZES:
             with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
                 assert _read_any(path, kind) == want, (name, block, chunk)
@@ -571,14 +571,51 @@ def test_decoding_error_outranks_an_earlier_short_row(tmp_path, kind):
             assert err.value.line == 62 and path in str(err.value)
 
 
+@pytest.mark.parametrize("kind, header_fault", [
+    ("labels", ("s_hybrid", "s_hybrd", "expected label header")),
+    ("predictions", (",tz,", ",tzz,", "missing column(s): tz")),
+])
+def test_short_row_outranks_a_wrong_header(tmp_path, kind, header_fault):
+    old, new, message = header_fault
+    width = len(LABEL_COLUMNS if kind == "labels" else PREDICTION_COLUMNS)
+    for faults, want in (({}, message), ({5: "short_row"}, f"expected {width} fields, got {width - 1}")):
+        path = _fault_file(tmp_path, kind, faults)
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, new, 1))
+        error = _read_any(path, kind)
+        assert error[0] is SchemaError and want in error[1], faults
+        assert error[2] == (5 if faults else 1)
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("fault", [None, "non_ascii", "short_row"])
+def test_a_read_opens_its_file_once(tmp_path, kind, fault):
+    path = _fault_file(tmp_path, kind, {5: "short_row"} if fault == "short_row" else {})
+    if fault == "non_ascii":
+        with open(path, "ab") as fh:
+            fh.write(b"caf\xc3\xa9\n")
+    opened = []
+    real_open = open
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    with mock.patch("builtins.open", counting_open):
+        result = _read_any(path, kind)
+    assert (len(result) == 2) == (fault is None)
+    assert opened == [path]
+
+
 @pytest.mark.parametrize("kind", ["labels", "predictions"])
 def test_non_ascii_byte_is_named_on_its_line_in_any_block_size(tmp_path, kind):
     """A non-ascii byte in a field is reported on the line where the same
     field holding an unparseable ascii value is, whatever the line breaks
     and wherever the blocks cut the file (through a CR LF pair too)."""
-    path = _fault_file(tmp_path, kind, {}, n=9)
+    path = _fault_file(tmp_path, kind, {}, n=10)
     lines = open(path).read().splitlines()
-    breaks = ["\r\n", "\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\r\r\n", "\x1d"]
+    breaks = ["\r\n", "\r\n\n", "\n", "\r", "\x0c", "\n\n", "\x1e", "\r\n\r\n", "\x0b", "\r\r\n", "\x1d"]
     column = lines[0].split(",").index("ty")
     for row in (1, 5, 9):
         for value, byte in (("zap", None), ("z\u00e9p", "0xc3"), ("\u2019", "0xe2")):
