@@ -130,11 +130,11 @@ def ray_mesh_first_hit(
       order of their centroids, each level puts ``_TREE_FANOUT``
       consecutive nodes under one box, padded by ``pad`` beyond their
       boxes, up to a top level of at most ``_TREE_TOP`` nodes.
-    * Every line tests the top level's boxes, projected onto its plane.
-      Each kept (line, node) pair then tests the node's children, whose
-      boxes are projected once per (direction group, node), down to the
-      faces. A line keeps a node when its point lies in the node's 2D box
-      padded by three ``pad``.
+    * Every line starts at the tree's root, whose children are the top
+      level (:func:`_descend`). Each kept (line, node) pair tests the
+      node's children, whose boxes are projected once per (direction
+      group, node), down to the faces. A line keeps a node when its point
+      lies in the node's 2D box padded by three ``pad``.
     * A kept (line, face) pair then takes the exact leaf test
       (:func:`_near_triangles`): the line's float64 point must lie in the
       face's triangle, projected onto the line's plane, with each edge
@@ -203,30 +203,22 @@ def ray_mesh_first_hit(
     # A line's rays project up to two pads from its first ray's point (inf past float32: no box).
     with np.errstate(over="ignore"):
         planes = _Planes(axes, np.abs(axes), line_group, line_point.astype(np.float32), 3.0 * pad)
-    # The top level's boxes as (3, n) columns, node j in column j.
-    top_mid, top_half = (b.transpose(1, 0, 2).reshape(3, -1) for b in tree[-1])
-    rows = max(1, _PROJECTED_CHUNK // top_mid.shape[1])
-    for start in range(0, len(line_group), rows):
-        lines = np.arange(start, min(start + rows, len(line_group)))
-        # Lines are sorted by group, so a chunk's groups are one range.
-        first = line_group[start]
-        boxes = _projected_boxes(top_mid, top_half, planes, slice(first, line_group[lines[-1]] + 1))
-        node, i = _points_in_boxes(planes, lines, boxes, line_group[lines] - first)
-        for line, leaf in _descend(tree, len(tree) - 1, lines[i], node, planes):
-            keep = _near_triangles(np.take(corners, leaf, axis=2), np.take(axes_t, line_group[line], axis=2),
-                                   np.take(line_point, line, axis=1), planes.pad)
-            line, leaf = line[keep], leaf[keep]
-            # Every ray of a kept (line, face) pair goes to the narrow phase.
-            n = starts[line + 1] - starts[line]
-            ray = rays[np.repeat(starts[line] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            face = np.repeat(leaf_faces[leaf], n)
-            for c in range(0, len(ray), _PROJECTED_CHUNK):
-                r, f = ray[c:c + _PROJECTED_CHUNK], face[c:c + _PROJECTED_CHUNK]
-                # np.take gathers rows several times faster than indexing.
-                ray_rows = (np.take(a, r, axis=0) for a in (origins, directions))
-                face_rows = (np.take(a, f, axis=0) for a in (v0, e1, e2, det_floor))
-                t, u, v = _pair_hits(*ray_rows, *face_rows, np.take(t_lim, r))
-                _merge_hits(out, r, f, t, u, v)
+    lines = np.arange(len(line_group))
+    for line, leaf in _descend(tree, len(tree), lines, np.zeros_like(lines), planes):
+        keep = _near_triangles(np.take(corners, leaf, axis=2), np.take(axes_t, line_group[line], axis=2),
+                               np.take(line_point, line, axis=1), planes.pad)
+        line, leaf = line[keep], leaf[keep]
+        # Every ray of a kept (line, face) pair goes to the narrow phase.
+        n = starts[line + 1] - starts[line]
+        ray = rays[np.repeat(starts[line] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        face = np.repeat(leaf_faces[leaf], n)
+        for c in range(0, len(ray), _PROJECTED_CHUNK):
+            r, f = ray[c:c + _PROJECTED_CHUNK], face[c:c + _PROJECTED_CHUNK]
+            # np.take gathers rows several times faster than indexing.
+            ray_rows = (np.take(a, r, axis=0) for a in (origins, directions))
+            face_rows = (np.take(a, f, axis=0) for a in (v0, e1, e2, det_floor))
+            t, u, v = _pair_hits(*ray_rows, *face_rows, np.take(t_lim, r))
+            _merge_hits(out, r, f, t, u, v)
     return out
 
 
@@ -238,14 +230,16 @@ def _box_tree(centroids: np.ndarray, lo: np.ndarray, hi: np.ndarray, pad: float)
     of their centroids (10 bits per axis over the mesh box). Each level
     above puts ``_TREE_FANOUT`` consecutive nodes of the level below under
     one box: their bounding box padded by ``pad`` on every side. The first
-    level of at most ``_TREE_TOP`` nodes is the top.
+    level of at most ``_TREE_TOP`` nodes is the top, and its nodes are the
+    children of one root, node 0.
 
     Returns (leaf_faces, tree): the face index of each leaf, and per level,
     leaves first, the (mid, half) centres and half-extents of its boxes,
     each (m, 3, ``_TREE_FANOUT``): node j's box is column j % fanout of
     entry j // fanout, so the boxes of node j's children are entry j of the
-    level below. Columns past a level's last node hold NaN, which no point
-    lies inside.
+    level below. The top level is one (1, 3, n) entry, the root's children:
+    node j's box is its column j. Columns past a level's last node hold
+    NaN, which no point lies inside.
     """
     mesh_lo = lo.min(axis=0)
     extent = hi.max(axis=0) - mesh_lo
@@ -263,9 +257,10 @@ def _box_tree(centroids: np.ndarray, lo: np.ndarray, hi: np.ndarray, pad: float)
         filler = np.full((-len(lo) % _TREE_FANOUT, 3), np.nan)
         mid, half = (np.vstack([b, filler]).reshape(-1, _TREE_FANOUT, 3).transpose(0, 2, 1).copy()
                      for b in (0.5 * (lo + hi), 0.5 * (hi - lo)))
-        tree.append((mid, half))
         if len(lo) <= _TREE_TOP:
+            tree.append(tuple(b.transpose(1, 0, 2).reshape(1, 3, -1) for b in (mid, half)))
             return leaf_faces, tree
+        tree.append((mid, half))
         starts = np.arange(0, len(lo), _TREE_FANOUT)
         lo = np.minimum.reduceat(lo, starts, axis=0) - pad
         hi = np.maximum.reduceat(hi, starts, axis=0) + pad
@@ -379,16 +374,17 @@ def _descend(tree, level, lines, nodes, planes: _Planes):
     """Kept (line, leaf) pairs below the kept (line, node) pairs at ``level``.
 
     The pairs of one node must be adjacent, with their lines ascending, as
-    :func:`_points_in_boxes` leaves them. They go down one level at a time,
-    ``_PROJECTED_CHUNK // _TREE_FANOUT`` of them per step, so each step tests
-    at most ``_PROJECTED_CHUNK`` children. Yields (lines, leaves) arrays,
-    usually once.
+    :func:`_points_in_boxes` leaves them. Level ``len(tree)`` is the root
+    alone, so a cast starts with every line paired with node 0. Pairs go
+    down one level at a time, ``_PROJECTED_CHUNK`` // (children per node)
+    of them per step, so each step tests at most ``_PROJECTED_CHUNK``
+    children. Yields (lines, leaves) arrays, usually once.
     """
     if level == 0:
         yield lines, nodes
         return
     mid, half = tree[level - 1]
-    step = max(1, _PROJECTED_CHUNK // _TREE_FANOUT)
+    step = max(1, _PROJECTED_CHUNK // mid.shape[-1])
     for s in range(0, len(lines), step):
         line, node = lines[s:s + step], nodes[s:s + step]
         group = planes.group[line]
@@ -404,14 +400,14 @@ def _descend(tree, level, lines, nodes, planes: _Planes):
         yield from _descend(tree, level - 1, line[pair], node[pair] * _TREE_FANOUT + slot, planes)
 
 
-def _projected_boxes(mid: np.ndarray, half: np.ndarray, planes: _Planes, group) -> np.ndarray:
+def _projected_boxes(mid: np.ndarray, half: np.ndarray, planes: _Planes, group: np.ndarray) -> np.ndarray:
     """Padded 2D boxes of 3D boxes projected onto the planes of ``group``.
 
-    ``mid`` and ``half`` hold the centres and half-extents of n boxes as
-    columns, either (3, n) shared by the k planes ``group`` picks or
-    (k, 3, n). Returns (k, 4, n) float32 rows lo_x, hi_x, lo_y, hi_y, grown
-    by the cast's 2D padding. Rounding to float32 is monotone, so a point
-    inside a box stays inside once both are rounded.
+    ``mid`` and ``half`` are (k, 3, n): entry i holds the centres and
+    half-extents of n boxes as columns, to project onto the plane of group
+    ``group[i]``. Returns (k, 4, n) float32 rows lo_x, hi_x, lo_y, hi_y,
+    grown by the cast's 2D padding. Rounding to float32 is monotone, so a
+    point inside a box stays inside once both are rounded.
     """
     c = np.matmul(planes.axes[group], mid)
     h = np.matmul(planes.spans[group], half)

@@ -56,6 +56,9 @@ class GripperModel:
         """
         t = self.finger_thickness
         half_w, tip, h = width / 2.0, depth, t / 2.0
+        # Scalars skip the broadcast: gripper_collides makes one call per
+        # grasp, and broadcasting them slowed a 1,650-call evaluate_ap from
+        # 0.111 to 0.130 s (best of 9).
         batched = np.ndim(half_w) or np.ndim(tip)
         if batched:
             half_w, tip, h = np.broadcast_arrays(half_w, tip, h)

@@ -155,7 +155,7 @@ def write_labels(path: str, table: LabelTable) -> int:
 
     An empty table still produces the header line.
     """
-    return _write_table(path, LABEL_COLUMNS, table.object_id, table.values)
+    return _write_table(path, LABEL_COLUMNS, [table.object_id] * len(table), table.values)
 
 
 def read_labels(path: str) -> LabelTable:
@@ -219,16 +219,16 @@ def read_predictions(path: str) -> PredictionTable:
     return PredictionTable(values, tuple(ids))
 
 
-def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], values: np.ndarray) -> int:
+def _write_table(path: str, header: tuple[str, ...], ids: list[str], values: np.ndarray) -> int:
     """Write ``header`` and one row per ``values`` row, led by its object id.
 
-    ``ids`` is one id for every row or a list of per-row ids, already
-    checked. Rows go out in chunks of ``_WRITE_CHUNK``. Within a chunk,
-    each distinct float of a column (by bit pattern, so ``-0.0`` stays
-    apart from ``0.0``) is formatted once with ``repr``, and the column's
-    text is gathered by the ``np.unique`` inverse index. Formatting per
-    chunk bounds the text held at once; a column of repeated values, such
-    as a rotation entry, costs one ``repr`` per distinct value per chunk.
+    ``ids`` holds each row's id, already checked. Rows go out in chunks of
+    ``_WRITE_CHUNK``. Within a chunk, each distinct float of a column (by
+    bit pattern, so ``-0.0`` stays apart from ``0.0``) is formatted once
+    with ``repr``, and the column's text is gathered by the ``np.unique``
+    inverse index. Formatting per chunk bounds the text held at once; a
+    column of repeated values, such as a rotation entry, costs one ``repr``
+    per distinct value per chunk.
     """
     n, m = values.shape
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -236,7 +236,7 @@ def _write_table(path: str, header: tuple[str, ...], ids: str | list[str], value
         for start in range(0, n, _WRITE_CHUNK):
             chunk = values[start:start + _WRITE_CHUNK]
             cells = np.empty((len(chunk), m + 1), dtype=object)
-            cells[:, 0] = ids if isinstance(ids, str) else ids[start:start + _WRITE_CHUNK]
+            cells[:, 0] = ids[start:start + _WRITE_CHUNK]
             for j, column in enumerate(chunk.T, start=1):
                 distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
                 text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)

@@ -183,6 +183,18 @@ def test_eval_scene_without_instances(eval_setup):
     assert "ParseError" in res.stderr and "'instances'" in res.stderr
 
 
+def test_eval_scene_with_no_instances_above_the_table(eval_setup):
+    path, preds = eval_setup
+    (path / "empty.json").write_text('{"table_height": 10.0, "instances": []}\n')
+    res = _run("eval", "preds.csv", "--scene", "empty.json", "--meshes", "meshes",
+               "--out", "empty_report.json", cwd=path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((path / "empty_report.json").read_text())
+    want = evaluate_ap(preds, build_scene([], {}, table_height=10.0)).as_dict()
+    assert report == want
+    assert want["empty_after_filtering"] and want["n_filtered_collision"] == 2 and want["true_scores"] == []
+
+
 def test_eval_nan_translation_in_predictions(eval_setup):
     path, _ = eval_setup
     res = _run("scene", "--out", "s_nan.json", "--instance", "sph3:0,0,0",

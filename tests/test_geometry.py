@@ -112,12 +112,18 @@ def test_tree_edges(n_faces):
     _assert_same(origins, directions, mesh.vertices, faces, t_max)
 
 
-def test_ray_chunks(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_ray_chunks(monkeypatch, chunk):
     # A small pair budget splits the lines into many chunks and the
-    # descent and narrow phase into many steps.
-    monkeypatch.setattr(geometry, "_PROJECTED_CHUNK", 256)
+    # descent and narrow phase into many steps. Budgets of 1 and 7 are
+    # below the fanout and the 24-column top entry of both meshes, so every
+    # level, the root's included, steps one (line, node) pair at a time.
+    monkeypatch.setattr(geometry, "_PROJECTED_CHUNK", chunk)
     for name in ("l_prism", "icosphere3"):
         vertices, faces = _mesh_arrays(name, moved=True)
+        corners = vertices[faces]
+        top, _ = geometry._box_tree(corners.mean(axis=1), corners.min(axis=1), corners.max(axis=1), 1e-9)[1][-1]
+        assert top.shape == (1, 3, 24)
         origins, directions = _rays(vertices, seed=3, n=50)
         _assert_same(origins, directions, vertices, faces, np.inf)
         # Lines of many rays: each grasp line cast eight times over.

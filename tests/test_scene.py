@@ -701,6 +701,24 @@ def test_eval_below_table_filters_everything(sphere_world):
     assert report.n_filtered_collision == 3
 
 
+def test_eval_scene_without_instances_filters_everything():
+    # An empty cloud takes the general collision path, and with no survivor
+    # nothing is associated: a scene with no instances has none to pick.
+    layout = build_scene([], {}, table_height=10.0)
+    report = evaluate_ap(_scenes.perfect_predictions(), layout, _scenes.CLOSURE_ONLY)
+    assert report.as_dict() == {
+        "thresholds": [0.0, 0.1, 0.3, 0.5, 0.7, 0.9],
+        "ap_values": [0.0] * 6,
+        "map": 0.0,
+        "n_predictions": 50,
+        "n_filtered_nms": 0,
+        "n_filtered_collision": 50,
+        "n_evaluated": 0,
+        "empty_after_filtering": True,
+        "true_scores": [],
+    }
+
+
 def _below_table_mask(poses, table_height, gripper=GripperModel()):
     """``scene._below_table`` on the columns of a list of ``GraspPose``."""
     bodies = gripper.collision_body(np.array([p.width for p in poses]), np.array([p.depth for p in poses]))
