@@ -5,9 +5,9 @@ layout: both lead each row with the 14 pose columns that ``_PoseColumns``
 names.
 
 Files hold one record per line, comma separated, ascii, with a header
-naming every column. Floats are written in Python's shortest round-trip
-form, so a parsed file reproduces the original float64 values bit for
-bit.
+naming every column. Floats are written as ``repr`` writes them, in
+Python's shortest round-trip form, so a parsed file reproduces the
+original float64 values bit for bit.
 
 Label schema (24 columns)::
 
@@ -19,9 +19,11 @@ Prediction files use the same pose columns followed by a
 file (``s_hybrid`` doubles as the predicted score).
 
 Both kinds of file are handled as tables: an (n, k) float64 array plus
-object ids. The writer formats each distinct value of a column once and
-gathers the text by index. The readers open a file once and pass over it
-once, holding one block of bytes and one chunk of split rows at a time.
+object ids. The writer formats the distinct values of each column of a
+chunk with one orjson call, which gives ``repr``'s text, and gathers the
+column's text by index; formatting only distinct values bounds the text
+a write holds. The readers open a file once and pass over it once,
+holding one block of bytes and one chunk of split rows at a time.
 Each chunk's values are parsed with one numpy call and checked as arrays,
 and only the rows those checks flag go through the per-row check, whose
 ``SchemaError`` names the first bad line. A read keeps the first fault of
@@ -39,6 +41,7 @@ from itertools import islice
 from operator import itemgetter
 
 import numpy as np
+import orjson
 
 from .errors import SchemaError
 from .gripper import proper_rotations
@@ -224,25 +227,43 @@ def _write_table(path: str, header: tuple[str, ...], ids: list[str], values: np.
 
     ``ids`` holds each row's id, already checked. Rows go out in chunks of
     ``_WRITE_CHUNK``. Within a chunk, each distinct float of a column (by
-    bit pattern, so ``-0.0`` stays apart from ``0.0``) is formatted once
-    with ``repr``, and the column's text is gathered by the ``np.unique``
-    inverse index. Formatting per chunk bounds the text held at once; a
-    column of repeated values, such as a rotation entry, costs one ``repr``
-    per distinct value per chunk.
+    bit pattern, so ``-0.0`` stays apart from ``0.0``) is formatted once,
+    by ``_float_text``, and the column's text is gathered by the
+    ``np.unique`` inverse index; the rows are joined from the columns.
+    The dedup is kept for memory, not time: text for every cell of a chunk
+    would raise the traced peak of a write by about half, while a rotation
+    entry or a depth holds a few hundred distinct values or fewer.
     """
-    n, m = values.shape
+    n = len(values)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _WRITE_CHUNK):
-            chunk = values[start:start + _WRITE_CHUNK]
-            cells = np.empty((len(chunk), m + 1), dtype=object)
-            cells[:, 0] = ids[start:start + _WRITE_CHUNK]
-            for j, column in enumerate(chunk.T, start=1):
+            columns = []
+            for column in values[start:start + _WRITE_CHUNK].T:
                 distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-                cells[:, j] = text[inverse]
-            fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
+                text = np.array(_float_text(distinct.view(np.float64)), dtype=object)
+                columns.append(text[inverse].tolist())
+            fh.write("\n".join(map(",".join, zip(ids[start:start + _WRITE_CHUNK], *columns))))
+            fh.write("\n")  # not appended to the chunk's text, which would copy it
     return n
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of a contiguous 1-D float64 array.
+
+    One orjson call formats the array. orjson prints the same shortest
+    round-trip digits as ``repr``, and the same text for both zeros and for
+    1e-4 <= |x| < 1e16; outside that range it differs in form (``0.00001``
+    for ``1e-05``, ``1e16`` for ``1e+16``, ``null`` for nan and inf), so
+    those values go through ``repr``.
+    """
+    if not len(values):
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    magnitude = np.abs(values)
+    for i in np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16) | (values == 0))).tolist():
+        text[i] = repr(float(values[i]))
+    return text
 
 
 def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarray, list[str]]:

@@ -17,6 +17,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -24,7 +25,9 @@ import pytest
 import graspscore
 
 MODULES = sorted(pathlib.Path(graspscore.__file__).parent.glob("*.py"))
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _annotations(tree: ast.AST):
@@ -145,6 +148,23 @@ def test_labels_does_not_import_scene_pipeline_or_cli():
             names = {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
             found += sorted(names & above)
     assert found == []
+
+
+def test_third_party_imports_are_declared_dependencies():
+    """The top-level modules the package imports, less the standard
+    library, are exactly the ``dependencies`` of ``pyproject.toml``."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    with open(PYPROJECT, "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_") for req in requirements}
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def _load_spans():

@@ -294,6 +294,84 @@ def test_writer_matches_per_row_reference_past_one_chunk(tmp_path):
     assert path.read_text() == _per_row_text(PREDICTION_COLUMNS, ids, values[:, :15])
 
 
+# --- the orjson formatter against repr ---
+
+def _assert_formats_as_repr(values):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    got = labels._float_text(values)
+    want = [repr(v) for v in values.tolist()]
+    assert len(got) == len(want)
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not wrong, f"{len(wrong)} of {len(want)} differ from repr (repr, got): {wrong[:5]}"
+
+
+def _ulps_around(x, k=64):
+    """``x`` and the ``k`` floats either side of it, with their negatives."""
+    steps = [x]
+    for toward in (0.0, math.inf):
+        y = x
+        for _ in range(k):
+            y = np.nextafter(y, toward)
+            steps.append(y)
+    steps = np.array(steps)
+    return np.concatenate([steps, -steps])
+
+
+def test_float_text_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(61).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    _assert_formats_as_repr(values[np.isfinite(values)])
+
+
+def test_float_text_matches_repr_on_unit_interval():
+    _assert_formats_as_repr(np.random.default_rng(62).random(1_000_000))
+
+
+@pytest.mark.parametrize("edge", [1e-4, 1e16])
+def test_float_text_matches_repr_at_the_notation_switch(edge):
+    _assert_formats_as_repr(_ulps_around(edge))
+
+
+def test_float_text_matches_repr_on_special_values():
+    tiny = np.finfo(np.float64).smallest_normal
+    subnormals = np.random.default_rng(63).integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64)
+    _assert_formats_as_repr(np.concatenate([
+        subnormals, -subnormals, _ulps_around(5e-324, 8), _ulps_around(tiny, 8),
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+    ]))
+    assert labels._float_text(np.empty(0)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), max_size=20))
+def test_float_text_matches_repr(values):
+    _assert_formats_as_repr(np.array(values, dtype=np.float64))
+
+
+def _write_peak(path, values):
+    tracemalloc.start()
+    try:
+        write_labels(path, LabelTable("obj", values))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_formats_each_distinct_value_once(tmp_path):
+    """The per-chunk dedup bounds the text a write holds: with pose
+    columns of few distinct values the peak is well below that of a table
+    whose every value is distinct. A writer that formats every cell peaks
+    about the same on both."""
+    rng = np.random.default_rng(64)
+    n = 2 * labels._WRITE_CHUNK
+    distinct = rng.random((n, 23))
+    repeated = distinct.copy()
+    repeated[:, :14] = rng.choice(rng.random(300), size=(n, 14))
+    low = _write_peak(str(tmp_path / "repeated.csv"), repeated)
+    high = _write_peak(str(tmp_path / "distinct.csv"), distinct)
+    assert low < 0.8 * high, (low, high)
+
+
 # --- the batched reader against the per-row reader it replaced ---
 
 def _old_rows(path):
