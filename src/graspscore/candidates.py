@@ -14,9 +14,12 @@ from typing import Iterator
 import numpy as np
 
 from . import geometry
+from .config import PipelineConfig
 from .gripper import ContactArrays, GripperModel, contacts_on_lines
 from .mesh import TriangleMesh
 
+# The source of the grid's and the clearance's defaults.
+_DEFAULTS = PipelineConfig()
 _GOLDEN_INCREMENT = np.pi * (3.0 - np.sqrt(5.0))
 
 # Grasp lines per contact ray cast in candidate_arrays: whole seeds share
@@ -71,7 +74,6 @@ class CandidateGrid:
     """The enumeration grid: seeds x views x in-plane rotations x depths."""
 
     seed_points: np.ndarray
-    seed_normals: np.ndarray
     views: np.ndarray
     rotations: np.ndarray
     depths: np.ndarray
@@ -90,10 +92,10 @@ class CandidateGrid:
     def build(
         cls,
         mesh: TriangleMesh,
-        n_seeds: int = 256,
-        n_views: int = 300,
-        n_rotations: int = 12,
-        depths: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04),
+        n_seeds: int = _DEFAULTS.n_seeds,
+        n_views: int = _DEFAULTS.n_views,
+        n_rotations: int = _DEFAULTS.n_rotations,
+        depths: tuple[float, ...] = _DEFAULTS.depth_levels,
     ) -> "CandidateGrid":
         """Standard grid over a mesh that carries surface samples."""
         if mesh.surface_points is None:
@@ -103,7 +105,6 @@ class CandidateGrid:
         angles = np.pi * np.arange(n_rotations) / n_rotations
         return cls(
             seed_points=mesh.surface_points[idx],
-            seed_normals=mesh.surface_normals[idx],
             views=generate_views(n_views),
             rotations=angles,
             depths=np.asarray(depths, dtype=float),
@@ -132,7 +133,7 @@ def candidate_arrays(
     mesh: TriangleMesh,
     grid: CandidateGrid,
     gripper: GripperModel,
-    clearance: float = 0.01,
+    clearance: float = _DEFAULTS.width_clearance,
 ) -> CandidateArrays:
     """Resolve every grid cell and keep the valid ones as arrays.
 
@@ -188,7 +189,7 @@ class CandidateEnumerator:
     mesh: TriangleMesh
     grid: CandidateGrid
     gripper: GripperModel
-    clearance: float = 0.01
+    clearance: float = _DEFAULTS.width_clearance
     n_enumerated: int = field(default=0, init=False)
     n_skipped: int = field(default=0, init=False)
 

@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 # Every package error is an input error, and so is a MemoryError: an input
 # can ask for an array larger than any memory (numpy refuses it at once).
 _INPUT_ERRORS = (GraspScoreError, ValueError, OSError, MemoryError)
+# The configuration without a --config file, and the source of views --count.
+_DEFAULTS = PipelineConfig()
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -48,7 +50,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = load_config(args.config) if args.config else _DEFAULTS
     if args.weights:
         cfg = cfg.with_weights(MetricWeights.parse(args.weights))
     return cfg
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("views", help="print approach-view unit vectors")
-    p.add_argument("--count", type=int, default=300)
+    p.add_argument("--count", type=int, default=_DEFAULTS.n_views)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     return parser

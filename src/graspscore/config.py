@@ -2,9 +2,9 @@
 
 The config file is a flat, human-editable text file::
 
-    # gripper
-    max_width = 0.085
-    depth_levels = 0.01, 0.02, 0.03, 0.04
+    # a wider gripper that grasps at two depths
+    max_width = 0.1
+    depth_levels = 0.02, 0.04
 
 Blank lines and ``#`` comments are ignored. Unknown keys are rejected so
 typos fail loudly.
@@ -19,9 +19,9 @@ import numpy as np
 
 from .closure import DEFAULT_BINS, FrictionBins
 from .errors import ConfigError
-from .gripper import GripperModel
+from .gripper import DEFAULT_COLLISION_MARGIN, GripperModel
 from .mesh import DEFAULT_SURFACE_DENSITY
-from .metrics import MetricWeights
+from .metrics import DEFAULT_KNN_K, MetricWeights
 
 
 @dataclass(frozen=True)
@@ -32,29 +32,29 @@ class PipelineConfig:
     rotation threshold is in degrees (friendlier to edit than radians).
     """
 
-    # gripper
-    max_width: float = 0.085
-    finger_length: float = 0.06
-    finger_thickness: float = 0.01
-    depth_levels: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04)
-    # score weights
-    lambda_t: float = 0.7
-    lambda_f: float = 0.2
-    lambda_g: float = 0.05
-    lambda_c: float = 0.05
+    # gripper: the fields of GripperModel, by name and default
+    max_width: float = GripperModel.max_width
+    finger_length: float = GripperModel.finger_length
+    finger_thickness: float = GripperModel.finger_thickness
+    depth_levels: tuple[float, ...] = GripperModel.depth_levels
+    # score weights: the fields of MetricWeights, by name and default
+    lambda_t: float = MetricWeights.lambda_t
+    lambda_f: float = MetricWeights.lambda_f
+    lambda_g: float = MetricWeights.lambda_g
+    lambda_c: float = MetricWeights.lambda_c
     # candidate grid
     n_seeds: int = 256
     n_views: int = 300
     n_rotations: int = 12
     width_clearance: float = 0.01
     # scoring
-    knn_k: int = 10
+    knn_k: int = DEFAULT_KNN_K
     surface_density: float = DEFAULT_SURFACE_DENSITY
     friction_bins: tuple[float, ...] = DEFAULT_BINS
     # evaluation
     nms_trans_thresh: float = 0.03
     nms_rot_thresh_deg: float = 30.0
-    collision_margin: float = 0.001
+    collision_margin: float = DEFAULT_COLLISION_MARGIN
     score_thresholds: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 
     def __post_init__(self):
@@ -76,15 +76,10 @@ class PipelineConfig:
         self.gripper(), self.weights(), self.bins()  # each checks its own rules
 
     def gripper(self) -> GripperModel:
-        return GripperModel(
-            max_width=self.max_width,
-            finger_length=self.finger_length,
-            finger_thickness=self.finger_thickness,
-            depth_levels=self.depth_levels,
-        )
+        return GripperModel(**_shared_fields(self, GripperModel))
 
     def weights(self) -> MetricWeights:
-        return MetricWeights(self.lambda_t, self.lambda_f, self.lambda_g, self.lambda_c)
+        return MetricWeights(**_shared_fields(self, MetricWeights))
 
     def bins(self) -> FrictionBins:
         return FrictionBins(self.friction_bins)
@@ -94,13 +89,12 @@ class PipelineConfig:
         return float(np.deg2rad(self.nms_rot_thresh_deg))
 
     def with_weights(self, weights: MetricWeights) -> "PipelineConfig":
-        return replace(
-            self,
-            lambda_t=weights.lambda_t,
-            lambda_f=weights.lambda_f,
-            lambda_g=weights.lambda_g,
-            lambda_c=weights.lambda_c,
-        )
+        return replace(self, **_shared_fields(weights, MetricWeights))
+
+
+def _shared_fields(source, component) -> dict:
+    """The values in ``source`` of the fields of dataclass ``component``, by name."""
+    return {f.name: getattr(source, f.name) for f in fields(component)}
 
 
 def load_config(path: str) -> PipelineConfig:

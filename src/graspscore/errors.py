@@ -12,11 +12,11 @@ class ParseError(GraspScoreError):
 class SchemaError(GraspScoreError):
     """A label or prediction file violates the column schema.
 
-    Carries the 1-based line number of the offending row.
+    The message names the file and the 1-based ``line`` of the offending row.
     """
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path: str):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 

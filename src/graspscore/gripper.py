@@ -24,6 +24,9 @@ import numpy as np
 from . import geometry
 from .mesh import TriangleMesh
 
+# How far gripper_collides grows each collision box on every side, in meters.
+DEFAULT_COLLISION_MARGIN = 0.001
+
 
 @dataclass(frozen=True, eq=False)
 class GripperModel:
@@ -141,12 +144,9 @@ def contacts_on_lines(
     points = np.zeros_like(origins)
     points[hit] = origins[hit] + t[hit, None] * dirs[hit]
     normals = np.zeros_like(points)
-    if hit.any():
-        f = mesh.faces[face[hit]]
-        vn = mesh.vertex_normals[f]
-        w0 = (1.0 - bu[hit] - bv[hit])[:, None]
-        interp = w0 * vn[:, 0] + bu[hit][:, None] * vn[:, 1] + bv[hit][:, None] * vn[:, 2]
-        normals[hit] = geometry.unit_rows(interp)
+    vn = mesh.vertex_normals[mesh.faces[face[hit]]]
+    u, v = bu[hit][:, None], bv[hit][:, None]
+    normals[hit] = geometry.unit_rows((1.0 - u - v) * vn[:, 0] + u * vn[:, 1] + v * vn[:, 2])
     # Front-face requirement: the surface normal must oppose the march.
     front = hit & (np.einsum("ij,ij->i", normals, dirs) < 0.0)
 
@@ -170,7 +170,7 @@ def gripper_collides(
     width: float,
     depth: float,
     gripper: GripperModel,
-    margin: float = 0.001,
+    margin: float = DEFAULT_COLLISION_MARGIN,
 ) -> bool:
     """True when any scene point lies inside the inflated gripper body.
 

@@ -26,10 +26,10 @@ a write holds. The readers open a file once and pass over it once,
 holding one block of bytes and one chunk of split rows at a time.
 Each chunk's values are parsed with one numpy call and checked as arrays,
 and only the rows those checks flag go through the per-row check, whose
-``SchemaError`` names the first bad line. A read keeps the first fault of
-each kind and, at the end of the file, raises the highest ranked: a
-non-ascii byte, then a row of the wrong width, the header, a second
-object id in a label file, and a bad value.
+``SchemaError`` names the file and the first bad line. A read keeps the
+first fault of each kind and, at the end of the file, raises the highest
+ranked: a non-ascii byte, then a row of the wrong width, the header, a
+second object id in a label file, and a bad value.
 """
 
 from __future__ import annotations
@@ -169,13 +169,13 @@ def read_labels(path: str) -> LabelTable:
         SchemaError: an empty file, a byte that is not ascii, wrong column
             count, wrong header, a second object id, an unparseable or
             non-finite value, a rotation that is not proper orthonormal, or
-            a width or depth that is not positive; carries the 1-based line
-            number. When a file has several faults, the first of the
+            a width or depth that is not positive; names the file and the
+            1-based line. When a file has several faults, the first of the
             earliest kind in this list is raised.
     """
     def columns(header):
         if tuple(header) != LABEL_COLUMNS:
-            raise SchemaError(f"expected label header {','.join(LABEL_COLUMNS)}", 1)
+            raise SchemaError(f"expected label header {','.join(LABEL_COLUMNS)}", 1, path)
         return 0, range(1, len(LABEL_COLUMNS)), len(LABEL_COLUMNS) - 1
 
     values, ids = _read_table(path, columns, one_object=True)
@@ -201,21 +201,21 @@ def read_predictions(path: str) -> PredictionTable:
     Raises:
         SchemaError: an empty file, a byte that is not ascii, wrong column
             count, a missing column, or a bad value as ``read_labels``
-            rejects one; carries the 1-based line number. When a file has
-            several faults, the first of the earliest kind in this list is
-            raised.
+            rejects one; names the file and the 1-based line. When a file
+            has several faults, the first of the earliest kind in this list
+            is raised.
     """
     def columns(header):
         cols = {name: i for i, name in enumerate(header)}
         missing = [c for c in ("object_id",) + _POSE_COLUMNS if c not in cols]
         if missing:
-            raise SchemaError(f"missing column(s): {', '.join(missing)}", 1)
+            raise SchemaError(f"missing column(s): {', '.join(missing)}", 1, path)
         if "predicted_score" in cols:
             score_col = cols["predicted_score"]
         elif "s_hybrid" in cols:
             score_col = cols["s_hybrid"]
         else:
-            raise SchemaError("no predicted_score or s_hybrid column", 1)
+            raise SchemaError("no predicted_score or s_hybrid column", 1, path)
         return cols["object_id"], [cols[c] for c in _POSE_COLUMNS] + [score_col], len(_POSE_COLUMNS)
 
     values, ids = _read_table(path, columns)
@@ -289,7 +289,7 @@ def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarra
         lines = _lines(fh, path)
         header = next(lines, None)
         if header is None:
-            raise SchemaError("empty file", 1)
+            raise SchemaError("empty file", 1, path)
         header = header.split(",")
         try:
             id_col, picked, split = columns(header)
@@ -300,7 +300,7 @@ def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarra
             if bad_width is None:
                 for lineno, parts in chunk:
                     if len(parts) != len(header):
-                        bad_width = SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno)
+                        bad_width = SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno, path)
                         break
             if bad_width or bad_header or other_id:
                 continue
@@ -309,11 +309,11 @@ def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarra
             if one_object and len(seen) > 1:
                 first, other = list(seen)[:2]
                 other_id = SchemaError(f"object_id {other!r} differs from {first!r}; "
-                                       "a label file holds one object", linenos[chunk_ids.index(other)])
+                                       "a label file holds one object", linenos[chunk_ids.index(other)], path)
             if other_id or bad_value:
                 continue
             try:
-                parsed = _parse_rows(rows, linenos, picked, split)
+                parsed = _parse_rows(rows, linenos, picked, split, path)
             except SchemaError as exc:
                 bad_value = exc
                 continue
@@ -333,8 +333,7 @@ def _lines(fh, path: str):
     ascii text, reading ``_READ_BLOCK`` bytes at a time.
 
     Raises:
-        SchemaError: a byte is not ascii; names the file, the byte and its
-            line.
+        SchemaError: a byte is not ascii; names the byte and its line.
     """
     tail, done = "", 0
     while block := fh.read(_READ_BLOCK):
@@ -342,7 +341,7 @@ def _lines(fh, path: str):
             found = _NOT_ASCII.search(block)
             # the lines before the byte, and the one it is on
             head = (tail + block[:found.start()].decode("ascii") + "?").splitlines()
-            raise SchemaError(f"byte {found[0][0]:#04x} in {path} is not ascii", done + len(head))
+            raise SchemaError(f"byte {found[0][0]:#04x} is not ascii", done + len(head), path)
         text = tail + block.decode("ascii")
         lines = text.splitlines()
         # The last line may go on in the next block. A CR that ends the
@@ -359,7 +358,7 @@ def _lines(fh, path: str):
     yield from tail.splitlines()
 
 
-def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) -> np.ndarray:
+def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int, path: str) -> np.ndarray:
     """The (n, len(columns)) float64 values of grasp rows, checked.
 
     The first 14 of ``columns`` are the pose columns. Every value is parsed
@@ -372,10 +371,10 @@ def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int) 
         values = np.array(fields, dtype=np.float64).reshape(len(fields), len(columns))
     except ValueError:
         for row, lineno in zip(fields, linenos):
-            _check_row(row, lineno, split)
+            _check_row(row, lineno, split, path)
         raise
     for i in np.flatnonzero(_flagged_rows(values)).tolist():
-        _check_row(fields[i], linenos[i], split)
+        _check_row(fields[i], linenos[i], split, path)
     return values
 
 
@@ -391,14 +390,14 @@ def _flagged_rows(values: np.ndarray) -> np.ndarray:
     return ~ok
 
 
-def _check_row(fields: tuple[str, ...], lineno: int, split: int) -> None:
+def _check_row(fields: tuple[str, ...], lineno: int, split: int, path: str) -> None:
     """The per-row check of one grasp row; raises its ``SchemaError``.
 
     ``fields[:split]`` and ``fields[split:]`` are parsed in turn; then the
     rotation, the width and the depth are checked, in that order, and the
     first fault found is the one reported.
     """
-    vals = _floats(fields[:split], lineno) + _floats(fields[split:], lineno)
+    vals = _floats(fields[:split], lineno, path) + _floats(fields[split:], lineno, path)
     if not proper_rotations(np.array(vals[0:9]).reshape(3, 3)):
         fault = "rotation must be a proper orthonormal matrix"
     elif not vals[12] > 0:
@@ -407,15 +406,15 @@ def _check_row(fields: tuple[str, ...], lineno: int, split: int) -> None:
         fault = "depth must be positive"
     else:
         return
-    raise SchemaError(f"bad grasp pose: {fault}", lineno)
+    raise SchemaError(f"bad grasp pose: {fault}", lineno, path)
 
 
-def _floats(parts, lineno: int) -> list[float]:
+def _floats(parts, lineno: int, path: str) -> list[float]:
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise SchemaError(f"bad float: {exc}", lineno) from exc
+        raise SchemaError(f"bad float: {exc}", lineno, path) from exc
     bad = [p for p, x in zip(parts, values) if not math.isfinite(x)]
     if bad:
-        raise SchemaError(f"non-finite value {bad[0]!r}", lineno)
+        raise SchemaError(f"non-finite value {bad[0]!r}", lineno, path)
     return values

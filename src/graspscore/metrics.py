@@ -31,6 +31,8 @@ from .spatial import SpatialIndex
 
 # Score columns of a label row, in file order.
 SCORE_COLUMNS = ("s_t", "s_f1", "s_f2", "s_f", "s_g_raw", "s_g", "s_c_raw", "s_c", "s_hybrid")
+# Neighbors per contact in the flatness term's normal consistency.
+DEFAULT_KNN_K = 10
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def score_contacts(
     index: SpatialIndex,
     gravity_center: np.ndarray,
     bins: FrictionBins = FrictionBins(),
-    knn_k: int = 10,
+    knn_k: int = DEFAULT_KNN_K,
 ) -> tuple[np.ndarray, ...]:
     """Raw score columns (s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw) of valid contacts.
 

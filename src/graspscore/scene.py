@@ -30,7 +30,7 @@ from .spatial import SpatialIndex
 logger = logging.getLogger(__name__)
 
 TOP_K = 50
-# The source of grasp_nms's default thresholds.
+# The default configuration, and the source of grasp_nms's default thresholds.
 _DEFAULTS = PipelineConfig()
 
 # NMS broad phase (see grasp_nms). The embedding scales tau and rho carry a
@@ -469,7 +469,7 @@ def _ap_per_threshold(true_scores: np.ndarray, thresholds) -> np.ndarray:
 def evaluate_ap(
     predictions: PredictionTable,
     layout: SceneLayout,
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig = _DEFAULTS,
 ) -> EvalReport:
     """Score a prediction set against a scene.
 

@@ -77,7 +77,6 @@ def test_fps_full_count_is_permutation():
 def test_grid_build_layout(icosphere):
     grid = CandidateGrid.build(icosphere, n_seeds=10, n_views=7, n_rotations=5)
     assert grid.seed_points.shape == (10, 3)
-    assert grid.seed_normals.shape == (10, 3)
     assert grid.views.shape == (7, 3)
     assert np.allclose(grid.rotations, np.pi * np.arange(5) / 5)
     assert np.array_equal(grid.depths, [0.01, 0.02, 0.03, 0.04])

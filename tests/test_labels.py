@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -108,10 +109,26 @@ def test_label_file_holds_one_object(tmp_path):
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(SchemaError, match="^line 1: empty file$"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 1: empty file$"):
         read_labels(str(path))
-    with pytest.raises(SchemaError, match="^line 1: empty file$"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 1: empty file$"):
         read_predictions(str(path))
+
+
+@pytest.mark.parametrize("reader", [read_labels, read_predictions])
+def test_read_error_names_the_file(tmp_path, reader):
+    path = str(tmp_path / "named.csv")
+    write_labels(path, _random_table(np.random.default_rng(54), 3))
+    lines = open(path).read().splitlines()
+    parts = lines[2].split(",")
+    parts[5] = "zap"
+    lines[2] = ",".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: line 3: bad float")
+    assert err.value.line == 3
 
 
 def test_blank_lines_skipped(tmp_path):
@@ -384,19 +401,19 @@ def _old_rows(path):
             continue
         parts = line.split(",")
         if len(parts) != len(header):
-            raise SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno)
+            raise SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno, path)
         rows.append((lineno, parts))
     return rows
 
 
-def _old_floats(parts, lineno):
+def _old_floats(parts, lineno, path):
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise SchemaError(f"bad float: {exc}", lineno) from exc
+        raise SchemaError(f"bad float: {exc}", lineno, path) from exc
     bad = [p for p, x in zip(parts, values) if not math.isfinite(x)]
     if bad:
-        raise SchemaError(f"non-finite value {bad[0]!r}", lineno)
+        raise SchemaError(f"non-finite value {bad[0]!r}", lineno, path)
     return values
 
 
@@ -407,14 +424,14 @@ def _per_row_read(path, kind):
     all 23 values at once."""
     for lineno, parts in _old_rows(path):
         if kind == "labels":
-            vals = _old_floats(parts[1:], lineno)
+            vals = _old_floats(parts[1:], lineno, path)
         else:
-            vals = _old_floats(parts[1:15], lineno) + _old_floats([parts[15]], lineno)
+            vals = _old_floats(parts[1:15], lineno, path) + _old_floats([parts[15]], lineno, path)
         try:
             GraspPose(rotation=np.array(vals[0:9]).reshape(3, 3), translation=np.array(vals[9:12]),
                       width=vals[12], depth=vals[13])
         except ValueError as exc:
-            raise SchemaError(f"bad grasp pose: {exc}", lineno) from exc
+            raise SchemaError(f"bad grasp pose: {exc}", lineno, path) from exc
 
 
 def _rotation_fault(scale=1.0, flip=False):
@@ -644,9 +661,9 @@ def test_decoding_error_outranks_an_earlier_short_row(tmp_path, kind):
         fh.write(b"caf\xc3\xa9\n")
     for block, chunk in [(1 << 20, 4096), *_SIZES]:
         with mock.patch.object(labels, "_READ_BLOCK", block), mock.patch.object(labels, "_READ_CHUNK", chunk):
-            with pytest.raises(SchemaError, match="byte 0xc3 in .* is not ascii") as err:
+            with pytest.raises(SchemaError, match=f"^{re.escape(path)}: line 62: byte 0xc3 is not ascii$") as err:
                 (read_labels if kind == "labels" else read_predictions)(path)
-            assert err.value.line == 62 and path in str(err.value)
+            assert err.value.line == 62
 
 
 @pytest.mark.parametrize("kind, header_fault", [
@@ -711,7 +728,7 @@ def test_non_ascii_byte_is_named_on_its_line_in_any_block_size(tmp_path, kind):
                     assert error[0] is SchemaError and "bad float" in error[1] and want > row
                 else:
                     assert error[0] is SchemaError and error[2] == want, (row, block)
-                    assert f"byte {byte} in {path} is not ascii" in error[1]
+                    assert error[1] == f"{path}: line {want}: byte {byte} is not ascii"
 
 
 # A read that holds every row as split strings peaks near 176 MiB here.
