@@ -42,10 +42,13 @@ if __name__ == "__main__":
           f" closest pair {spread.min() * 100:.2f} cm apart")
 
     grid = CandidateGrid.build(mesh, n_seeds=16, n_views=24, n_rotations=4)
-    # One row per valid candidate: pose columns plus the resolved contacts.
-    candidates = candidate_arrays(mesh, grid, GripperModel())
-    print(f"grid of {grid.size} cells -> {candidates.n_skipped} skipped,"
-          f" {len(candidates.widths)} candidates")
+    # One row per valid candidate: pose columns plus the resolved contacts,
+    # one ray cast (here, one batch of whole seeds) at a time.
+    chunks = list(candidate_arrays(mesh, grid, GripperModel()))
+    n_valid = sum(len(chunk.widths) for chunk in chunks)
+    print(f"grid of {grid.size} cells -> {grid.size - n_valid} skipped,"
+          f" {n_valid} candidates in {len(chunks)} ray cast(s)")
+    candidates = chunks[0]
 
     contacts = candidates.contacts
     separation = np.linalg.norm(contacts.p_cr[0] - contacts.p_cl[0])

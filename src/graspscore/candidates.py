@@ -3,7 +3,7 @@
 Seeds come from farthest-point sampling of the densified surface, views
 from a Fibonacci spiral on the unit sphere. Each (seed, view, rotation,
 depth) cell becomes a pose whose approach axis points against the view;
-cells whose finger rays miss the object are skipped and counted.
+cells whose finger rays miss the object are skipped.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ class CandidateGrid:
 
 @dataclass(frozen=True, eq=False)
 class CandidateArrays:
-    """Valid candidates of a grid as parallel arrays, in enumeration order.
+    """Valid candidates of one ray cast as parallel arrays, in enumeration order.
 
     Row i is one grasp: ``rotations[i]`` (3, 3), ``translations[i]`` (3,),
     ``widths[i]``, ``depths[i]`` and ``contacts`` row i, whose fingertip
-    endpoints sit at the commanded width.
+    endpoints sit at the commanded width. The grid's cell count is ``CandidateGrid.size``.
     """
 
     rotations: np.ndarray
@@ -125,8 +125,6 @@ class CandidateArrays:
     widths: np.ndarray
     depths: np.ndarray
     contacts: ContactArrays
-    n_enumerated: int
-    n_skipped: int
 
 
 def candidate_arrays(
@@ -134,14 +132,15 @@ def candidate_arrays(
     grid: CandidateGrid,
     gripper: GripperModel,
     clearance: float = _DEFAULTS.width_clearance,
-) -> CandidateArrays:
-    """Resolve every grid cell and keep the valid ones as arrays.
+) -> Iterator[CandidateArrays]:
+    """Resolve every grid cell and yield the valid ones, one ray cast at a time.
 
     Cells are enumerated seed by seed, then view, in-plane rotation and
-    depth. Contacts are searched at the gripper's full opening; the width is
-    then set to the contact separation plus ``clearance``, clamped to the
-    maximum, and the fingertip endpoints follow that width. Cells whose rays
-    miss the mesh (or would start inside it) are skipped and counted.
+    depth; a cast covers whole seeds, so the casts' arrays, in turn, keep
+    that order. Contacts are searched at the gripper's full opening; the
+    width is then set to the contact separation plus ``clearance``, clamped
+    to the maximum, and the fingertip endpoints follow that width. Cells
+    whose rays miss the mesh (or would start inside it) are skipped.
     """
     vr_rots = geometry.frames_from_approaches(-grid.views, grid.rotations)
     rotations = np.repeat(vr_rots.reshape(-1, 3, 3), len(grid.depths), axis=0)
@@ -151,7 +150,6 @@ def candidate_arrays(
 
     # Several whole seeds per ray cast; rows stay seed-major.
     per_call = max(1, _LINES_PER_CALL // len(rotations))
-    per_chunk = []
     for start in range(0, len(grid.seed_points), per_call):
         seeds = grid.seed_points[start:start + per_call]
         centers = (seeds[:, None, :] + offsets).reshape(-1, 3)
@@ -161,17 +159,13 @@ def candidate_arrays(
         width = np.minimum(separation + clearance, gripper.max_width)
         half_jaw = (width / 2.0)[:, None] * lines[valid]
         cells = np.flatnonzero(valid) % len(rotations)
-        per_chunk.append((
+        yield CandidateArrays(
             rotations[cells],
             np.repeat(seeds, valid.reshape(len(seeds), -1).sum(axis=1), axis=0),
             width,
             depths[cells],
-            *found._replace(p_el=centers[valid] - half_jaw, p_er=centers[valid] + half_jaw),
-        ))
-    cell_rots, seeds, widths, cell_depths, *contacts = (np.concatenate(col) for col in zip(*per_chunk))
-    n_enumerated = len(rotations) * len(grid.seed_points)
-    return CandidateArrays(cell_rots, seeds, widths, cell_depths, ContactArrays(*contacts),
-                           n_enumerated, n_enumerated - len(widths))
+            found._replace(p_el=centers[valid] - half_jaw, p_er=centers[valid] + half_jaw),
+        )
 
 
 @dataclass(eq=False, repr=False)
@@ -180,7 +174,7 @@ class CandidateEnumerator:
 
     Each item is one row of :func:`candidate_arrays` as a plain tuple:
     rotation, translation, width, depth, then the ``ContactArrays`` fields.
-    ``n_enumerated`` and ``n_skipped`` are filled in once iteration starts.
+    ``n_enumerated`` is the grid's size; ``n_skipped`` is set when iteration ends.
     Nothing in the package iterates it; it stays only because the benchmark
     tracer (``perfbench/spans.py``) wraps ``__iter__`` by name, and goes once
     the tracer hooks ``candidate_arrays`` instead.
@@ -190,11 +184,12 @@ class CandidateEnumerator:
     grid: CandidateGrid
     gripper: GripperModel
     clearance: float = _DEFAULTS.width_clearance
-    n_enumerated: int = field(default=0, init=False)
     n_skipped: int = field(default=0, init=False)
+    n_enumerated = property(lambda self: self.grid.size)
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
-        batch = candidate_arrays(self.mesh, self.grid, self.gripper, self.clearance)
-        self.n_enumerated += batch.n_enumerated
-        self.n_skipped += batch.n_skipped
-        yield from zip(batch.rotations, batch.translations, batch.widths, batch.depths, *batch.contacts)
+        kept = 0
+        for batch in candidate_arrays(self.mesh, self.grid, self.gripper, self.clearance):
+            kept += len(batch.widths)
+            yield from zip(batch.rotations, batch.translations, batch.widths, batch.depths, *batch.contacts)
+        self.n_skipped = self.grid.size - kept

@@ -46,7 +46,23 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--unit-scale", type=float, default=1.0,
                         help="multiply mesh coordinates on load (default 1.0)")
-    parser.add_argument("--seed", type=int, default=0, help="surface sampling seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="surface sampling seed (>= 0)")
+
+
+def _seed(text: str) -> int:
+    """The --seed value; anything but a non-negative integer is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _output(path: str) -> str:
+    """An --out or --dump-ply path, refused at parse time if it is a directory or has none."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory" if os.path.isdir(path)
+                                         else f"no directory {directory!r} for {path!r}")
+    return path
 
 
 def _load_config(args) -> PipelineConfig:
@@ -62,21 +78,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="label one mesh with scored grasp candidates")
+    p.set_defaults(handler=cmd_label)
     p.add_argument("mesh", help="OBJ or PLY file")
     p.add_argument("--object-id", default=None, help="id stored per record (default: file stem)")
-    p.add_argument("--out", required=True, help="label file to write")
+    p.add_argument("--out", type=_output, required=True, help="label file to write")
     p.add_argument("--weights", default=None, help="lambda_t,lambda_f,lambda_g,lambda_c")
-    p.add_argument("--dump-ply", default=None,
+    p.add_argument("--dump-ply", type=_output, default=None,
                    help="also write grasp centers as a PLY cloud colored by hybrid score")
     _common_flags(p)
 
     p = sub.add_parser("rescore", help="recombine a label file under new weights")
+    p.set_defaults(handler=cmd_rescore)
     p.add_argument("labels", help="existing label file")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--weights", required=True, help="lambda_t,lambda_f,lambda_g,lambda_c")
 
     p = sub.add_parser("scene", help="compose a scene layout JSON")
-    p.add_argument("--out", required=True)
+    p.set_defaults(handler=cmd_scene)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--table-height", type=float, default=0.0)
     p.add_argument("--instance", action="append", default=[], metavar="ID:X,Y,Z[:YAW_DEG]",
                    help="posed instance; repeatable; yaw spins about world z")
@@ -84,16 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mesh directory; when given, instance ids are validated against it")
 
     p = sub.add_parser("eval", help="evaluate a prediction file against a scene")
+    p.set_defaults(handler=cmd_eval)
     p.add_argument("predictions", help="prediction or label file")
     p.add_argument("--scene", required=True, help="scene layout JSON")
     p.add_argument("--meshes", required=True, help="directory of <object_id>.obj/.ply meshes")
-    p.add_argument("--out", default=None, help="report JSON path (default: <predictions>.report.json)")
+    p.add_argument("--out", type=_output, help="report JSON path (default: <predictions>.report.json)")
     p.add_argument("--weights", default=None, help="lambda_t,lambda_f,lambda_g,lambda_c")
     _common_flags(p)
 
     p = sub.add_parser("views", help="print approach-view unit vectors")
+    p.set_defaults(handler=cmd_views)
     p.add_argument("--count", type=int, default=_DEFAULTS.n_views)
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    p.add_argument("--out", type=_output, help="write CSV here instead of stdout")
 
     return parser
 
@@ -103,14 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        handler = {
-            "label": cmd_label,
-            "rescore": cmd_rescore,
-            "scene": cmd_scene,
-            "eval": cmd_eval,
-            "views": cmd_views,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except _INPUT_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """End-to-end labeling: enumerate candidates on a mesh and score them.
 
-Candidates, contacts and scores stay parallel arrays from ray hit to the
-final weighted sum, and end as the columns of one label table. Every raw
-score is reduced within one candidate's row, so it does not depend on how
-many candidates are scored together.
+Each ray cast's candidates are scored as they land and only their label
+rows are kept. Every raw score is reduced within one candidate's row, so
+that gives the bytes of scoring the whole set at once; the min-max
+columns are then filled once, over the whole table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .candidates import CandidateGrid, candidate_arrays
 from .config import PipelineConfig
 from .labels import LabelTable, check_object_id
 from .mesh import TriangleMesh, mass_properties, with_surface_samples
-from .metrics import combine_scores, score_contacts
+from .metrics import score_contacts
 from .spatial import SpatialIndex
 
 logger = logging.getLogger(__name__)
@@ -28,10 +28,11 @@ class LabelSummary:
     """Counts and score histograms from one labeling run."""
 
     n_enumerated: int
-    n_skipped: int
     n_labeled: int
     closure_histogram: tuple[int, ...]
     hybrid_histogram: tuple[int, ...]
+
+    n_skipped = property(lambda self: self.n_enumerated - self.n_labeled)
 
 
 def label_mesh(
@@ -59,33 +60,21 @@ def label_mesh(
     gravity_center = mass_properties(mesh).gravity_center
     gripper = config.gripper()
 
-    grid = CandidateGrid.build(
-        mesh,
-        n_seeds=config.n_seeds,
-        n_views=config.n_views,
-        n_rotations=config.n_rotations,
-        depths=gripper.depth_levels,
-    )
-    batch = candidate_arrays(mesh, grid, gripper, config.width_clearance)
-    s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
-        batch.contacts, index, gravity_center, config.bins(), config.knn_k)
-    s_g, s_c, s_hybrid = combine_scores(s_t, s_f, s_g_raw, s_c_raw, config.weights())
-
-    table = LabelTable(object_id, np.column_stack([
-        batch.rotations.reshape(-1, 9), batch.translations, batch.widths, batch.depths,
-        s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw, s_c, s_hybrid,
-    ]))
-    summary = LabelSummary(
-        n_enumerated=batch.n_enumerated,
-        n_skipped=batch.n_skipped,
-        n_labeled=len(table),
-        closure_histogram=_histogram(s_t),
-        hybrid_histogram=_histogram(s_hybrid),
-    )
-    logger.info(
-        "labeled %s: %d candidates (%d cells skipped)",
-        object_id, summary.n_labeled, summary.n_skipped,
-    )
+    grid = CandidateGrid.build(mesh, n_seeds=config.n_seeds, n_views=config.n_views,
+                               n_rotations=config.n_rotations, depths=gripper.depth_levels)
+    blocks = []  # each cast's rows; s_g, s_c and s_hybrid are left to rescored
+    for batch in candidate_arrays(mesh, grid, gripper, config.width_clearance):
+        s_t, s_f1, s_f2, s_f, s_g_raw, s_c_raw = score_contacts(
+            batch.contacts, index, gravity_center, config.bins(), config.knn_k)
+        zero = np.zeros(len(s_t))
+        blocks.append(np.column_stack([batch.rotations.reshape(-1, 9), batch.translations, batch.widths,
+                                       batch.depths, s_t, s_f1, s_f2, s_f, s_g_raw, zero, s_c_raw, zero, zero]))
+    table = LabelTable(object_id, np.concatenate(blocks))
+    del blocks  # no row block outlives the concatenation
+    table = table.rescored(config.weights())
+    summary = LabelSummary(grid.size, len(table), _histogram(table.column("s_t")),
+                           _histogram(table.column("s_hybrid")))
+    logger.info("labeled %s: %d candidates (%d cells skipped)", object_id, summary.n_labeled, summary.n_skipped)
     return table, summary
 
 

@@ -11,9 +11,10 @@ from scipy.spatial import cKDTree
 
 import graspscore
 from graspscore import PredictionTable, geometry, scene, with_surface_samples
+from graspscore.candidates import CandidateArrays, candidate_arrays
 from graspscore.errors import UnknownObjectId
 from graspscore.geometry import transform_points, unit
-from graspscore.gripper import _gripper_frame, contacts_on_lines
+from graspscore.gripper import ContactArrays, _gripper_frame, contacts_on_lines
 from graspscore.primitives import (
     make_box,
     make_cylinder,
@@ -274,6 +275,17 @@ def one_line_contacts(mesh, pose):
     _, contacts, _ = contacts_on_lines(mesh, pose.center[None, :], pose.closing_axis[None, :],
                                        np.array([pose.width / 2.0]))
     return contacts
+
+
+def all_candidates(mesh, grid, gripper, *clearance) -> CandidateArrays:
+    """Every chunk ``candidate_arrays`` yields, joined into one, in order."""
+    chunks = list(candidate_arrays(mesh, grid, gripper, *clearance))
+
+    def joined(columns):
+        return [np.concatenate(column) for column in zip(*columns)]
+
+    contacts = ContactArrays(*joined(chunk.contacts for chunk in chunks))
+    return CandidateArrays(*joined((c.rotations, c.translations, c.widths, c.depths) for c in chunks), contacts)
 
 
 def pose_fields(pose):

@@ -39,11 +39,11 @@ from graspscore import (
     score_contacts,
     transform_mesh,
 )
-from graspscore.candidates import candidate_arrays, generate_views
+from graspscore.candidates import generate_views
 from graspscore.gripper import ContactArrays, contacts_on_lines
 
 import _scenes
-from conftest import GraspPose, random_rotation, run_cli
+from conftest import GraspPose, all_candidates, random_rotation, run_cli
 
 # Score column layout: (s_t, s_f1, s_f2, s_f, s_g_raw, s_g, s_c_raw,
 # s_c, s_hybrid).
@@ -106,7 +106,7 @@ def test_criterion_2_rigid_invariance(icosphere):
     config = PipelineConfig()
     gripper = config.gripper()
     grid = CandidateGrid.build(icosphere, n_seeds=6, n_views=8, n_rotations=2)
-    batch = candidate_arrays(icosphere, grid, gripper)
+    batch = all_candidates(icosphere, grid, gripper)
     rotations, translations, widths, depths = batch.rotations, batch.translations, batch.widths, batch.depths
 
     search_half = np.full(len(widths), gripper.max_width / 2.0)
@@ -229,7 +229,7 @@ def test_criterion_3_oracle_equivalence(desk_meshes, cube, icosphere, l_prism):
     for mesh in (cube, icosphere):
         grid = CandidateGrid.build(mesh, n_seeds=8, n_views=6, n_rotations=2)
         gc = mass_properties(mesh).gravity_center
-        contacts = ContactArrays(*(a[:75] for a in candidate_arrays(mesh, grid, gripper).contacts))
+        contacts = ContactArrays(*(a[:75] for a in all_candidates(mesh, grid, gripper).contacts))
         s_g_raw = score_contacts(contacts, SpatialIndex.from_mesh(mesh), gc)[4]
         gravity_dev = max(gravity_dev, *(abs(g - _dense_line_min(p_cl, p_cr, gc))
                                          for p_cl, p_cr, g in zip(contacts.p_cl, contacts.p_cr, s_g_raw)))

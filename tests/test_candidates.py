@@ -5,14 +5,13 @@ from graspscore import GripperModel
 from graspscore.candidates import (
     CandidateEnumerator,
     CandidateGrid,
-    candidate_arrays,
     farthest_point_sampling,
     generate_views,
 )
 from graspscore.geometry import frames_from_approaches
 from graspscore.primitives import make_plate
 
-from conftest import GraspPose, frame_from_approach, one_line_contacts
+from conftest import GraspPose, all_candidates, frame_from_approach, one_line_contacts
 
 
 def test_views_single_is_north_pole():
@@ -131,9 +130,9 @@ def test_enumerator_accounting(icosphere):
     assert stream.n_skipped == total - len(produced)
     assert 0 < len(produced) <= total
     # each item is one row of candidate_arrays, in order
-    batch = candidate_arrays(icosphere, grid, GripperModel())
+    batch = all_candidates(icosphere, grid, GripperModel())
     columns = (batch.rotations, batch.translations, batch.widths, batch.depths, *batch.contacts)
-    assert (batch.n_enumerated, batch.n_skipped) == (stream.n_enumerated, stream.n_skipped)
+    assert (grid.size, grid.size - len(batch.widths)) == (stream.n_enumerated, stream.n_skipped)
     for i, row in enumerate(produced):
         assert type(row) is tuple and len(row) == len(columns)
         assert all(np.array_equal(value, column[i]) for value, column in zip(row, columns))
@@ -143,7 +142,7 @@ def test_candidate_pose_contract(icosphere):
     gripper = GripperModel()
     grid = CandidateGrid.build(icosphere, n_seeds=6, n_views=8, n_rotations=2)
     seeds = {tuple(p) for p in grid.seed_points}
-    batch = candidate_arrays(icosphere, grid, gripper)
+    batch = all_candidates(icosphere, grid, gripper)
     contacts = batch.contacts
     assert len(batch.widths) > 0
     assert all(len(column) == len(batch.widths) for column in (batch.rotations, batch.translations,
@@ -162,7 +161,7 @@ def test_candidate_pose_contract(icosphere):
 
 def test_enumeration_deterministic(icosphere):
     grid = CandidateGrid.build(icosphere, n_seeds=5, n_views=6, n_rotations=2)
-    first, second = (candidate_arrays(icosphere, grid, GripperModel()) for _ in range(2))
+    first, second = (all_candidates(icosphere, grid, GripperModel()) for _ in range(2))
     assert len(first.widths) > 0
     for a, b in zip((first.rotations, first.translations, first.widths, first.depths, *first.contacts),
                     (second.rotations, second.translations, second.widths, second.depths, *second.contacts)):

@@ -593,3 +593,52 @@ def test_scene_with_meshes_loads_and_samples_nothing(eval_setup, monkeypatch, ca
     assert doc["table_height"] == -0.2
     assert [inst["object_id"] for inst in doc["instances"]] == ["sph3", "sph3"]
     assert doc["instances"][1]["translation"] == [0.3, 0.0, 0.0]
+
+
+def _refuse_inputs(monkeypatch):
+    """Make every reader of a config, mesh or table file, and labeling
+    itself, fail the test if called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("label_mesh", "load_config", "load_mesh", "read_labels", "read_predictions",
+                 "load_scene_instances"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["label", "cube.obj", "--out", "{missing}/x.csv"], "--out: no directory '{missing}' for '{missing}/x.csv'"),
+    (["label", "cube.obj", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+    (["label", "cube.obj", "--out", "{tmp}/x.csv", "--dump-ply", "{missing}/c.ply"],
+     "--dump-ply: no directory '{missing}' for '{missing}/c.ply'"),
+    (["label", "cube.obj", "--out", "{tmp}/x.csv", "--dump-ply", "{tmp}"], "--dump-ply: '{tmp}' is a directory"),
+    (["rescore", "labels.csv", "--out", "{missing}/r.csv", "--weights", "1,0,0,0"], "--out: no directory"),
+    (["eval", "p.csv", "--scene", "s.json", "--meshes", "m", "--out", "{missing}/r.json"], "--out: no directory"),
+    (["scene", "--out", "{missing}/s.json"], "--out: no directory"),
+    (["views", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+])
+def test_unusable_output_path_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, named):
+    _refuse_inputs(monkeypatch)
+    fill = {"tmp": str(tmp_path), "missing": str(tmp_path / "missing")}
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([arg.format(**fill) for arg in argv])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert f"error: argument {named.format(**fill)}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["label", "cube.obj", "--out", "x.csv"],
+                                     ["eval", "p.csv", "--scene", "s.json", "--meshes", "m"]])
+@pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+def test_bad_seed_is_a_usage_error_naming_flag_and_value(tmp_path, monkeypatch, capsys, command, seed):
+    _refuse_inputs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--seed", seed])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from graspscore import GripperModel, gripper_collides, labels, transform_mesh
-from graspscore.candidates import CandidateGrid, candidate_arrays
+from graspscore.candidates import CandidateGrid
 from graspscore.gripper import _gripper_frame, contacts_on_lines
 from graspscore.mesh import TriangleMesh
 from graspscore.primitives import make_box, make_icosphere
 
 from conftest import (
     GraspPose,
+    all_candidates,
     closest_on_triangle,
     collision_box_corners,
     one_line_contacts,
@@ -98,7 +99,7 @@ def test_contact_frame_invariants_on_candidates(icosphere):
     # a point within 1e-6 of a face lies in its bounding box grown by 1e-6
     lo = np.minimum(np.minimum(v0, v1), v2) - 1e-6
     hi = np.maximum(np.maximum(v0, v1), v2) + 1e-6
-    contacts = candidate_arrays(icosphere, grid, gripper).contacts
+    contacts = all_candidates(icosphere, grid, gripper).contacts
     assert len(contacts.p_cl) > 0
     assert (np.linalg.norm(contacts.p_cr - contacts.p_cl, axis=1) <= gripper.max_width + 1e-12).all()
     for v in (contacts.v_a, contacts.v_ql, contacts.v_qr):
