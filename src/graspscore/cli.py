@@ -57,7 +57,10 @@ def _seed(text: str) -> int:
 
 
 def _output(path: str) -> str:
-    """An --out or --dump-ply path, refused at parse time if it is a directory or has none."""
+    """An --out or --dump-ply path, refused at parse time if it is empty, is
+    a directory or has none."""
+    if not path:
+        raise argparse.ArgumentTypeError("an empty path names no file")
     directory = os.path.dirname(path) or os.curdir
     if os.path.isdir(path) or not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory" if os.path.isdir(path)

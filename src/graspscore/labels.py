@@ -23,10 +23,14 @@ object ids. The writer formats the distinct values of each column of a
 chunk with one orjson call, which gives ``repr``'s text, and gathers the
 column's text by index; formatting only distinct values bounds the text
 a write holds. The readers open a file once and pass over it once,
-holding one block of bytes and one chunk of split rows at a time.
-Each chunk's values are parsed with one numpy call and checked as arrays,
-and only the rows those checks flag go through the per-row check, whose
-``SchemaError`` names the file and the first bad line. A read keeps the
+holding one block of bytes and one chunk of rows at a time. When the
+object id leads each row, as in every file graspscore writes, a chunk's
+values are parsed with one orjson call and checked as arrays. A chunk
+that orjson might read otherwise than ``float()``, or that the checks
+flag, goes through the row reader: its rows are split, parsed with one
+numpy call and checked as arrays, and only the rows those checks flag go
+through the per-row check, whose ``SchemaError`` names the file and the
+first bad line. A read keeps the
 first fault of each kind and, at the end of the file, raises the highest
 ranked: a non-ascii byte, then a row of the wrong width, the header, a
 second object id in a label file, and a bad value.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -68,6 +72,9 @@ _NOT_ASCII = re.compile(rb"[\x80-\xff]")
 # Characters an object id may not hold: the field separator and the line
 # breaks.
 _ID_FORBIDDEN = _LINE_BREAKS | {","}
+# Characters of a JSON string or boolean, and the padding a JSON number may
+# carry: rows that hold one are parsed by the row reader (see _json_rows).
+_NOT_NUMBER = '"tf \t'
 
 
 def check_object_id(object_id: str) -> None:
@@ -275,8 +282,14 @@ def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarra
     ``SchemaError``. With ``one_object`` every row must carry the first
     row's object id. Blank lines are not rows.
 
-    The file is opened once. Rows are split and parsed ``_READ_CHUNK`` at a
-    time, and the first fault of each kind is kept while the read goes on
+    The file is opened once. Rows are parsed ``_READ_CHUNK`` at a time.
+    When the object id is a row's first field, a chunk's ids are cut off
+    with one ``str.partition`` per row and the rest parsed by one orjson
+    call (see ``_json_rows``). That parse is kept when the batched checks
+    flag no row and, in a label file, the chunk holds the file's one id;
+    any other chunk goes through the row reader, which splits its rows and
+    checks their width, ids and values. The first fault of each kind is
+    kept while the read goes on
     to the end of the file. A non-ascii byte is raised where it is found;
     at the end the first of the others is raised in this order: a row of
     the wrong width, the header, a second object id, a bad value. That is
@@ -295,28 +308,40 @@ def _read_table(path: str, columns, one_object: bool = False) -> tuple[np.ndarra
             id_col, picked, split = columns(header)
         except SchemaError as exc:
             bad_header = exc
-        numbered = ((lineno, line.split(",")) for lineno, line in enumerate(lines, start=2) if line)
+        numbered = filter(itemgetter(1), enumerate(lines, start=2))  # no blank lines
         while chunk := list(islice(numbered, _READ_CHUNK)):
-            if bad_width is None:
-                for lineno, parts in chunk:
-                    if len(parts) != len(header):
-                        bad_width = SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno, path)
-                        break
-            if bad_width or bad_header or other_id:
-                continue
-            linenos, rows = zip(*chunk)
-            chunk_ids = [seen.setdefault(parts[id_col], parts[id_col]) for parts in rows]
-            if one_object and len(seen) > 1:
-                first, other = list(seen)[:2]
-                other_id = SchemaError(f"object_id {other!r} differs from {first!r}; "
-                                       "a label file holds one object", linenos[chunk_ids.index(other)], path)
-            if other_id or bad_value:
-                continue
-            try:
-                parsed = _parse_rows(rows, linenos, picked, split, path)
-            except SchemaError as exc:
-                bad_value = exc
-                continue
+            linenos, texts = zip(*chunk)
+            parsed = None
+            if not (bad_width or bad_header or other_id or bad_value) and id_col == 0:
+                heads, _, rests = zip(*map(str.partition, texts, repeat(",")))
+                chunk_ids = list(map(seen.setdefault, heads, heads))
+                if not (one_object and len(seen) > 1):
+                    parsed = _json_rows(rests, len(header) - 1)
+                if parsed is not None:
+                    parsed = parsed[:, [field - 1 for field in picked]]
+                    if _flagged_rows(parsed).any():
+                        parsed = None
+            if parsed is None:
+                rows = [text.split(",") for text in texts]
+                if bad_width is None:
+                    for lineno, parts in zip(linenos, rows):
+                        if len(parts) != len(header):
+                            bad_width = SchemaError(f"expected {len(header)} fields, got {len(parts)}", lineno, path)
+                            break
+                if bad_width or bad_header or other_id:
+                    continue
+                chunk_ids = [seen.setdefault(parts[id_col], parts[id_col]) for parts in rows]
+                if one_object and len(seen) > 1:
+                    first, other = list(seen)[:2]
+                    other_id = SchemaError(f"object_id {other!r} differs from {first!r}; "
+                                           "a label file holds one object", linenos[chunk_ids.index(other)], path)
+                if other_id or bad_value:
+                    continue
+                try:
+                    parsed = _parse_rows(rows, linenos, picked, split, path)
+                except SchemaError as exc:
+                    bad_value = exc
+                    continue
             # grown in place (a realloc), so a read never holds two copies
             start = values.size
             values.resize(start + parsed.size, refcheck=False)
@@ -356,6 +381,34 @@ def _lines(fh, path: str):
         done += len(lines)
         yield from lines
     yield from tail.splitlines()
+
+
+def _json_rows(rests: tuple[str, ...], width: int) -> np.ndarray | None:
+    """The (n, width) float64 values of n rows of comma-separated fields,
+    parsed as one JSON array by one orjson call, or None where orjson might
+    read them otherwise than ``float()``.
+
+    orjson reads a JSON number as ``float()`` does, bit for bit, but a bare
+    ``-0`` as +0; the other spellings ``float()`` accepts (``nan``, ``inf``,
+    ``+1``, ``1.``, ``.5``, ``01``, ``1_0``) it rejects. So the rows give
+    None when orjson rejects them or they are not n rows of ``width``
+    numbers; when they hold a quote, a ``t`` or an ``f`` (a JSON string or
+    boolean, which numpy would take as a float) or padding; or when a row
+    that holds a zero has a ``-0`` field.
+    """
+    text = "[[" + "],[".join(rests) + "]]"
+    if any(char in text for char in _NOT_NUMBER):
+        return None
+    try:
+        values = np.array(orjson.loads(text), dtype=np.float64)
+    except (ValueError, TypeError):
+        return None
+    if values.shape != (len(rests), width):
+        return None
+    for i in np.flatnonzero((values == 0.0).any(axis=1)).tolist():
+        if "-0" in rests[i].split(","):
+            return None
+    return values
 
 
 def _parse_rows(rows: list[list[str]], linenos: list[int], columns, split: int, path: str) -> np.ndarray:

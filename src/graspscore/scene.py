@@ -6,6 +6,10 @@ deduplicated with pose NMS, colliding grasps are removed, the 50 highest
 predicted scores are kept, their true hybrid scores are recomputed from the
 geometry, and precision at every rank is averaged into AP per score
 threshold and mAP across thresholds.
+
+The collision filter decides every NMS survivor in one bulk pass that
+names a witness, a scene point inside its boxes, for each colliding one;
+``gripper.gripper_collides`` is the one-grasp rule it agrees with.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .config import PipelineConfig
 from .errors import ParseError, UnknownObjectId
-from .gripper import _gripper_frame, contacts_on_lines, gripper_collides, proper_rotations
+from .gripper import _gripper_frame, contacts_on_lines, proper_rotations
 from .labels import PredictionTable
 from .mesh import DEFAULT_SURFACE_DENSITY, TriangleMesh, mass_properties, with_surface_samples
 from .metrics import combine_scores, score_contacts
@@ -319,26 +323,26 @@ def _in_boxes(local: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return inside.any(axis=-2)
 
 
-def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
-                          bodies: np.ndarray, margin: float):
-    """Yield, per grasp, cloud indices of points inside its boxes, or None.
+def _collision_witnesses(cloud: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
+                         bodies: np.ndarray, margin: float) -> np.ndarray:
+    """Per grasp, the index of a cloud point inside its boxes, or -1 when none is.
 
     Grasp i has pose ``rotations[i]``, ``translations[i]`` and boxes
     ``bodies[i]`` (from ``collision_body``) grown by ``margin``. Points are
-    mapped by ``_gripper_frame`` and boxed as in ``gripper_collides``, so
-    each listed point is inside for it too, and a shortlist (sorted) is
-    empty exactly when no cloud point is inside. Each grasp's boxes are
-    covered by balls (see ``_ball_cover``). The points tried first are the
-    nearest to each ball's centre, one per ball, if within half the
-    chunk's smallest finite box side: a grasp that one of them lands inside
-    gets that one point as its shortlist. A grasp none of them settles gets
-    every point in its balls that is inside. ``None`` stands for the whole
-    cloud, for a body whose cover is not finite (a NaN margin, a width near
-    the float limit) or lies beyond ``_MAX_REACH`` of the cloud. The
+    mapped by ``_gripper_frame`` and boxed as in ``gripper_collides``, so a
+    witness is inside for it too, and a grasp is -1 exactly when no cloud
+    point is inside. Grasps go through ``_COLLISION_CHUNK`` at a time, each
+    one's boxes covered by balls (see ``_ball_cover``). The points tried
+    first are the nearest to each ball's centre, one per ball, if within
+    half the chunk's smallest finite box side: a grasp that one of them
+    lands inside has its witness. The grasps none of them settles test
+    every point in their balls, and take the lowest index inside. A body
+    whose cover is not finite (a NaN margin, a width near the float limit)
+    or lies beyond ``_MAX_REACH`` of the cloud tests the whole cloud. The
     nearest-point pre-test only saves work: the box test and the cover
-    decide. Each chunk of grasps splits one sorted array of (grasp, point)
-    keys.
+    decide.
     """
+    witness = np.full(len(rotations), -1, dtype=np.intp)
     tree = cKDTree(cloud)
     for start in range(0, len(rotations), _COLLISION_CHUNK):
         chunk = slice(start, start + _COLLISION_CHUNK)
@@ -360,22 +364,25 @@ def _collision_shortlists(cloud: np.ndarray, rotations: np.ndarray, translations
         grasp = owner[ball]
         hit = _in_boxes(_gripper_frame(cloud[near], rot[grasp], trans[grasp])[:, None], lo[grasp], hi[grasp])[:, 0]
         settled, first = np.unique(grasp[hit], return_index=True)
-        pending = usable.copy()
-        pending[settled] = False
+        witness[start + settled] = near[hit][first]
 
         # (grasp, point) keys of the open grasps' balls, sorted, no repeats
-        ball = pending[owner]
+        ball = (usable & (witness[chunk] < 0))[owner]
         found = tree.query_ball_point(world[ball], radius[ball])
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         points = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
         keys = np.unique(np.repeat(owner[ball], counts) * len(cloud) + points)
         grasp, points = np.divmod(keys, len(cloud))
         inside = _in_boxes(_gripper_frame(cloud[points], rot[grasp], trans[grasp])[:, None], lo[grasp], hi[grasp])
+        grasp, points = grasp[inside[:, 0]], points[inside[:, 0]]
+        opened, first = np.unique(grasp, return_index=True)
+        witness[start + opened] = points[first]
 
-        keys = np.sort(np.concatenate([settled * len(cloud) + near[hit][first], keys[inside[:, 0]]]))
-        grasp, points = np.divmod(keys, len(cloud))
-        for g, shortlist in enumerate(np.split(points, np.cumsum(np.bincount(grasp, minlength=n))[:-1])):
-            yield shortlist if usable[g] else None
+        for g in np.flatnonzero(~usable).tolist():
+            inside = np.flatnonzero(_in_boxes(_gripper_frame(cloud, rot[g], trans[g]), lo[g], hi[g]))
+            if len(inside):
+                witness[start + g] = inside[0]
+    return witness
 
 
 def _ball_cover(rotations: np.ndarray, translations: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -492,16 +499,15 @@ def evaluate_ap(
     and tests each only against the kept grasps near it in a 6-D pose
     embedding; any pair that could suppress lies within the embedding's
     radius, so that broad phase drops no suppressor. The collision filter
-    builds one KD-tree over the scene cloud and calls ``gripper_collides``
-    once per NMS survivor, on a shortlist of cloud points that its boxes
-    hold by ``gripper_collides``'s own arithmetic (see
-    ``_collision_shortlists``): the survivor collides iff its shortlist is
-    not empty. A colliding survivor's shortlist is most often one point,
-    the nearest to the centre of a ball covering its boxes; only the
-    survivors no such point settles query their whole ball cover. One
-    distance matrix associates the top survivors with instances (see
-    ``_associate``); each instance's survivors move into its frame with one
-    matmul and are scored as one batch.
+    builds one KD-tree over the scene cloud and decides every NMS survivor
+    in one pass (see ``_collision_witnesses``): a survivor collides iff
+    the pass finds it a witness, a cloud point that its boxes hold by
+    ``gripper_collides``'s own arithmetic. A colliding survivor's witness
+    is most often the point nearest the centre of a ball covering its
+    boxes; only the survivors no such point settles query their whole
+    ball cover. One distance matrix associates the top survivors with
+    instances (see ``_associate``); each instance's survivors move into
+    its frame with one matmul and are scored as one batch.
 
     Predictions are validated once, when read. After NMS every stage works
     on the survivors' rows of the table's columns and no pose is checked
@@ -518,12 +524,8 @@ def evaluate_ap(
     rotations, translations = predictions.rotations[kept], predictions.translations[kept]
     widths, depths = predictions.widths[kept], predictions.depths[kept]
     bodies = gripper.collision_body(widths, depths)
-    cloud = layout.scene_cloud
     clear = ~_below_table(rotations, translations, bodies, layout.table_height)
-    for g, shortlist in enumerate(_collision_shortlists(cloud, rotations, translations, bodies, margin)):
-        points = cloud if shortlist is None else cloud[shortlist]
-        if gripper_collides(points, rotations[g], translations[g], widths[g], depths[g], gripper, margin):
-            clear[g] = False
+    clear &= _collision_witnesses(layout.scene_cloud, rotations, translations, bodies, margin) < 0
     survivors = np.flatnonzero(clear)
     n_coll = len(kept) - len(survivors)
 

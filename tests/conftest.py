@@ -331,14 +331,16 @@ def associate_oracle(center, object_id, layout) -> int:
 
 
 def nearest_shortlists(cloud, rotations, translations, bodies, margin, nearest=32):
-    """Oracle of ``scene._collision_shortlists``: the generator it replaced.
+    """Oracle of ``scene._collision_witnesses``: the shortlist generator
+    whose pre-test tried the ``nearest`` points nearest each box centre.
 
     Same arguments and the same verdicts: per grasp, the sorted cloud
     indices inside its boxes among the ``nearest`` points nearest each box
     centre and, for a grasp none of those hits, among the points of its
     ball cover; None for a body whose cover is not finite or lies beyond
-    ``scene._MAX_REACH`` of the cloud. A shortlist may differ from the new
-    one in which inside points it holds, never in being empty or None.
+    ``scene._MAX_REACH`` of the cloud, which the whole cloud decides. A
+    grasp has a witness exactly when its shortlist is not empty, or is
+    None and some cloud point is inside.
     """
     if len(cloud) == 0:
         for _ in range(len(rotations)):

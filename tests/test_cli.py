@@ -616,6 +616,13 @@ def _refuse_inputs(monkeypatch):
     (["eval", "p.csv", "--scene", "s.json", "--meshes", "m", "--out", "{missing}/r.json"], "--out: no directory"),
     (["scene", "--out", "{missing}/s.json"], "--out: no directory"),
     (["views", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+    # an empty path, which eval once took for "not given"
+    (["label", "cube.obj", "--out", ""], "--out: an empty path names no file"),
+    (["label", "cube.obj", "--out", "{tmp}/x.csv", "--dump-ply", ""], "--dump-ply: an empty path names no file"),
+    (["rescore", "labels.csv", "--out", "", "--weights", "1,0,0,0"], "--out: an empty path names no file"),
+    (["eval", "p.csv", "--scene", "s.json", "--meshes", "m", "--out", ""], "--out: an empty path names no file"),
+    (["scene", "--out", ""], "--out: an empty path names no file"),
+    (["views", "--out", ""], "--out: an empty path names no file"),
 ])
 def test_unusable_output_path_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, named):
     _refuse_inputs(monkeypatch)

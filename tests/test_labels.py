@@ -749,3 +749,157 @@ def test_read_memory_is_bounded(tmp_path):
     assert np.array_equal(table.values, values)
     assert table.object_ids[:4] == (None, "a", "b", "c")
     assert peak < _READ_PEAK_BOUND
+
+
+# --- the orjson parse of each chunk against the row reader ---
+
+def _rows_only(path, kind):
+    """``_read_any`` with every chunk sent through the row reader, the
+    oracle of the orjson parse."""
+    with mock.patch.object(labels, "_json_rows", lambda rests, width: None):
+        return _read_any(path, kind)
+
+
+def _counted_json_rows():
+    """A stand-in for ``labels._json_rows`` that lists what each call gives."""
+    results = []
+    real = labels._json_rows
+
+    def counting(rests, width):
+        results.append(real(rests, width))
+        return results[-1]
+    return counting, results
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions", "labels_as_predictions"])
+def test_written_tables_are_parsed_one_orjson_call_per_chunk(tmp_path, kind):
+    values = _random_values(np.random.default_rng(56), 10)
+    values[0, 9], values[1, 14] = -0.0, 0.0  # written as -0.0 and 0.0, read back as they were
+    path = str(tmp_path / "table.csv")
+    if kind == "predictions":
+        values = values[:, :15]
+        write_predictions(path, PredictionTable(values, ["a", None, "b"] * 3 + ["a"]))
+    else:
+        write_labels(path, LabelTable("obj", values))
+    reader = read_labels if kind == "labels" else read_predictions
+    counting, results = _counted_json_rows()
+    with mock.patch.object(labels, "_READ_CHUNK", 4), mock.patch.object(labels, "_json_rows", counting), \
+            mock.patch.object(labels, "_parse_rows", None):
+        table = reader(path)
+    assert len(results) == 3 and all(r is not None for r in results)
+    want = values if kind != "labels_as_predictions" else values[:, [*range(14), 22]]
+    assert table.values.tobytes() == want.tobytes()
+    assert _read_any(path, kind.split("_")[-1]) == _rows_only(path, kind.split("_")[-1])
+
+
+# Every spelling float() reads that orjson reads otherwise or rejects, and
+# JSON texts that are not numbers, padded, past 2**53 and past 2**64.
+_SPELLINGS = [
+    "-0", " -0", "-0 ", "-0\t", "+1", "1.", ".5", "01", "1_0", "nan", "inf", "-inf", "NaN", "Infinity",
+    " 0.25", "0.25 ", "\t0.25", " 1e-3\t", "9007199254740993", "-9007199254740993", "18446744073709551617",
+    "123456789012345678901234567890", "1e400", "1e-400", "-1e-400", "-2e-324", "-2.4703282292062328e-324",
+    "2.4703282292062327e-324", "-0.0", "-0e0", "-0.0e0", "-0E-0", "-00", "1e-0", "1E+5", "0x1p3",
+    "true", "false", "null", '"1"', "[1]", "{}", "", " ",
+]
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("breaks", ["\n", "\r\n\r\n"])
+def test_orjson_parse_matches_the_row_reader_on_every_spelling(tmp_path, kind, breaks):
+    base = open(_fault_file(tmp_path, kind, {}, n=6)).read().splitlines()
+    header = base[0].split(",")
+    path = str(tmp_path / "spelled.csv")
+    for spelling in _SPELLINGS:
+        for column in ("tx", "width", header[-1], "s_t" if kind == "labels" else "tz"):
+            lines = list(base)
+            parts = lines[3].split(",")
+            parts[header.index(column)] = spelling
+            lines[3] = ",".join(parts)
+            with open(path, "w", newline="") as fh:
+                fh.write(breaks.join(lines) + breaks)
+            want = _rows_only(path, kind)
+            assert _read_any(path, kind) == want, (spelling, column)
+            if kind == "labels":  # s_t is not a column of a prediction
+                read_as = _read_any(path, "predictions"), _rows_only(path, "predictions")
+                assert read_as[0] == read_as[1], (spelling, column)
+
+
+def test_orjson_parse_matches_float_bit_for_bit():
+    rng = np.random.default_rng(57)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+        rng.uniform(-1.0, 1.0, 20000),
+        rng.normal(0.0, 1e-3, 5000),
+    ])
+    values = values[np.isfinite(values)]
+    texts = [str(k) for k in (2**53 + 1, -(2**53) - 1, 2**63 + 1, 2**64 + 1, 10**30 + 1)]
+    texts += [repr(x) for x in values.tolist()] + ["%.17g" % x for x in values.tolist()[:5000]]
+    texts += ["%.25e" % x for x in values.tolist()[:5000]] + ["%.20f" % x for x in values.tolist()[20000:25000]]
+    texts = texts[: len(texts) // 5 * 5]
+    rows = [",".join(texts[i:i + 5]) for i in range(0, len(texts), 5)]
+    got = labels._json_rows(tuple(rows), 5)
+    assert got is not None
+    want = np.array([float(t) for t in texts]).reshape(-1, 5)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_prediction_file_with_the_id_elsewhere_takes_the_row_reader(tmp_path):
+    rng = np.random.default_rng(58)
+    poses, scores, object_ids = _random_predictions(rng, 40)
+    table = prediction_table(poses, scores, object_ids)
+    path = str(tmp_path / "preds.csv")
+    write_predictions(path, table)
+    lines = [line.split(",") for line in open(path).read().splitlines()]
+    moved = str(tmp_path / "moved.csv")
+    with open(moved, "w") as fh:
+        fh.write("".join(",".join(parts[1:] + parts[:1]) + "\n" for parts in lines))
+    counting, results = _counted_json_rows()
+    with mock.patch.object(labels, "_json_rows", counting):
+        got = read_predictions(moved)
+    assert results == []
+    assert got.values.tobytes() == table.values.tobytes() and got.object_ids == table.object_ids
+    assert _read_any(moved, "predictions") == _rows_only(moved, "predictions")
+
+
+@pytest.mark.parametrize("row", [0, 1, 2047, 4095, 4096 + 7])
+def test_second_object_id_in_a_label_file_at_any_row_of_a_chunk(tmp_path, row):
+    path = str(tmp_path / "labels.csv")
+    write_labels(path, LabelTable("obj", np.tile(_random_values(np.random.default_rng(59), 64), (66, 1))))
+    lines = open(path).read().splitlines()
+    lines[row + 1] = "other" + lines[row + 1][len("obj"):]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    want = _rows_only(path, "labels")
+    assert want[0] is SchemaError and want[2] == (row + 2 if row else 3)
+    assert _read_any(path, "labels") == want
+
+
+@pytest.fixture(scope="module")
+def chunk_files(tmp_path_factory):
+    """The lines of a label and a prediction file of one chunk and a bit."""
+    tmp_path = tmp_path_factory.mktemp("chunks")
+    return {kind: open(_fault_file(tmp_path, kind, {}, n=labels._READ_CHUNK + 8)).read().splitlines()
+            for kind in ("labels", "predictions")}
+
+
+@pytest.mark.parametrize("kind", ["labels", "predictions"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_read_error_at_any_row_of_a_chunk_matches_the_row_reader(tmp_path, chunk_files, kind, fault):
+    """The first, second, middle and last row of the first 4,096-row chunk,
+    and a row of the second: the same error as the row reader's."""
+    assert labels._READ_CHUNK == 4096
+    base = chunk_files[kind]
+    columns = LABEL_COLUMNS if kind == "labels" else PREDICTION_COLUMNS
+    path = str(tmp_path / "fault.csv")
+    for row in (0, 1, 2047, 4095, 4096 + 7):
+        lines = list(base)
+        parts = lines[row + 1].split(",")
+        _FAULTS[fault](parts, columns)
+        lines[row + 1] = ",".join(parts)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        got = _read_any(path, kind)
+        assert got[0] is SchemaError and got[2] == row + 2, (fault, row)
+        assert got == _rows_only(path, kind), (fault, row)
+        if row == 0:  # the per-row reader stops at the fault
+            assert _assert_same_error(path, kind).line == 2

@@ -30,6 +30,7 @@ from graspscore import (
 from graspscore import geometry, metrics, scene
 from graspscore.candidates import generate_views
 from graspscore.errors import ParseError, UnknownObjectId
+from graspscore.gripper import _gripper_frame
 from graspscore.primitives import make_icosphere
 
 import _scenes
@@ -893,10 +894,26 @@ def test_scene_json_rotation_within_tolerance(tmp_path):
 
 # --- collision broad phase ---
 
-def _shortlists(cloud, poses, gripper, margin, generator=scene._collision_shortlists):
-    """``scene._collision_shortlists`` (or its oracle) on the columns of a list of ``GraspPose``."""
-    bodies = np.array([gripper.collision_body(p.width, p.depth) for p in poses]).reshape(-1, 3, 2, 3)
-    return generator(cloud, *_pose_columns(poses), bodies, margin)
+def _bodies(poses, gripper):
+    """The collision bodies of a list of ``GraspPose``, (n, 3, 2, 3)."""
+    return np.array([gripper.collision_body(p.width, p.depth) for p in poses]).reshape(-1, 3, 2, 3)
+
+
+def _witnesses(cloud, poses, gripper, margin):
+    """``scene._collision_witnesses`` on the columns of a list of ``GraspPose``."""
+    return scene._collision_witnesses(cloud, *_pose_columns(poses), _bodies(poses, gripper), margin)
+
+
+def _shortlists(cloud, poses, gripper, margin):
+    """The nearest-32 generator (``conftest.nearest_shortlists``) on the same columns."""
+    return nearest_shortlists(cloud, *_pose_columns(poses), _bodies(poses, gripper), margin)
+
+
+def _inside(cloud, rotation, translation, body, margin):
+    """Indices of the cloud points inside a body's boxes grown by ``margin``,
+    by ``gripper_collides``'s arithmetic on the whole cloud."""
+    local = _gripper_frame(cloud, rotation, translation)[:, None, :]
+    return np.flatnonzero(((local >= body[:, 0] - margin) & (local <= body[:, 1] + margin)).all(axis=2).any(axis=1))
 
 
 def _within_range(cloud, pose, gripper, margin, bound=1e100):
@@ -908,32 +925,30 @@ def _within_range(cloud, pose, gripper, margin, bound=1e100):
 
 
 def _collision_verdicts(cloud, poses, gripper=GripperModel(), margin=0.001):
-    """Broad-phase verdicts next to the all-points ones, per pose.
+    """Bulk verdicts next to the all-points ones, per pose.
 
-    Each shortlist is checked as the evidence for its verdict: its points,
-    sorted and without repeats, are each inside by ``gripper_collides`` on
-    that one point, and it is empty exactly when no cloud point is inside.
-    It may be None (the whole cloud) only for a body, pose or cloud not
-    well within float range. It is None, or empty, exactly when the
-    nearest-32 generator's (``conftest.nearest_shortlists``) is.
+    Each witness is checked as the evidence for its verdict: it is inside
+    by ``gripper_collides`` on that one point, and a pose has none (-1)
+    exactly when no cloud point is inside. The verdicts are also the
+    nearest-32 generator's (``conftest.nearest_shortlists``), whose
+    shortlist may be None (the whole cloud) only for a body, pose or cloud
+    not well within float range.
     """
+    witness = _witnesses(cloud, poses, gripper, margin)
+    oracle = list(_shortlists(cloud, poses, gripper, margin))
+    assert witness.dtype == np.intp and witness.shape == (len(poses),) and len(oracle) == len(poses)
     got, want = [], []
-    shortlists = list(_shortlists(cloud, poses, gripper, margin))
-    oracle = list(_shortlists(cloud, poses, gripper, margin, nearest_shortlists))
-    assert len(shortlists) == len(oracle) == len(poses)
-    for pose, shortlist, old in zip(poses, shortlists, oracle):
+    for pose, found, old in zip(poses, witness.tolist(), oracle):
         collides = gripper_collides(cloud, *pose_fields(pose), gripper, margin)
-        assert (shortlist is None) == (old is None)
-        if shortlist is None:
+        if old is None:
             assert not _within_range(cloud, pose, gripper, margin)
-            points = cloud
         else:
-            assert shortlist.dtype == np.intp
-            assert np.all(np.diff(shortlist) > 0)  # sorted, no repeats
-            assert all(gripper_collides(cloud[i], *pose_fields(pose), gripper, margin) for i in shortlist)
-            assert (len(shortlist) > 0) == (len(old) > 0) == collides
-            points = cloud[shortlist]
-        got.append(gripper_collides(points, *pose_fields(pose), gripper, margin))
+            assert (len(old) > 0) == collides
+        if found >= 0:
+            assert gripper_collides(cloud[found], *pose_fields(pose), gripper, margin)
+        else:
+            assert found == -1
+        got.append(found >= 0)
         want.append(collides)
     return got, want
 
@@ -967,6 +982,20 @@ def test_collision_shortlists_match_all_points(clutter, margin):
     got, want = _collision_verdicts(layout.scene_cloud, poses, margin=margin)
     assert got == want
     assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257])
+def test_collision_witnesses_at_chunk_edges(clutter, n):
+    """Survivor counts one either side of a multiple of the chunk size: a
+    chunk's last grasp and the next chunk's first get their own verdicts."""
+    assert scene._COLLISION_CHUNK == 128
+    layout = clutter
+    rng = np.random.default_rng(54)
+    centers = np.array([inst.translation for inst in layout.instances])
+    poses = _grasps_near(rng, centers, n)
+    got, want = _collision_verdicts(layout.scene_cloud, poses)
+    assert got == want
+    assert n < 128 or 0 < sum(want) < len(want)
 
 
 @pytest.mark.parametrize("margin", [0.001, 0.0])
@@ -1030,7 +1059,7 @@ def test_collision_empty_cloud():
     cloud = np.zeros((0, 3))
     got, want = _collision_verdicts(cloud, poses)
     assert got == want == [False] * 5
-    assert all(len(s) == 0 for s in _shortlists(cloud, poses, GripperModel(), 0.001))
+    assert _witnesses(cloud, poses, GripperModel(), 0.001).tolist() == [-1] * 5
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 5, 31, 32, 33])
@@ -1054,9 +1083,13 @@ def test_collision_unusable_body_tests_whole_cloud(width, margin, tree_calls):
     cloud = rng.uniform(-0.05, 0.05, (300, 3))
     poses = [GraspPose(rotation=p.rotation, translation=p.translation, width=width, depth=p.depth)
              for p in _grasps_near(rng, np.zeros((1, 3)), 20, spread=0.05)]
-    shortlists = list(_shortlists(cloud, poses, GripperModel(), margin))
-    assert shortlists == [None] * len(poses)
+    witness = _witnesses(cloud, poses, GripperModel(), margin)
     assert tree_calls["balls"] == [0]  # no ball is open for the cover
+    assert list(_shortlists(cloud, poses, GripperModel(), margin)) == [None] * len(poses)
+    # the whole cloud's lowest inside index
+    for pose, body, found in zip(poses, _bodies(poses, GripperModel()), witness.tolist()):
+        inside = _inside(cloud, pose.rotation, pose.translation, body, margin)
+        assert found == (inside[0] if len(inside) else -1)
     got, want = _collision_verdicts(cloud, poses, margin=margin)
     assert got == want
 
@@ -1146,7 +1179,7 @@ def _decoys(rng, lo, hi, per_box=32 + 8):
     centre, outside every box: nearer each box centre than any probe, so
     the nearest-32 oracle's pre-test decides nothing and its cover must.
     No probe lies within half a box side of a ball centre, so the cover
-    decides in ``_collision_shortlists`` too."""
+    decides in ``_collision_witnesses`` too."""
     decoys = []
     for l, h in zip(lo, hi):
         half = (h - l) / 2.0
@@ -1231,13 +1264,14 @@ def test_collision_clear_grasp_gets_an_empty_shortlist():
     decoys = _decoys(np.random.default_rng(51), lo, hi)
     cloud = np.vstack([decoys @ pose.rotation.T + pose.translation, [[5.0, 5.0, 5.0]]])
     shortlist, = _shortlists(cloud, [pose], gripper, 0.001)
-    assert shortlist is not None and shortlist.dtype == np.intp and len(shortlist) == 0
+    assert shortlist is not None and len(shortlist) == 0
+    assert _witnesses(cloud, [pose], gripper, 0.001).tolist() == [-1]
     assert not gripper_collides(cloud, *pose_fields(pose), gripper, 0.001)
 
 
 # --- the nearest-point pre-test of the collision broad phase ---
 
-def test_collision_shortlists_match_the_nearest_32_oracle(clutter):
+def test_collision_shortlists_match_the_nearest_32_oracle(clutter, tree_calls):
     """The NMS survivors of an eval-clutter op, in size: the verdicts of
     the generator the pre-test replaced, most settled by one point."""
     layout = clutter
@@ -1245,8 +1279,9 @@ def test_collision_shortlists_match_the_nearest_32_oracle(clutter):
     rng = np.random.default_rng(48)
     centers = np.array([inst.translation for inst in layout.instances])
     poses = _grasps_near(rng, centers, 1650)
-    shortlists = list(_shortlists(cloud, poses, gripper, 0.001))
-    oracle = list(_shortlists(cloud, poses, gripper, 0.001, nearest_shortlists))
+    witness = _witnesses(cloud, poses, gripper, 0.001)
+    opened = sum(tree_calls["balls"])
+    oracle = list(_shortlists(cloud, poses, gripper, 0.001))
     # the whole cloud's verdicts, from the points within each body's
     # bounding ball (an accepted rotation scales lengths by under 1e-5)
     want = []
@@ -1254,12 +1289,16 @@ def test_collision_shortlists_match_the_nearest_32_oracle(clutter):
         reach = np.linalg.norm(np.abs(gripper.collision_body(pose.width, pose.depth)) + 0.001, axis=-1).max()
         near = cloud[np.linalg.norm(cloud - pose.translation, axis=1) <= reach * (1.0 + 1e-4)]
         want.append(gripper_collides(near, *pose_fields(pose), gripper, 0.001))
-    for pose, shortlist, old, collides in zip(poses, shortlists, oracle, want):
-        assert np.all(np.diff(shortlist) > 0)
-        assert (len(shortlist) > 0) == (len(old) > 0) == collides
-        assert all(gripper_collides(cloud[i], *pose_fields(pose), gripper, 0.001) for i in shortlist)
+    for pose, found, old, collides in zip(poses, witness.tolist(), oracle, want):
+        assert (found >= 0) == (len(old) > 0) == collides
+        assert found < 0 or gripper_collides(cloud[found], *pose_fields(pose), gripper, 0.001)
     assert 0 < sum(want) < len(want)
-    assert sum(len(s) == 1 for s in shortlists) > 0.8 * sum(want)
+    # the cover is queried for the clear grasps and under a fifth of the colliding ones
+    owner = scene._ball_cover(*_pose_columns(poses), _bodies(poses, gripper)[:, :, 0] - 0.001,
+                              _bodies(poses, gripper)[:, :, 1] + 0.001)[0]
+    balls = np.bincount(owner, minlength=len(poses))
+    collided = np.array(want)
+    assert opened < balls[~collided].sum() + 0.2 * balls[collided].sum()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1276,15 +1315,19 @@ def test_collision_pre_test_bound_comes_from_finite_sides(clutter, tree_calls, b
     bodies[0, 2, 1, 0] = bad  # one side of the palm
     bodies[1] = bad  # every side
     bodies[2, :, 0, 1] = -bad  # lo on y
-    shortlists = list(scene._collision_shortlists(layout.scene_cloud, rotations, translations, bodies, 0.001))
-    oracle = list(nearest_shortlists(layout.scene_cloud, rotations, translations, bodies, 0.001))
-    assert shortlists[:3] == oracle[:3] == [None] * 3
+    witness = scene._collision_witnesses(layout.scene_cloud, rotations, translations, bodies, 0.001).tolist()
     sides = (bodies[3:, :, 1] - bodies[3:, :, 0] + 0.002).min()
     assert tree_calls["bounds"] == [pytest.approx(sides / 2.0, rel=1e-9)]
-    for pose, shortlist, old in zip(poses[3:], shortlists[3:], oracle[3:]):
+    oracle = list(nearest_shortlists(layout.scene_cloud, rotations, translations, bodies, 0.001))
+    assert oracle[:3] == [None] * 3
+    for k in range(3):  # the whole cloud's lowest inside index, by the boxes as given
+        inside = _inside(layout.scene_cloud, rotations[k], translations[k], bodies[k], 0.001)
+        assert witness[k] == (inside[0] if len(inside) else -1)
+    for pose, found, old in zip(poses[3:], witness[3:], oracle[3:]):
         collides = gripper_collides(layout.scene_cloud, *pose_fields(pose), gripper, 0.001)
-        assert (len(shortlist) > 0) == (len(old) > 0) == collides
-    assert any(len(s) > 0 for s in shortlists[3:])
+        assert (found >= 0) == (len(old) > 0) == collides
+        assert found < 0 or gripper_collides(layout.scene_cloud[found], *pose_fields(pose), gripper, 0.001)
+    assert any(found >= 0 for found in witness[3:])
 
 
 # A gripper whose sizes, poses and box centres are exact in binary: fingers
@@ -1305,8 +1348,7 @@ def test_collision_cloud_of_one_point(where, tree_calls):
     got, want = _collision_verdicts(cloud, [_DYADIC_POSE], _DYADIC, 0.0)
     assert got == want == [where != "outside"]
     tree_calls["balls"].clear()
-    shortlist, = _shortlists(cloud, [_DYADIC_POSE], _DYADIC, 0.0)
-    assert shortlist.tolist() == ([0] if want[0] else [])
+    assert _witnesses(cloud, [_DYADIC_POSE], _DYADIC, 0.0).tolist() == [0 if want[0] else -1]
     boxes = _DYADIC.collision_body(_DYADIC_POSE.width, _DYADIC_POSE.depth)
     n_balls = len(scene._ball_cover(np.eye(3)[None], np.zeros((1, 3)), boxes[None, :, 0], boxes[None, :, 1])[0])
     assert tree_calls["balls"] == [0 if where == "centre" else n_balls]
@@ -1350,9 +1392,9 @@ def test_collision_nearest_point_outside_leaves_the_grasp_to_the_cover(tree_call
     assert not gripper_collides(cloud[:1], *pose_fields(pose), gripper, 0.001)
     got, want = _collision_verdicts(cloud, [pose], gripper)
     assert got == want == [True]
-    shortlist, = _shortlists(cloud, [pose], gripper, 0.001)
-    assert shortlist.tolist() == [1]
-    assert tree_calls["balls"][0] == len(world)
+    tree_calls["balls"].clear()
+    assert _witnesses(cloud, [pose], gripper, 0.001).tolist() == [1]
+    assert tree_calls["balls"] == [len(world)]
 
 
 # Gathering a rotation and the boxes for every (grasp, point) pair of one
@@ -1367,12 +1409,11 @@ def test_collision_shortlists_memory_is_bounded(clutter):
     poses = _grasps_near(rng, centers, 1650)  # the NMS survivors of an eval-clutter op
     tracemalloc.start()
     try:
-        lengths = [-1 if s is None else len(s)
-                   for s in _shortlists(layout.scene_cloud, poses, GripperModel(), 0.001)]
+        witness = _witnesses(layout.scene_cloud, poses, GripperModel(), 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(lengths) == len(poses) and 0 < lengths.count(0) < len(poses)
+    assert len(witness) == len(poses) and 0 < (witness < 0).sum() < len(poses)
     assert peak < _COLLISION_PEAK_BOUND
 
 
@@ -1498,8 +1539,13 @@ def _clutter_predictions(layout, n=700, seed=44):
 
 
 def _all_points(cloud, rotations, translations, bodies, margin):
-    for _ in rotations:
-        yield None
+    """The bulk pass by its definition: per grasp, the lowest index of a
+    cloud point inside its boxes, tested over the whole cloud, or -1."""
+    witness = []
+    for rotation, translation, body in zip(rotations, translations, bodies):
+        inside = _inside(cloud, rotation, translation, body, margin)
+        witness.append(inside[0] if len(inside) else -1)
+    return np.array(witness, dtype=np.intp)
 
 
 def test_evaluate_ap_matches_exhaustive_filters(clutter, monkeypatch):
@@ -1507,7 +1553,7 @@ def test_evaluate_ap_matches_exhaustive_filters(clutter, monkeypatch):
     preds = _clutter_predictions(layout)
     got = evaluate_ap(preds, layout).as_dict()
 
-    monkeypatch.setattr(scene, "_collision_shortlists", _all_points)
+    monkeypatch.setattr(scene, "_collision_witnesses", _all_points)
     monkeypatch.setattr(scene, "grasp_nms",
                         lambda *args: np.asarray(_nms_exhaustive(*args), dtype=np.int64))
     want = evaluate_ap(preds, layout).as_dict()
@@ -1515,29 +1561,31 @@ def test_evaluate_ap_matches_exhaustive_filters(clutter, monkeypatch):
     assert want["n_filtered_nms"] > 50 and want["n_filtered_collision"] > 0 and want["n_evaluated"] > 0
 
 
-def test_evaluate_ap_tests_each_nms_survivor_once(clutter, monkeypatch):
+def test_evaluate_ap_decides_every_nms_survivor_in_one_bulk_call(clutter, monkeypatch):
     layout = clutter
     preds = _clutter_predictions(layout, n=300, seed=45)
+    config = replace(_scenes.CLOSURE_ONLY, collision_margin=0.002)
     calls = []
 
-    def counting(points, rotation, translation, width, depth, gripper, margin):
-        calls.append((rotation, translation, width, depth))
-        return gripper_collides(points, rotation, translation, width, depth, gripper, margin)
+    def recording(*args):
+        calls.append(args)
+        return _all_points(*args)
 
-    monkeypatch.setattr(scene, "gripper_collides", counting)
-    report = evaluate_ap(preds, layout)
+    monkeypatch.setattr(scene, "_collision_witnesses", recording)
+    report = evaluate_ap(preds, layout, config)
     kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
-    assert 0 < report.n_filtered_nms and len(calls) == len(kept)
+    assert 0 < report.n_filtered_nms and 0 < report.n_filtered_collision and len(calls) == 1
 
     # the arguments are the table's rows of the kept grasps, in visit order, bit for bit
     def bits(values):
         return np.asarray(values, dtype=np.float64).view(np.int64)
 
-    assert all(np.shape(c[0]) == (3, 3) and np.shape(c[1]) == (3,) for c in calls)
-    assert np.array_equal(bits([c[0] for c in calls]), bits(preds.rotations[kept]))
-    assert np.array_equal(bits([c[1] for c in calls]), bits(preds.translations[kept]))
-    assert np.array_equal(bits([c[2] for c in calls]), bits(preds.values[kept, 12]))
-    assert np.array_equal(bits([c[3] for c in calls]), bits(preds.values[kept, 13]))
+    cloud, rotations, translations, bodies, margin = calls[0]
+    assert cloud is layout.scene_cloud and margin == 0.002
+    assert np.array_equal(bits(rotations), bits(preds.rotations[kept]))
+    assert np.array_equal(bits(translations), bits(preds.translations[kept]))
+    want = config.gripper().collision_body(preds.values[kept, 12], preds.values[kept, 13])
+    assert bodies.shape == (len(kept), 3, 2, 3) and np.array_equal(bits(bodies), bits(want))
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
