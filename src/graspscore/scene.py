@@ -7,9 +7,10 @@ predicted scores are kept, their true hybrid scores are recomputed from the
 geometry, and precision at every rank is averaged into AP per score
 threshold and mAP across thresholds.
 
-The collision filter decides every NMS survivor in one bulk pass that
-names a witness, a scene point inside its boxes, for each colliding one;
-``gripper.gripper_collides`` is the one-grasp rule it agrees with.
+The collision filter drops the NMS survivors below the table, then decides
+the rest in one bulk pass that names a witness, a scene point inside its
+boxes, for each colliding one; ``gripper.gripper_collides`` is the
+one-grasp rule it agrees with.
 """
 
 from __future__ import annotations
@@ -340,9 +341,11 @@ def _collision_witnesses(cloud: np.ndarray, rotations: np.ndarray, translations:
     whose cover is not finite (a NaN margin, a width near the float limit)
     or lies beyond ``_MAX_REACH`` of the cloud tests the whole cloud. The
     nearest-point pre-test only saves work: the box test and the cover
-    decide.
+    decide. With no grasps no tree is built.
     """
     witness = np.full(len(rotations), -1, dtype=np.intp)
+    if not len(rotations):
+        return witness
     tree = cKDTree(cloud)
     for start in range(0, len(rotations), _COLLISION_CHUNK):
         chunk = slice(start, start + _COLLISION_CHUNK)
@@ -480,7 +483,7 @@ def evaluate_ap(
 ) -> EvalReport:
     """Score a prediction set against a scene.
 
-    Pipeline: NMS -> collision filter (scene cloud + table plane) -> top-50
+    Pipeline: NMS -> collision filter (table plane, then scene cloud) -> top-50
     by predicted score -> recompute the true hybrid score of each survivor
     on its associated object -> precision@k -> AP per threshold -> mAP.
     True scores come from the labeling code (``score_contacts``, then
@@ -499,8 +502,13 @@ def evaluate_ap(
     and tests each only against the kept grasps near it in a 6-D pose
     embedding; any pair that could suppress lies within the embedding's
     radius, so that broad phase drops no suppressor. The collision filter
-    builds one KD-tree over the scene cloud and decides every NMS survivor
-    in one pass (see ``_collision_witnesses``): a survivor collides iff
+    tests the table first: a survivor with a box corner below it is
+    dropped (see ``_below_table``; a non-finite height drops none), and
+    only the survivors the table leaves meet the cloud. One KD-tree over
+    the scene cloud decides those in one pass (see
+    ``_collision_witnesses``); none is built when the table leaves none.
+    Each verdict is the grasp's own, so the survivors are those of both
+    tests on every NMS survivor. A survivor collides iff
     the pass finds it a witness, a cloud point that its boxes hold by
     ``gripper_collides``'s own arithmetic. A colliding survivor's witness
     is most often the point nearest the centre of a ball covering its
@@ -524,9 +532,9 @@ def evaluate_ap(
     rotations, translations = predictions.rotations[kept], predictions.translations[kept]
     widths, depths = predictions.widths[kept], predictions.depths[kept]
     bodies = gripper.collision_body(widths, depths)
-    clear = ~_below_table(rotations, translations, bodies, layout.table_height)
-    clear &= _collision_witnesses(layout.scene_cloud, rotations, translations, bodies, margin) < 0
-    survivors = np.flatnonzero(clear)
+    above = np.flatnonzero(~_below_table(rotations, translations, bodies, layout.table_height))
+    witness = _collision_witnesses(layout.scene_cloud, rotations[above], translations[above], bodies[above], margin)
+    survivors = above[witness < 0]
     n_coll = len(kept) - len(survivors)
 
     # NMS already visits by (score desc, index asc), so the first TOP_K

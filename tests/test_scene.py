@@ -703,8 +703,9 @@ def test_eval_below_table_filters_everything(sphere_world):
 
 
 def test_eval_scene_without_instances_filters_everything():
-    # An empty cloud takes the general collision path, and with no survivor
-    # nothing is associated: a scene with no instances has none to pick.
+    # The table filters every survivor before the (empty) cloud is tested,
+    # and with no survivor nothing is associated: a scene with no instances
+    # has none to pick.
     layout = build_scene([], {}, table_height=10.0)
     report = evaluate_ap(_scenes.perfect_predictions(), layout, _scenes.CLOSURE_ONLY)
     assert report.as_dict() == {
@@ -718,6 +719,14 @@ def test_eval_scene_without_instances_filters_everything():
         "empty_after_filtering": True,
         "true_scores": [],
     }
+
+
+def test_eval_empty_cloud_clears_every_survivor_above_the_table():
+    # Below every survivor, the table leaves them all to the empty cloud,
+    # which clears them, and a scene with no instances has none to pick.
+    layout = build_scene([], {}, table_height=-10.0)
+    with pytest.raises(UnknownObjectId, match="not in scene"):
+        evaluate_ap(_scenes.perfect_predictions(), layout, _scenes.CLOSURE_ONLY)
 
 
 def _below_table_mask(poses, table_height, gripper=GripperModel()):
@@ -1255,6 +1264,41 @@ def test_collision_thin_slabs_under_the_cover(kind):
         _assert_cover_cases(pose, _SlabGripper(), margin, exact=kind == "exact")
 
 
+class _PicometreGripper(GripperModel):
+    """Cubes 9 float steps of 1e3 on a side (about a picometre): the first
+    at the gripper origin, the other two far off on -x."""
+
+    def collision_body(self, width, depth):
+        step = np.spacing(1e3)
+        return np.array([[[0.0] * 3, [9 * step] * 3],
+                         [[-200 * step] * 3, [-191 * step] * 3],
+                         [[-400 * step] * 3, [-391 * step] * 3]])
+
+
+@pytest.mark.parametrize("translation", [[1e3, 1e3, 1e3], [-1e3, 1e3, -1e3], [600.0, -900.0, 1e3]])
+def test_collision_picometre_boxes_far_from_the_origin(translation):
+    """Each corner of a picometre box posed 1e3 m out, alone in the cloud.
+
+    The world centre of the box's ball rounds by half a float step of 1e3
+    on each axis, far more than ``_BALL_SLACK`` of the ball's own size, so
+    some corner lies outside the ball but for the absolute ``_BAND``.
+    """
+    gripper = _PicometreGripper()
+    pose = GraspPose(rotation=np.eye(3), translation=np.array(translation), width=0.05, depth=0.02)
+    lo, hi = gripper.collision_body(pose.width, pose.depth)[0]
+    _, world, radius = scene._ball_cover(np.eye(3)[None], pose.translation[None], lo[None, None], hi[None, None])
+    half = np.linalg.norm(hi - lo) / 2.0
+    bare = half + scene._BALL_SLACK * (half + np.linalg.norm((lo + hi) / 2.0))
+    assert radius[0] == bare + scene._BAND
+    corners = pose.translation + np.where(scene._CORNER_PICKS, hi, lo)
+    # (p - t) @ I gives each corner back bit for bit: they are on the box
+    assert np.array_equal(_gripper_frame(corners, np.eye(3), pose.translation), np.where(scene._CORNER_PICKS, hi, lo))
+    assert (np.linalg.norm(corners - world[0], axis=1) > bare).any()
+    for corner in corners:
+        got, want = _collision_verdicts(corner[None], [pose], gripper, 0.0)
+        assert got == want == [True]
+
+
 def test_collision_clear_grasp_gets_an_empty_shortlist():
     gripper = GripperModel()
     pose = GraspPose(rotation=random_rotation(np.random.default_rng(50)), translation=np.array([0.1, 0.0, 0.2]),
@@ -1576,16 +1620,98 @@ def test_evaluate_ap_decides_every_nms_survivor_in_one_bulk_call(clutter, monkey
     kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
     assert 0 < report.n_filtered_nms and 0 < report.n_filtered_collision and len(calls) == 1
 
-    # the arguments are the table's rows of the kept grasps, in visit order, bit for bit
+    # the arguments are the table's rows of the kept grasps that _below_table
+    # leaves, in visit order, bit for bit
     def bits(values):
         return np.asarray(values, dtype=np.float64).view(np.int64)
 
+    bodies_kept = config.gripper().collision_body(preds.values[kept, 12], preds.values[kept, 13])
+    below = scene._below_table(preds.rotations[kept], preds.translations[kept], bodies_kept, layout.table_height)
+    assert below.any() and not below.all()
+    above = kept[~below]
     cloud, rotations, translations, bodies, margin = calls[0]
     assert cloud is layout.scene_cloud and margin == 0.002
-    assert np.array_equal(bits(rotations), bits(preds.rotations[kept]))
-    assert np.array_equal(bits(translations), bits(preds.translations[kept]))
-    want = config.gripper().collision_body(preds.values[kept, 12], preds.values[kept, 13])
-    assert bodies.shape == (len(kept), 3, 2, 3) and np.array_equal(bits(bodies), bits(want))
+    assert np.array_equal(bits(rotations), bits(preds.rotations[above]))
+    assert np.array_equal(bits(translations), bits(preds.translations[above]))
+    assert bodies.shape == (len(above), 3, 2, 3) and np.array_equal(bits(bodies), bits(bodies_kept[~below]))
+
+
+def _cloud_then_table(monkeypatch, table_height):
+    """Make ``evaluate_ap`` filter as the code before the table went first
+    did: ``~_below_table(kept) & (_collision_witnesses(all kept) < 0)``.
+    The table mask is moved into the witnesses, so every NMS survivor
+    meets the cloud."""
+    below_table, witnesses = scene._below_table, scene._collision_witnesses
+
+    def every_survivor(cloud, rotations, translations, bodies, margin):
+        clear = ~below_table(rotations, translations, bodies, table_height)
+        clear &= witnesses(cloud, rotations, translations, bodies, margin) < 0
+        return np.where(clear, -1, 0)
+
+    monkeypatch.setattr(scene, "_below_table", lambda rotations, translations, bodies, height:
+                        np.zeros(len(bodies), dtype=bool))
+    monkeypatch.setattr(scene, "_collision_witnesses", every_survivor)
+
+
+@pytest.mark.parametrize("table_height", [0.0, 0.02, np.nan, 10.0])
+@pytest.mark.parametrize("top_k", ["default", "every survivor"])
+def test_evaluate_ap_tests_the_table_before_the_cloud(clutter, monkeypatch, table_height, top_k):
+    """The table-first filter against the cloud-first order it replaced:
+    the same survivors, bit for bit, and the same report. With ``TOP_K``
+    raised past the prediction count every survivor is scored."""
+    layout = replace(clutter, table_height=table_height)
+    preds = _clutter_predictions(layout, n=400, seed=55)
+    if top_k != "default":
+        monkeypatch.setattr(scene, "TOP_K", len(preds))
+    associate, centers = scene._associate, []
+
+    def recording(survivor_centers, object_ids, layout):
+        centers.append(survivor_centers)
+        return associate(survivor_centers, object_ids, layout)
+
+    monkeypatch.setattr(scene, "_associate", recording)
+    kept = grasp_nms(preds.rotations, preds.translations, preds.scores)
+    bodies = GripperModel().collision_body(preds.widths[kept], preds.depths[kept])
+    n_below = int(scene._below_table(preds.rotations[kept], preds.translations[kept], bodies, table_height).sum())
+    got = evaluate_ap(preds, layout).as_dict()
+    _cloud_then_table(monkeypatch, table_height)
+    want = evaluate_ap(preds, layout).as_dict()
+    assert got == want
+    assert len(centers) == (2 if want["n_evaluated"] else 0)
+    if centers:
+        assert np.array_equal(centers[0].view(np.int64), centers[1].view(np.int64))
+    if top_k != "default":
+        assert want["n_evaluated"] == len(kept) - want["n_filtered_collision"]
+    if np.isnan(table_height):
+        assert n_below == 0 and 0 < want["n_filtered_collision"] < len(kept)
+    elif table_height == 10.0:
+        assert n_below == want["n_filtered_collision"] == len(kept)
+    else:  # the table filters some survivors, and the cloud some of the rest
+        assert 0 < n_below < want["n_filtered_collision"] < len(kept)
+
+
+def test_eval_table_above_every_survivor_builds_no_cloud_tree(sphere_world, monkeypatch):
+    """The table filters every survivor, so no grasp meets the cloud and
+    its KD-tree is never built; the cloud-first order built it for nothing.
+    NMS's trees (6-D embeddings) show the counter sees scene's trees."""
+    instances = [SceneInstance(_scenes.SPHERE_ID, np.eye(3), np.zeros(3))]
+    layout = build_scene(instances, sphere_world.meshes, table_height=10.0)
+    preds = _scenes.perfect_predictions()
+    built = []
+
+    class Counting(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(np.shape(data)[1])
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(scene, "cKDTree", Counting)
+    got = evaluate_ap(preds, layout, _scenes.CLOSURE_ONLY).as_dict()
+    assert 6 in built and 3 not in built
+    built.clear()
+    _cloud_then_table(monkeypatch, layout.table_height)
+    assert evaluate_ap(preds, layout, _scenes.CLOSURE_ONLY).as_dict() == got
+    assert built.count(3) == 1
+    assert got["empty_after_filtering"] and got["n_filtered_collision"] == 50 and got["map"] == 0.0
 
 
 def test_evaluate_ap_poses_each_instance_once(clutter, monkeypatch):
